@@ -10,8 +10,8 @@ scheduler, ace_mode), and records every finished job in a persistent
 resumable and repeated invocations incremental. Results are
 bit-identical to the serial ``run_cell`` loop for any worker count and
 any shard size; spec fields map one-to-one onto the job fingerprint
-parameters (:func:`cell_fingerprints`), so stores from the kwarg era
-resume with zero jobs executed.
+parameters (:func:`cell_fingerprints`), so stores written before the
+spec API resume with zero jobs executed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.arch.config import GpuConfig
-from repro.arch.presets import list_gpus
 from repro.engine import jobs
 from repro.engine.fingerprint import (
     cell_params,
@@ -239,27 +238,23 @@ def cell_fingerprints(spec) -> dict:
     return out
 
 
-def run_campaign(spec=None, *, store: ResultStore | str | Path | None = None,
+def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
                  workers: int = 1, progress=None,
                  stats: CampaignStats | None = None,
-                 telemetry=None, profile=None, execution=None,
-                 **legacy) -> CampaignResult:
+                 telemetry=None, profile=None,
+                 execution=None) -> CampaignResult:
     """Run (or resume) an evaluation matrix on the job engine.
 
-    Preferred form: ``run_campaign(spec, store=..., workers=...)``
-    with a :class:`repro.spec.CampaignSpec`. The legacy kwarg form
-    (``gpus=``, ``workloads=``, ``samples=``, ...) builds a spec
-    internally, emits a :class:`DeprecationWarning`, and produces
-    bit-identical results — including the legacy default of running
-    the *full-size* presets when no ``gpus`` are named (a bare spec
-    defaults to the scaled presets, like the CLI and harnesses).
+    ``spec`` is a :class:`repro.spec.CampaignSpec`; everything else is
+    an execution resource: ``run_campaign(spec, store=...,
+    workers=...)``.
 
     ``store`` — a :class:`ResultStore` or a path to one — makes the
     campaign persistent: killed runs resume without re-executing any
     finished job, and identical re-invocations execute nothing. Spec
-    fields map onto the same golden/plan/shard/cell fingerprints the
-    kwarg era wrote, so pre-spec stores resume with zero jobs
-    executed. ``workers`` sizes the process pool (1 = inline/serial);
+    fields map onto the same golden/plan/shard/cell fingerprints that
+    stores written before the spec API hold, so those resume with zero
+    jobs executed. ``workers`` sizes the process pool (1 = inline/serial);
     cells and their FI shards are scheduled concurrently either way,
     and results are identical for every setting. The spec's
     ``fault_model`` is part of every plan/shard/cell fingerprint, so
@@ -302,15 +297,8 @@ def run_campaign(spec=None, *, store: ResultStore | str | Path | None = None,
     it. Like telemetry, it joins no job fingerprint — stores are
     bit-identical for any backend.
     """
-    from repro.spec import coerce_spec
-    # The kwarg era defaulted to the full-size presets here (the
-    # harnesses passed the scaled ones explicitly); coerce_spec keeps
-    # that default for every spec-less call — including a bare
-    # run_campaign() — so shimmed results stay bit-identical and old
-    # stores resume. A bare CampaignSpec() resolves to the scaled
-    # presets instead.
-    spec = coerce_spec(spec, legacy, who="run_campaign",
-                       legacy_defaults={"gpus": list_gpus})
+    from repro.spec.campaign import require_spec
+    spec = require_spec(spec, who="run_campaign")
 
     scale = spec.resolved_scale()
     samples = spec.resolved_samples()

@@ -8,11 +8,10 @@
 
 Every harness consumes one declarative
 :class:`repro.spec.CampaignSpec` (``run_fig1(spec, workers=...,
-store=...)``); the pre-spec kwarg call pattern still works as a
-deprecated shim.
+store=...)``).
 
 CLI: ``python -m repro.experiments
-<fig1|fig2|fig3|control_avf|model_compare|all> [options]`` or the
+<fig1|fig2|fig3|control|models|all> [options]`` or the
 installed ``repro-experiments`` entry point, plus the spec-file
 subcommands ``run SPEC [--set key=value]`` and ``sweep SPEC --axis
 key=v1,v2`` (one checked-in TOML/JSON artifact, executed or expanded

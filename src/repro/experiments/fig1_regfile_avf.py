@@ -11,22 +11,21 @@ from __future__ import annotations
 from repro.arch.structures import REGISTER_FILE
 from repro.reliability.campaign import CellResult, run_matrix
 from repro.reliability.report import format_avf_figure, write_cells_csv
-from repro.spec import coerce_spec
+from repro.spec.campaign import require_spec
 
 
-def run_fig1(spec=None, *, out_csv: str | None = None, progress=None,
-             workers: int = 1, store=None, stats=None,
-             **legacy) -> tuple[list[CellResult], str]:
+def run_fig1(spec, *, out_csv: str | None = None, progress=None,
+             workers: int = 1, store=None,
+             stats=None) -> tuple[list[CellResult], str]:
     """Run the Fig. 1 campaign; returns (cells, formatted report).
 
     ``spec`` is a :class:`repro.spec.CampaignSpec`; fields left unset
     take this figure's defaults (all scaled chips, the full suite,
     ``structures=(register_file,)``). An explicit ``structures``
     retargets the campaign; the report is then anchored on the first
-    structure given. The legacy kwarg form builds the spec internally
-    with a :class:`DeprecationWarning`.
+    structure given.
     """
-    spec = coerce_spec(spec, legacy, who="run_fig1")
+    spec = require_spec(spec, who="run_fig1")
     if spec.structures is None:
         spec = spec.replace(structures=(REGISTER_FILE,))
     cells = run_matrix(spec, progress=progress, workers=workers,

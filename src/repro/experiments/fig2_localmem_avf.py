@@ -13,7 +13,7 @@ from repro.arch.structures import LOCAL_MEMORY
 from repro.kernels.registry import KERNEL_NAMES, get_workload
 from repro.reliability.campaign import CellResult, run_matrix
 from repro.reliability.report import format_avf_figure, write_cells_csv
-from repro.spec import coerce_spec
+from repro.spec.campaign import require_spec
 
 
 def local_memory_workloads(scale: str = "small") -> list:
@@ -24,19 +24,17 @@ def local_memory_workloads(scale: str = "small") -> list:
     ]
 
 
-def run_fig2(spec=None, *, out_csv: str | None = None, progress=None,
-             workers: int = 1, store=None, stats=None,
-             **legacy) -> tuple[list[CellResult], str]:
+def run_fig2(spec, *, out_csv: str | None = None, progress=None,
+             workers: int = 1, store=None,
+             stats=None) -> tuple[list[CellResult], str]:
     """Run the Fig. 2 campaign; returns (cells, formatted report).
 
     Spec fields left unset take this figure's defaults:
     ``structures=(local_memory,)`` and the local-memory benchmark
     subset. An explicit ``structures`` retargets the campaign; the
-    report is then anchored on the first structure given. The legacy
-    kwarg form builds the spec internally with a
-    :class:`DeprecationWarning`.
+    report is then anchored on the first structure given.
     """
-    spec = coerce_spec(spec, legacy, who="run_fig2")
+    spec = require_spec(spec, who="run_fig2")
     if spec.structures is None:
         spec = spec.replace(structures=(LOCAL_MEMORY,))
     if spec.workloads is None:

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 from repro.reliability.campaign import CellResult, run_matrix
 from repro.reliability.report import format_epf_figure, write_cells_csv
-from repro.spec import coerce_spec
+from repro.spec.campaign import require_spec
 
 
-def run_fig3(spec=None, *, out_csv: str | None = None, progress=None,
-             workers: int = 1, store=None, stats=None,
-             **legacy) -> tuple[list[CellResult], str]:
+def run_fig3(spec, *, out_csv: str | None = None, progress=None,
+             workers: int = 1, store=None,
+             stats=None) -> tuple[list[CellResult], str]:
     """Run the Fig. 3 campaign; returns (cells, formatted report).
 
     The spec's ``structures`` (default: the datapath pair) widens or
     narrows the structure set whose FIT contributions the EPF sums —
-    adding control structures folds their AVF into FIT_GPU. The legacy
-    kwarg form builds the spec internally with a
-    :class:`DeprecationWarning`.
+    adding control structures folds their AVF into FIT_GPU.
     """
-    spec = coerce_spec(spec, legacy, who="run_fig3")
+    spec = require_spec(spec, who="run_fig3")
     cells = run_matrix(spec, progress=progress, workers=workers,
                        store=store, stats=stats)
     report = format_epf_figure(cells)

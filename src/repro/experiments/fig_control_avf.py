@@ -18,20 +18,19 @@ from __future__ import annotations
 from repro.arch.structures import CONTROL_STRUCTURES
 from repro.reliability.campaign import CellResult, run_matrix
 from repro.reliability.report import format_control_avf, write_cells_csv
-from repro.spec import coerce_spec
+from repro.spec.campaign import require_spec
 
 
-def run_control_avf(spec=None, *, out_csv: str | None = None, progress=None,
-                    workers: int = 1, store=None, stats=None,
-                    **legacy) -> tuple[list[CellResult], str]:
+def run_control_avf(spec, *, out_csv: str | None = None, progress=None,
+                    workers: int = 1, store=None,
+                    stats=None) -> tuple[list[CellResult], str]:
     """Run the control-structure campaign; returns (cells, report).
 
     An unset ``structures`` defaults to all three control structures;
     an explicit one (the CLI's ``--structures`` flag) restricts the
-    target set. The legacy kwarg form builds the spec internally with
-    a :class:`DeprecationWarning`.
+    target set.
     """
-    spec = coerce_spec(spec, legacy, who="run_control_avf")
+    spec = require_spec(spec, who="run_control_avf")
     if spec.structures is None:
         spec = spec.replace(structures=CONTROL_STRUCTURES)
     cells = run_matrix(spec, progress=progress, workers=workers,

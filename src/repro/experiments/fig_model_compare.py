@@ -20,25 +20,20 @@ from __future__ import annotations
 from repro.faultmodels.registry import list_fault_models
 from repro.reliability.campaign import CellResult, run_matrix
 from repro.reliability.report import format_model_compare, write_cells_csv
-from repro.spec import coerce_spec
+from repro.spec.campaign import require_spec
 
 
-def run_model_compare(spec=None, *, fault_models: list | None = None,
+def run_model_compare(spec, *, fault_models: list | None = None,
                       out_csv: str | None = None, progress=None,
-                      workers: int = 1, store=None, stats=None,
-                      **legacy) -> tuple[list[CellResult], str]:
+                      workers: int = 1, store=None,
+                      stats=None) -> tuple[list[CellResult], str]:
     """Run the matrix once per fault model; returns (cells, report).
 
     ``fault_models`` selects the model subset; by default every
     registered model is compared (the spec's own ``fault_model`` field
-    is overridden per matrix run). The legacy kwarg form builds the
-    spec internally with a :class:`DeprecationWarning` — its
-    ``fault_model=`` kwarg restricts the comparison to that one model,
-    exactly as before.
+    is overridden per matrix run).
     """
-    if fault_models is None and legacy.get("fault_model") is not None:
-        fault_models = [legacy["fault_model"]]
-    spec = coerce_spec(spec, legacy, who="run_model_compare")
+    spec = require_spec(spec, who="run_model_compare")
     if fault_models is None:
         fault_models = list_fault_models()
     cells_by_model: dict[str, list[CellResult]] = {}

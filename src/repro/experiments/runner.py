@@ -6,9 +6,7 @@ of argparse *subcommands* over it, sharing one set of option groups:
 
 * the figure subcommands (``fig1`` ``fig2`` ``fig3`` ``control``
   ``models`` ``all``) build a spec from their campaign flags and run
-  the matching harness. ``control_avf`` / ``model_compare`` are the
-  pre-subparser names and still dispatch (with a
-  :class:`DeprecationWarning`);
+  the matching harness;
 * ``run path/to/spec.toml`` executes a TOML/JSON spec file.
   ``--set key=value`` overrides individual spec fields; unknown keys
   and invalid values are registry-validated errors naming the valid
@@ -45,8 +43,8 @@ cells concurrently, and ``--resume STORE`` persists every finished
 job so a killed campaign picks up where it left off and identical
 re-invocations execute nothing. A summary line (jobs total / cached /
 executed) is printed after each run. Spec fields map onto the same
-job fingerprints as the pre-spec kwarg era, so old stores resume with
-zero jobs executed.
+job fingerprints that stores written before the spec API hold, so
+those resume with zero jobs executed.
 
 ``run`` and ``sweep`` take ``--telemetry [PATH]`` / ``--no-telemetry``
 to record (or suppress) the engine's observability event stream —
@@ -103,7 +101,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from repro.arch.presets import GPU_ALIASES, GPU_PRESETS
@@ -137,9 +134,6 @@ _EXPERIMENTS = {
 
 #: ``all`` reproduces the paper's figures (models is opt-in).
 _FIGURES = ("fig1", "fig2", "fig3")
-
-#: Pre-subparser experiment names, kept dispatching with a warning.
-_LEGACY_NAMES = {"control_avf": "control", "model_compare": "models"}
 
 
 # ----------------------------------------------------------------------
@@ -311,10 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "fig1": "register-file AVF (paper Fig. 1)",
         "fig2": "local-memory AVF (paper Fig. 2)",
         "fig3": "executions-per-failure (paper Fig. 3)",
-        "control": "control-structure AVF (beyond the paper; "
-                   "was 'control_avf')",
-        "models": "per-GPU AVF across every fault model "
-                  "(was 'model_compare')",
+        "control": "control-structure AVF (beyond the paper)",
+        "models": "per-GPU AVF across every fault model",
         "all": "fig1 + fig2 + fig3 in one campaign",
     }
     for name in (*_EXPERIMENTS, "all"):
@@ -479,26 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
              ".telemetry.jsonl sibling)",
     )
     return parser
-
-
-def _rewrite_legacy(argv: list) -> list:
-    """Map pre-subparser experiment names onto the current commands.
-
-    The first non-flag token is the subcommand (every root flag is a
-    ``--list-*`` switch taking no value), so rewriting it is exact.
-    """
-    for index, token in enumerate(argv):
-        if token.startswith("-"):
-            continue
-        replacement = _LEGACY_NAMES.get(token)
-        if replacement is not None:
-            warnings.warn(
-                f"the {token!r} experiment name is deprecated; use "
-                f"{replacement!r}", DeprecationWarning, stacklevel=3)
-            argv = list(argv)
-            argv[index] = replacement
-        break
-    return argv
 
 
 def _validate_args(args) -> None:
@@ -787,8 +759,8 @@ def _main_figures(args) -> int:
             stats = CampaignStats()
             extra = {}
             if name == "models":
-                # Preserve the pre-spec contract: a named model
-                # restricts the comparison, no flag compares them all.
+                # A named model restricts the comparison; no flag
+                # compares them all.
                 extra["fault_models"] = (
                     [args.fault_model] if args.fault_model else None)
             _, report = _EXPERIMENTS[name](
@@ -1061,8 +1033,6 @@ def _main_profile(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = _rewrite_legacy(
-        list(argv) if argv is not None else sys.argv[1:])
     args = _build_parser().parse_args(argv)
     if args.list_gpus:
         _list_gpus()

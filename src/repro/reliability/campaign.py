@@ -8,10 +8,7 @@ over cells.
 
 Campaigns are configured by one :class:`repro.spec.CampaignSpec`
 object — ``run_cell(spec)`` and ``run_matrix(spec)`` consume it
-directly. The pre-spec kwarg call pattern
-(``run_cell(config, "matrixMul", scale=..., samples=...)``) is kept
-as a thin shim that builds a spec internally and emits a
-:class:`DeprecationWarning`; results are bit-identical either way.
+directly.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.arch.config import GpuConfig
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
@@ -92,16 +88,12 @@ class CellResult:
         }
 
 
-def run_cell(spec=None, workload: str | None = None, *args,
-             golden: GoldenRun | None = None,
-             workers: int = 1, **legacy) -> CellResult:
+def run_cell(spec, *, golden: GoldenRun | None = None,
+             workers: int = 1) -> CellResult:
     """Measure one (GPU, benchmark) cell end to end.
 
-    Preferred form: ``run_cell(spec)`` where ``spec`` is a
-    :class:`repro.spec.CampaignSpec` naming exactly one GPU and one
-    workload. The legacy form ``run_cell(config, "matrixMul",
-    scale=..., samples=..., ...)`` builds that spec internally and
-    emits a :class:`DeprecationWarning`; results are identical.
+    ``spec`` is a :class:`repro.spec.CampaignSpec` naming exactly one
+    GPU and one workload.
 
     ``golden`` (a precomputed :class:`GoldenRun`) and ``workers`` are
     execution resources, not campaign parameters, so they stay
@@ -111,40 +103,8 @@ def run_cell(spec=None, workload: str | None = None, *args,
     early-exit convergence — same outcomes and cycle counts, less wall
     time (:mod:`repro.checkpoint`).
     """
-    from repro.spec import coerce_spec
-    if spec is None and isinstance(legacy.get("config"), GpuConfig):
-        spec = legacy.pop("config")  # old keyword-style config=...
-    if isinstance(spec, GpuConfig):
-        # Legacy form, exactly as the old signature accepted it:
-        # run_cell(config, workload_name[, scale[, samples[, seed...]]]),
-        # with config= / workload_name= as keywords also allowed.
-        if workload is None:
-            workload = legacy.pop("workload_name", None)
-        if workload is None:
-            raise ConfigError(
-                "run_cell(config, ...) needs a workload name as its "
-                "second argument")
-        positional = ("scale", "samples", "seed", "scheduler",
-                      "structures", "ace_mode", "raw_fit_per_bit")
-        if len(args) > len(positional):
-            raise ConfigError(
-                f"run_cell(config, workload, {', '.join(positional)}) "
-                f"takes at most {2 + len(positional)} positional "
-                f"arguments, got {2 + len(args)}")
-        for key, value in zip(positional, args):
-            if legacy.get(key) is not None:
-                raise ConfigError(
-                    f"run_cell() got multiple values for {key!r} "
-                    f"(positional and keyword)")
-            legacy[key] = value
-        legacy["gpus"] = (spec,)
-        legacy["workloads"] = (workload,)
-        spec = None
-    elif workload is not None or args:
-        raise ConfigError(
-            "run_cell(spec) takes no separate workload argument; name "
-            "the workload in the spec")
-    spec = coerce_spec(spec, legacy, who="run_cell")
+    from repro.spec.campaign import require_spec
+    spec = require_spec(spec, who="run_cell")
 
     config, workload_name = spec.single()
     scale = spec.resolved_scale()
@@ -193,15 +153,12 @@ def run_cell(spec=None, workload: str | None = None, *args,
     )
 
 
-def run_matrix(spec=None, *, progress=None, workers: int = 1,
-               store=None, stats=None, telemetry=None,
-               **legacy) -> list[CellResult]:
+def run_matrix(spec, *, progress=None, workers: int = 1,
+               store=None, stats=None, telemetry=None) -> list[CellResult]:
     """Run the full (GPU x benchmark) matrix the figures are built from.
 
-    Preferred form: ``run_matrix(spec)``; the legacy kwarg form builds
-    the spec internally with a :class:`DeprecationWarning`.
-
-    Delegates to the job-graph engine (:mod:`repro.engine.matrix`):
+    ``spec`` is a :class:`repro.spec.CampaignSpec`. Delegates to the
+    job-graph engine (:mod:`repro.engine.matrix`):
     ``workers > 1`` runs whole cells concurrently on a process pool,
     ``store`` (a path or :class:`repro.engine.ResultStore`) makes the
     campaign resumable and incremental, and ``stats`` (a
@@ -211,14 +168,9 @@ def run_matrix(spec=None, *, progress=None, workers: int = 1,
     engine observability stream (``None`` defers to the spec's
     ``telemetry`` field — see :func:`repro.engine.run_campaign`).
     """
-    from repro.arch.presets import list_gpus
     from repro.engine.matrix import run_campaign
-    from repro.spec import coerce_spec
-    # coerce_spec preserves the kwarg era's full-size-preset default
-    # for every spec-less call, including a bare run_matrix() (a bare
-    # spec defaults to the scaled ones, like the CLI).
-    spec = coerce_spec(spec, legacy, who="run_matrix",
-                       legacy_defaults={"gpus": list_gpus})
+    from repro.spec.campaign import require_spec
+    spec = require_spec(spec, who="run_matrix")
     result = run_campaign(
         spec, store=store, workers=workers, progress=progress, stats=stats,
         telemetry=telemetry,

@@ -32,7 +32,6 @@ from repro.arch.config import GpuConfig
 from repro.arch.structures import (
     ALL_STRUCTURES,
     CONTROL_STRUCTURES,
-    DATAPATH_STRUCTURES,
     LOCAL_MEMORY,
     PREDICATE_FILE,
     REGISTER_FILE,
@@ -42,25 +41,6 @@ from repro.arch.structures import (
 )
 from repro.arch.structures import words_per_core as _words_per_core
 from repro.errors import ConfigError
-
-def __getattr__(name: str):
-    """Deprecated alias: ``STRUCTURES`` -> ``DATAPATH_STRUCTURES``.
-
-    The default campaign structure set (the paper's datapath pair)
-    lives in the structure registry; import
-    :data:`repro.arch.structures.DATAPATH_STRUCTURES` instead. The
-    full taxonomy (control structures included) is
-    :data:`repro.arch.structures.ALL_STRUCTURES`.
-    """
-    if name == "STRUCTURES":
-        import warnings
-        warnings.warn(
-            "repro.sim.faults.STRUCTURES is deprecated; use "
-            "repro.arch.structures.DATAPATH_STRUCTURES (or pass a "
-            "CampaignSpec, whose default already is the datapath pair)",
-            DeprecationWarning, stacklevel=2)
-        return DATAPATH_STRUCTURES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ single configuration surface for every layer of the reproduction:
   :func:`run_sweep`) sharing one result store and golden cache
 
 Spec fields map one-to-one onto the engine's job-fingerprint
-parameters, so spec campaigns are byte-identical to the legacy kwarg
-call pattern (now a deprecated shim) and pre-spec result stores
-resume with zero jobs executed.
+parameters, so result stores written before the spec API resume with
+zero jobs executed.
 """
 
 from repro.spec.campaign import (
@@ -23,7 +22,6 @@ from repro.spec.campaign import (
     TUPLE_FIELDS,
     CampaignSpec,
     check_spec_keys,
-    coerce_spec,
 )
 from repro.spec.defaults import (
     ENV_SAMPLES,
@@ -42,7 +40,6 @@ __all__ = [
     "SweepResult",
     "SweepRun",
     "check_spec_keys",
-    "coerce_spec",
     "default_samples",
     "default_scale",
     "ENV_SAMPLES",

@@ -20,11 +20,9 @@ Design rules:
   resources — ``store``, ``workers``, ``progress`` — stay explicit
   arguments of the entry points, so one spec can run serially on a
   laptop or across a pool without edits.
-* **Fingerprint-transparent.** Spec fields map one-to-one onto the
-  engine's golden/plan/shard/cell fingerprint parameters, so a
-  campaign expressed as a spec produces byte-identical job
-  fingerprints to the legacy kwarg path, and pre-spec result stores
-  resume with zero jobs executed.
+* **Fingerprint-stable.** Spec fields map one-to-one onto the
+  engine's golden/plan/shard/cell fingerprint parameters, so result
+  stores written before the spec API resume with zero jobs executed.
 * **``None`` means default.** Unset fields resolve at execution time
   (all chips, the full suite, env-default scale/samples, the paper's
   datapath structure pair), so harnesses can tell "user chose X" from
@@ -38,7 +36,6 @@ Serialization (``to_file``/``from_file`` for TOML and JSON) lives in
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
@@ -421,63 +418,10 @@ def check_spec_keys(keys, *, context: str) -> None:
                 f"valid keys: {', '.join(SPEC_FIELDS)}")
 
 
-def coerce_spec(spec, legacy: dict, *, who: str,
-                stacklevel: int = 3,
-                legacy_defaults: dict | None = None) -> CampaignSpec:
-    """The entry points' spec-or-legacy-kwargs adapter.
-
-    ``spec`` given -> passed through (mixing it with legacy campaign
-    kwargs is an error; explicit ``None`` values are ignored, since
-    ``None`` meant "default" in every legacy signature). ``spec``
-    absent -> a spec is built from the legacy kwargs with a
-    :class:`DeprecationWarning`, preserving the pre-spec call pattern
-    bit for bit.
-
-    ``legacy_defaults`` maps field -> zero-arg factory for
-    compatibility defaults that differ from the bare-spec resolution
-    (e.g. the engine's full-size-preset gpus). They apply only on the
-    spec-less path, for fields the caller left unset, after the
-    warning decision — so a bare legacy call stays silent and the
-    warning's migration hint names only what the user actually passed
-    (plus a note when an injected default would change under a bare
-    spec).
-    """
-    if spec is not None:
-        if not isinstance(spec, CampaignSpec):
-            hint = ""
-            if isinstance(spec, (list, tuple)):
-                hint = ("; the old positional form is not shimmed — pass "
-                        "gpus=[...] as a keyword, or name the chips in "
-                        "the spec")
-            raise ConfigError(
-                f"{who}() expects a CampaignSpec as its first argument, "
-                f"got {type(spec).__name__}{hint}")
-        extras = [key for key, value in legacy.items() if value is not None]
-        if extras:
-            raise ConfigError(
-                f"{who}() got both a CampaignSpec and legacy campaign "
-                f"kwargs ({', '.join(extras)}); put the values in the spec")
-        return spec
-    legacy = {key: value for key, value in legacy.items()
-              if value is not None}
-    check_spec_keys(legacy, context=f"{who}() keyword arguments")
-    injected = []
-    if legacy_defaults:
-        for key, factory in legacy_defaults.items():
-            if key not in legacy:
-                legacy[key] = factory()
-                injected.append(key)
-    if set(legacy) - set(injected):
-        example = ", ".join(f"{key}=..." for key in sorted(legacy)
-                            if key not in injected)
-        note = ""
-        if injected:
-            note = (f"; note: spec-less {who}() defaults differ from a "
-                    f"bare CampaignSpec for {', '.join(injected)} — set "
-                    f"them explicitly when migrating")
-        warnings.warn(
-            f"passing campaign kwargs to {who}() is deprecated; build a "
-            f"repro.CampaignSpec and pass it instead "
-            f"(e.g. {who}(CampaignSpec({example}))){note}",
-            DeprecationWarning, stacklevel=stacklevel)
-    return CampaignSpec(**legacy)
+def require_spec(spec, *, who: str) -> CampaignSpec:
+    """Return ``spec``, or raise :class:`ConfigError` if it is not a spec."""
+    if not isinstance(spec, CampaignSpec):
+        raise ConfigError(
+            f"{who}() expects a CampaignSpec as its first argument, "
+            f"got {type(spec).__name__}")
+    return spec

@@ -2,8 +2,7 @@
 
 These knobs let test and benchmark runs be resized without code edits;
 they are the resolution targets for the ``None`` defaults of
-:class:`repro.spec.CampaignSpec` (and of the legacy kwarg entry
-points, which build a spec internally).
+:class:`repro.spec.CampaignSpec`.
 
 This module is deliberately import-free within the package so both
 ``repro.spec`` and ``repro.reliability.campaign`` (which re-exports

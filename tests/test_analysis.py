@@ -90,9 +90,11 @@ class TestSummary:
     def test_real_mini_campaign_summary(self):
         """End-to-end: the claims machinery runs on real cells."""
         from repro.reliability.campaign import run_cell
+        from repro.spec import CampaignSpec
         from tests.conftest import MINI_NVIDIA
         real = [
-            run_cell(MINI_NVIDIA, name, scale="tiny", samples=30, seed=4)
+            run_cell(CampaignSpec(gpus=(MINI_NVIDIA,), workloads=(name,),
+                                  scale="tiny", samples=30, seed=4))
             for name in ("matrixMul", "histogram", "scan")
         ]
         summary = summarize(real)

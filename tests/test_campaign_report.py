@@ -19,6 +19,7 @@ from repro.reliability.report import (
     write_cells_csv,
 )
 from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 
@@ -26,8 +27,9 @@ from tests.conftest import MINI_AMD, MINI_NVIDIA
 def cells():
     """Two small cells (one per vendor) shared across report tests."""
     return [
-        run_cell(MINI_NVIDIA, "histogram", scale="tiny", samples=30, seed=2),
-        run_cell(MINI_AMD, "histogram", scale="tiny", samples=30, seed=2),
+        run_cell(CampaignSpec(gpus=(config,), workloads=("histogram",),
+                              scale="tiny", samples=30, seed=2))
+        for config in (MINI_NVIDIA, MINI_AMD)
     ]
 
 
@@ -56,8 +58,9 @@ class TestRunCell:
         assert default_scale() == "tiny"
 
     def test_single_structure_cell(self):
-        cell = run_cell(MINI_NVIDIA, "vectoradd", scale="tiny", samples=10,
-                        seed=0, structures=(REGISTER_FILE,))
+        cell = run_cell(CampaignSpec(
+            gpus=(MINI_NVIDIA,), workloads=("vectoradd",), scale="tiny",
+            samples=10, seed=0, structures=(REGISTER_FILE,)))
         assert REGISTER_FILE in cell.fi
         assert LOCAL_MEMORY not in cell.fi
 
@@ -108,10 +111,10 @@ class TestReportFormatting:
 class TestExperimentHarnesses:
     def test_fig1_tiny(self):
         from repro.experiments import run_fig1
-        cells, report = run_fig1(
+        cells, report = run_fig1(CampaignSpec(
             samples=10, scale="tiny", gpus=[MINI_NVIDIA],
             workloads=["vectoradd"], seed=0,
-        )
+        ))
         assert len(cells) == 1
         assert "Register File AVF" in report
 
@@ -124,10 +127,10 @@ class TestExperimentHarnesses:
 
     def test_fig3_tiny(self):
         from repro.experiments import run_fig3
-        cells, report = run_fig3(
+        cells, report = run_fig3(CampaignSpec(
             samples=10, scale="tiny", gpus=[MINI_AMD],
             workloads=["histogram"], seed=0,
-        )
+        ))
         assert len(cells) == 1
         assert "Executions per Failure" in report
         assert math.isfinite(cells[0].epf.fit_gpu)

@@ -22,6 +22,7 @@ from repro.reliability.liveness import FaultSiteResolver
 from repro.reliability.outcomes import Outcome
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 SAMPLES, SEED = 12, 7
@@ -51,21 +52,18 @@ class TestSerialEngineCheckpointParity:
                              ids=["sass", "si"])
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     def test_cells_identical_across_paths(self, config, model):
-        kwargs = dict(gpus=[config], workloads=[WORKLOAD], scale="tiny",
-                      samples=SAMPLES, seed=SEED,
-                      structures=CONTROL_STRUCTURES, fault_model=model)
-        engine = run_campaign(**kwargs).cells
+        spec = CampaignSpec(gpus=[config], workloads=[WORKLOAD],
+                            scale="tiny", samples=SAMPLES, seed=SEED,
+                            structures=CONTROL_STRUCTURES, fault_model=model)
+        engine = run_campaign(spec).cells
         clear_memory_cache()
-        engine_ckpt = run_campaign(checkpoint_interval="auto", **kwargs).cells
+        engine_ckpt = run_campaign(
+            spec.replace(checkpoint_interval="auto")).cells
         clear_memory_cache()
-        structures = exposed_structures(config, CONTROL_STRUCTURES)
-        serial = [run_cell(config, WORKLOAD, scale="tiny", samples=SAMPLES,
-                           seed=SEED, structures=structures,
-                           fault_model=model)]
-        serial_ckpt = [run_cell(config, WORKLOAD, scale="tiny",
-                                samples=SAMPLES, seed=SEED,
-                                structures=structures, fault_model=model,
-                                checkpoint_interval=250)]
+        cell_spec = spec.replace(
+            structures=exposed_structures(config, CONTROL_STRUCTURES))
+        serial = [run_cell(cell_spec)]
+        serial_ckpt = [run_cell(cell_spec.replace(checkpoint_interval=250))]
         rows = [_comparable(c) for c in engine]
         assert rows == [_comparable(c) for c in engine_ckpt]
         assert rows == [_comparable(c) for c in serial]
@@ -97,13 +95,15 @@ class TestSerialEngineCheckpointParity:
             assert left.cycles == right.cycles
 
     def test_engine_pool_matches_inline(self):
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=[WORKLOAD], scale="tiny",
-                      samples=SAMPLES, seed=SEED,
-                      structures=CONTROL_STRUCTURES, fault_model="stuck_at")
-        inline = run_campaign(**kwargs).cells
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=[WORKLOAD],
+                            scale="tiny", samples=SAMPLES, seed=SEED,
+                            structures=CONTROL_STRUCTURES,
+                            fault_model="stuck_at")
+        inline = run_campaign(spec).cells
         clear_memory_cache()
-        pooled = run_campaign(workers=3, shard_size=3,
-                              checkpoint_interval=200, **kwargs).cells
+        pooled = run_campaign(
+            spec.replace(shard_size=3, checkpoint_interval=200),
+            workers=3).cells
         assert [_comparable(c) for c in inline] == \
             [_comparable(c) for c in pooled]
 
@@ -175,22 +175,23 @@ class TestSlotOccupancyPruning:
 
 class TestEngineExposureFiltering:
     def test_unexposed_structure_skips_chip(self):
-        cells = run_campaign(gpus=[MINI_NVIDIA, MINI_AMD],
-                             workloads=[WORKLOAD], scale="tiny",
-                             samples=4, seed=0,
-                             structures=("simt_stack",)).cells
+        cells = run_campaign(CampaignSpec(
+            gpus=[MINI_NVIDIA, MINI_AMD], workloads=[WORKLOAD],
+            scale="tiny", samples=4, seed=0,
+            structures=("simt_stack",))).cells
         assert [c.gpu for c in cells] == [MINI_NVIDIA.name]
 
     def test_no_exposing_chip_is_friendly_error(self):
         with pytest.raises(ConfigError, match="simt_stack"):
-            run_campaign(gpus=[MINI_AMD], workloads=[WORKLOAD], scale="tiny",
-                         samples=4, seed=0, structures=("simt_stack",))
+            run_campaign(CampaignSpec(
+                gpus=[MINI_AMD], workloads=[WORKLOAD], scale="tiny",
+                samples=4, seed=0, structures=("simt_stack",)))
 
     def test_unknown_structure_is_friendly_error(self):
         with pytest.raises(ConfigError, match="known:"):
-            run_campaign(gpus=[MINI_NVIDIA], workloads=[WORKLOAD],
-                         scale="tiny", samples=4, seed=0,
-                         structures=("l2_cache",))
+            run_campaign(CampaignSpec(
+                gpus=[MINI_NVIDIA], workloads=[WORKLOAD], scale="tiny",
+                samples=4, seed=0, structures=("l2_cache",)))
 
 
 class TestControlPlanCodec:

@@ -5,7 +5,7 @@ The transient path has had an end-to-end parity test since the engine
 landed (:mod:`tests.test_parallel_campaign`); this extends the bar to
 ``stuck_at`` and ``mbu`` and crosses it with the checkpoint subsystem:
 the engine matrix, the engine matrix with suffix-only checkpointed FI,
-and the legacy serial cell loop must all produce identical cells.
+and the serial cell loop must all produce identical cells.
 """
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from repro.engine import clear_memory_cache, run_campaign
 from repro.reliability.campaign import run_cell
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 SAMPLES, SEED = 20, 5
@@ -38,21 +39,16 @@ class TestModelParityWithCheckpoints:
     @pytest.mark.parametrize("model", ["stuck_at", "mbu"])
     def test_engine_matches_serial_checkpoints_on_and_off(
             self, config, model):
-        kwargs = dict(gpus=[config], workloads=["histogram"], scale="tiny",
-                      samples=SAMPLES, seed=SEED, structures=STRUCTURES,
-                      fault_model=model)
-        plain = run_campaign(**kwargs).cells
+        spec = CampaignSpec(gpus=[config], workloads=["histogram"],
+                            scale="tiny", samples=SAMPLES, seed=SEED,
+                            structures=STRUCTURES, fault_model=model)
+        plain = run_campaign(spec).cells
         clear_memory_cache()
-        checkpointed = run_campaign(checkpoint_interval="auto",
-                                    **kwargs).cells
+        checkpointed = run_campaign(
+            spec.replace(checkpoint_interval="auto")).cells
         clear_memory_cache()
-        serial = [run_cell(config, "histogram", scale="tiny",
-                           samples=SAMPLES, seed=SEED, structures=STRUCTURES,
-                           fault_model=model)]
-        serial_ckpt = [run_cell(config, "histogram", scale="tiny",
-                                samples=SAMPLES, seed=SEED,
-                                structures=STRUCTURES, fault_model=model,
-                                checkpoint_interval=250)]
+        serial = [run_cell(spec)]
+        serial_ckpt = [run_cell(spec.replace(checkpoint_interval=250))]
         rows = [_comparable(c) for c in plain]
         assert rows == [_comparable(c) for c in checkpointed]
         assert rows == [_comparable(c) for c in serial]
@@ -66,13 +62,14 @@ class TestModelParityWithCheckpoints:
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     def test_checkpointed_pool_matches_serial(self, model):
         """Workers + snapshot shipping must not change any cell."""
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=["histogram"],
-                      scale="tiny", samples=SAMPLES, seed=SEED,
-                      structures=STRUCTURES, fault_model=model)
-        serial = run_campaign(**kwargs).cells
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
+                            scale="tiny", samples=SAMPLES, seed=SEED,
+                            structures=STRUCTURES, fault_model=model)
+        serial = run_campaign(spec).cells
         clear_memory_cache()
-        pooled = run_campaign(checkpoint_interval=200, workers=3,
-                              shard_size=4, **kwargs).cells
+        pooled = run_campaign(
+            spec.replace(checkpoint_interval=200, shard_size=4),
+            workers=3).cells
         assert [_comparable(c) for c in serial] == \
                [_comparable(c) for c in pooled]
 
@@ -87,14 +84,14 @@ class TestCheckpointStoreCompatibility:
         reuses every simulation job.
         """
         store = tmp_path / "store.jsonl"
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
-                      scale="tiny", samples=12, seed=2,
-                      structures=STRUCTURES)
-        first = run_campaign(store=store, **kwargs)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
+                            scale="tiny", samples=12, seed=2,
+                            structures=STRUCTURES)
+        first = run_campaign(spec, store=store)
         assert first.stats.executed > 0
         clear_memory_cache()
-        second = run_campaign(store=store, checkpoint_interval="auto",
-                              **kwargs)
+        second = run_campaign(spec.replace(checkpoint_interval="auto"),
+                              store=store)
         executed_kinds = {
             kind: counts["executed"]
             for kind, counts in second.stats.by_kind.items()

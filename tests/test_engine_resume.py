@@ -11,19 +11,18 @@ from repro.engine.jobs import CELL, GOLDEN, PLAN, SHARD
 from repro.engine.store import ResultStore
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 
 GPUS = [MINI_NVIDIA]
 WORKLOADS = ["histogram", "vectoradd"]
 SAMPLES, SEED = 20, 3
+SPEC = CampaignSpec(gpus=GPUS, workloads=WORKLOADS, scale="tiny",
+                    samples=SAMPLES, seed=SEED, structures=STRUCTURES)
 
 
 def _run(store=None, **overrides):
-    kwargs = dict(gpus=GPUS, workloads=WORKLOADS, scale="tiny",
-                  samples=SAMPLES, seed=SEED, structures=STRUCTURES,
-                  store=store)
-    kwargs.update(overrides)
-    return run_campaign(**kwargs)
+    return run_campaign(SPEC.replace(**overrides), store=store)
 
 
 def _comparable(cell):

@@ -32,6 +32,7 @@ from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim.regfile import RegisterFile
 from repro.sim.sharedmem import LocalMemory
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 
@@ -283,12 +284,12 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("model", ["stuck_at", "mbu"])
     def test_engine_matches_serial_cell(self, model):
         clear_memory_cache()
-        cells = run_matrix(gpus=[MINI_NVIDIA], workloads=["histogram"],
-                           scale="tiny", samples=24, seed=5,
-                           fault_model=model)
-        legacy = run_cell(MINI_NVIDIA, "histogram", scale="tiny",
-                          samples=24, seed=5, fault_model=model)
-        assert self._comparable(cells[0]) == self._comparable(legacy)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
+                            scale="tiny", samples=24, seed=5,
+                            fault_model=model)
+        cells = run_matrix(spec)
+        serial = run_cell(spec)
+        assert self._comparable(cells[0]) == self._comparable(serial)
         assert cells[0].fault_model == model
 
     def test_models_have_distinct_plan_fingerprints(self):
@@ -318,29 +319,30 @@ class TestEngineIntegration:
     def test_store_shared_across_models_resumes_each(self, tmp_path):
         from repro.engine import CampaignStats
         store = tmp_path / "store.jsonl"
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
-                      scale="tiny", samples=12, seed=2)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
+                            scale="tiny", samples=12, seed=2)
         for model in list_fault_models():
             clear_memory_cache()
-            run_matrix(store=str(store), fault_model=model, **kwargs)
+            run_matrix(spec.replace(fault_model=model), store=str(store))
         # Every model resumes fully cached from the shared store.
         for model in list_fault_models():
             clear_memory_cache()
             stats = CampaignStats()
-            cells = run_matrix(store=str(store), fault_model=model,
-                               stats=stats, **kwargs)
+            cells = run_matrix(spec.replace(fault_model=model),
+                               store=str(store), stats=stats)
             assert stats.executed == 0, model
             assert cells[0].fault_model == model
 
     def test_models_do_not_collide_in_shared_store(self, tmp_path):
         """Same (gpu, workload, seed): three models, three distinct cells."""
         store = tmp_path / "store.jsonl"
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=["histogram"],
-                      scale="tiny", samples=20, seed=7)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
+                            scale="tiny", samples=20, seed=7)
         by_model = {}
         for model in list_fault_models():
             clear_memory_cache()
-            cells = run_matrix(store=str(store), fault_model=model, **kwargs)
+            cells = run_matrix(spec.replace(fault_model=model),
+                               store=str(store))
             by_model[model] = cells[0]
         assert len({c.fault_model for c in by_model.values()}) == 3
         # Stuck-at faults are never healed by write-back, so strictly

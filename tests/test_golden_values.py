@@ -11,9 +11,12 @@ commit.
 
 from repro.reliability.campaign import run_cell
 from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 
 #: The pinned cell: MINI_NVIDIA x matrixMul(tiny) x seed 2017, 60 samples.
+PINNED_SPEC = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("matrixMul",),
+                           scale="tiny", samples=60, seed=2017)
 PINNED = {
     REGISTER_FILE: {"masked": 50, "sdc": 4, "due": 6, "pruned": 50},
     LOCAL_MEMORY: {"masked": 55, "sdc": 5, "due": 0, "pruned": 55},
@@ -23,8 +26,7 @@ PINNED_CYCLES = 7892
 
 class TestTransientGoldenValues:
     def test_pinned_cell_counts(self):
-        cell = run_cell(MINI_NVIDIA, "matrixMul", scale="tiny",
-                        samples=60, seed=2017)
+        cell = run_cell(PINNED_SPEC)
         assert cell.cycles == PINNED_CYCLES
         for structure, expected in PINNED.items():
             estimate = cell.fi[structure]
@@ -37,8 +39,7 @@ class TestTransientGoldenValues:
             assert actual == expected, structure
 
     def test_pinned_avf(self):
-        cell = run_cell(MINI_NVIDIA, "matrixMul", scale="tiny",
-                        samples=60, seed=2017)
+        cell = run_cell(PINNED_SPEC)
         assert cell.avf_fi(REGISTER_FILE) == (4 + 6) / 60
         assert cell.avf_fi(LOCAL_MEMORY) == (5 + 0) / 60
         assert cell.fault_model == "transient"

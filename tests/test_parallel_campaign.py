@@ -11,6 +11,7 @@ from repro.reliability.fi import run_fi_campaign, run_golden
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.sim.faults import REGISTER_FILE
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 
@@ -61,13 +62,13 @@ class TestCellParallelMatrix:
         return row
 
     def test_matrix_workers_do_not_change_results(self):
-        kwargs = dict(gpus=self.GPUS, workloads=self.WORKLOADS,
-                      scale="tiny", samples=24, seed=5,
-                      structures=STRUCTURES)
+        spec = CampaignSpec(gpus=self.GPUS, workloads=self.WORKLOADS,
+                            scale="tiny", samples=24, seed=5,
+                            structures=STRUCTURES)
         clear_memory_cache()
-        serial = run_matrix(workers=1, **kwargs)
+        serial = run_matrix(spec, workers=1)
         clear_memory_cache()
-        parallel = run_matrix(workers=3, shard_size=5, **kwargs)
+        parallel = run_matrix(spec.replace(shard_size=5), workers=3)
         assert [self._comparable(c) for c in serial] == \
                [self._comparable(c) for c in parallel]
         for left, right in zip(serial, parallel):
@@ -81,24 +82,24 @@ class TestCellParallelMatrix:
     def test_matrix_matches_legacy_serial_cells(self):
         """The engine reproduces run_cell bit for bit, cell by cell."""
         clear_memory_cache()
-        cells = run_matrix(gpus=[MINI_NVIDIA], workloads=self.WORKLOADS,
-                           scale="tiny", samples=24, seed=5,
-                           structures=STRUCTURES)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=self.WORKLOADS,
+                            scale="tiny", samples=24, seed=5,
+                            structures=STRUCTURES)
+        cells = run_matrix(spec)
         for cell in cells:
-            legacy = run_cell(MINI_NVIDIA, cell.workload, scale="tiny",
-                              samples=24, seed=5, structures=STRUCTURES)
-            assert self._comparable(cell) == self._comparable(legacy)
-            assert cell.ace == legacy.ace
-            assert cell.occupancy == legacy.occupancy
-            assert cell.epf.epf == legacy.epf.epf
+            serial = run_cell(spec.replace(workloads=(cell.workload,)))
+            assert self._comparable(cell) == self._comparable(serial)
+            assert cell.ace == serial.ace
+            assert cell.occupancy == serial.occupancy
+            assert cell.epf.epf == serial.epf.epf
 
     def test_shard_size_does_not_change_results(self):
-        kwargs = dict(gpus=[MINI_NVIDIA], workloads=["histogram"],
-                      scale="tiny", samples=30, seed=7,
-                      structures=STRUCTURES)
+        spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
+                            scale="tiny", samples=30, seed=7,
+                            structures=STRUCTURES)
         clear_memory_cache()
-        coarse = run_matrix(shard_size=64, **kwargs)
-        fine = run_matrix(shard_size=1, workers=2, **kwargs)
+        coarse = run_matrix(spec.replace(shard_size=64))
+        fine = run_matrix(spec.replace(shard_size=1), workers=2)
         assert [self._comparable(c) for c in coarse] == \
                [self._comparable(c) for c in fine]
 

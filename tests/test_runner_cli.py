@@ -56,7 +56,7 @@ class TestStructuresFlag:
             assert name in out
 
     def test_tiny_control_campaign_runs(self, capsys, tmp_path):
-        argv = ["control_avf", "--samples", "4", "--scale", "tiny",
+        argv = ["control", "--samples", "4", "--scale", "tiny",
                 "--gpus", "gtx480",
                 "--structures", "simt_stack,predicate_file,scheduler_state",
                 "--workloads", "vectoradd",

@@ -1,4 +1,4 @@
-"""CampaignSpec: validation, serialization, sweeps, fingerprints, shims.
+"""CampaignSpec: validation, serialization, sweeps, fingerprints.
 
 The spec API's contract has four load-bearing pieces, each pinned
 here:
@@ -8,21 +8,22 @@ here:
 * TOML/JSON round trips are exact (``from_dict(to_dict(s)) == s``);
 * sweeps expand the axis product in row-major order and re-validate
   every child;
-* spec fields map onto the same job fingerprints as the legacy kwarg
-  era — a store written through the kwarg shims resumes under the
-  spec API with zero jobs executed — and every legacy entry point
-  emits a DeprecationWarning exactly when shimming.
+* spec fields map onto stable job fingerprints, and every campaign
+  entry point rejects anything but a spec as its first argument.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro.engine.matrix import cell_fingerprints, run_campaign
 from repro.engine.scheduler import CampaignStats
 from repro.errors import ConfigError
+from repro.experiments.fig1_regfile_avf import run_fig1
+from repro.experiments.fig2_localmem_avf import run_fig2
+from repro.experiments.fig3_epf import run_fig3
+from repro.experiments.fig_control_avf import run_control_avf
+from repro.experiments.fig_model_compare import run_model_compare
 from repro.reliability.campaign import run_cell, run_matrix
 from repro.reliability.liveness import AceMode
 from repro.spec import CampaignSpec, expand_sweep, run_sweep
@@ -221,25 +222,12 @@ class TestSweep:
         assert children[0].fault_model == "stuck_at"
 
 
-KWARGS = dict(scale="tiny", samples=6, seed=5)
-SPEC = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("vectoradd",), **KWARGS)
+SPEC = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("vectoradd",),
+                    scale="tiny", samples=6, seed=5)
 
 
 class TestFingerprintStability:
-    """Same campaign, three expressions, one set of fingerprints."""
-
-    def test_legacy_store_resumes_under_spec_with_zero_jobs(self, tmp_path):
-        store = tmp_path / "store.jsonl"
-        with pytest.deprecated_call():
-            legacy = run_campaign(gpus=[MINI_NVIDIA],
-                                  workloads=["vectoradd"],
-                                  store=store, **KWARGS)
-        stats = CampaignStats()
-        again = run_campaign(SPEC, store=store, stats=stats)
-        assert stats.executed == 0
-        assert stats.cached >= 1
-        assert [c.row() for c in again.cells] == \
-            [c.row() for c in legacy.cells]
+    """Every expression of one campaign yields one set of fingerprints."""
 
     def test_cell_fingerprints_match_store_records(self, tmp_path):
         import json
@@ -250,18 +238,8 @@ class TestFingerprintStability:
         fps = cell_fingerprints(SPEC)
         assert fps and set(fps.values()) <= recorded
 
-    def test_run_cell_spec_matches_legacy(self):
-        def results(cell):
-            # Everything but the wall-time measurement fields.
-            return {key: value for key, value in cell.row().items()
-                    if not key.endswith("_time_s")}
-        with pytest.deprecated_call():
-            legacy = run_cell(MINI_NVIDIA, "vectoradd", **KWARGS)
-        assert results(run_cell(SPEC)) == results(legacy)
-
     def test_spec_file_expression_matches_in_memory_spec(self, tmp_path):
-        # The third expression of the acceptance contract: a spec file
-        # (named chips resolve to the same scaled configs).
+        # A spec file (named chips resolve to the same scaled configs).
         spec = CampaignSpec(gpus=("gtx480",), workloads=("vectoradd",),
                             scale="tiny", samples=4)
         path = tmp_path / "cell.toml"
@@ -270,128 +248,24 @@ class TestFingerprintStability:
         assert cell_fingerprints(loaded) == cell_fingerprints(spec)
 
 
-class TestDeprecatedShims:
-    """Every legacy entry point shims with a DeprecationWarning."""
+class TestEntryPoints:
+    """Every campaign entry point takes a CampaignSpec and nothing else."""
 
-    def test_run_cell_legacy_warns(self):
-        with pytest.deprecated_call():
-            run_cell(MINI_NVIDIA, "vectoradd", scale="tiny", samples=2)
-
-    def test_run_matrix_legacy_warns(self):
-        with pytest.deprecated_call():
-            run_matrix(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
-                       scale="tiny", samples=2)
-
-    def test_run_campaign_legacy_warns(self):
-        with pytest.deprecated_call():
-            run_campaign(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
-                         scale="tiny", samples=2)
-
-    def test_fig_harness_legacy_warns(self):
-        from repro.experiments.fig1_regfile_avf import run_fig1
-        with pytest.deprecated_call():
-            run_fig1(gpus=[MINI_NVIDIA], workloads=["vectoradd"],
-                     scale="tiny", samples=2)
-
-    def test_structures_alias_warns(self):
-        import repro.sim.faults as faults
-        from repro.arch.structures import DATAPATH_STRUCTURES
-        with pytest.deprecated_call():
-            value = faults.STRUCTURES
-        assert value == DATAPATH_STRUCTURES
-
-    def test_run_cell_legacy_positionals_and_keyword_name(self):
-        # The old signature accepted run_cell(config, workload, scale,
-        # samples, seed, ...) positionally and workload_name= as a
-        # keyword.
-        with pytest.deprecated_call():
-            positional = run_cell(MINI_NVIDIA, "vectoradd", "tiny", 2, 7)
-        with pytest.deprecated_call():
-            keyword = run_cell(config=MINI_NVIDIA,
-                               workload_name="vectoradd",
-                               scale="tiny", samples=2, seed=7)
-        assert positional.scale == keyword.scale == "tiny"
-        assert positional.samples == keyword.samples == 2
-        assert positional.seed == keyword.seed == 7
-        with pytest.raises(ConfigError, match="positional"):
-            run_cell(MINI_NVIDIA, "vectoradd", "tiny", 2, 0, "rr",
-                     ("register_file",), "conservative", 1e-3, "extra")
-
-    def test_bare_legacy_calls_keep_full_size_gpu_default(self, monkeypatch):
-        # The kwarg era defaulted to the *full-size* presets; spec-less
-        # calls must keep doing so (a bare CampaignSpec resolves to the
-        # scaled ones). Stub the preset list so the campaign stays tiny.
-        import repro.arch.presets as presets
-        import repro.engine.matrix as matrix
-        monkeypatch.setattr(presets, "list_gpus", lambda: [MINI_NVIDIA])
-        monkeypatch.setattr(matrix, "list_gpus", lambda: [MINI_NVIDIA])
-        with pytest.deprecated_call():
-            cells = run_matrix(workloads=["vectoradd"], scale="tiny",
-                               samples=2)
-        assert [c.gpu for c in cells] == [MINI_NVIDIA.name]
-        with pytest.deprecated_call():
-            result = run_campaign(workloads=["vectoradd"], scale="tiny",
-                                  samples=2)
-        assert [c.gpu for c in result.cells] == [MINI_NVIDIA.name]
-
-    def test_spec_path_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_cell(SPEC.replace(samples=2))
-
-    def test_bare_legacy_matrix_call_does_not_warn(self, monkeypatch):
-        # run_matrix() with zero kwargs keeps the legacy full-size
-        # default *silently* — there are no kwargs to migrate, and the
-        # generic warning's hint would change which chips run.
-        import repro.arch.presets as presets
-        import repro.engine.matrix as matrix
-        monkeypatch.setattr(presets, "list_gpus", lambda: [MINI_NVIDIA])
-        monkeypatch.setattr(matrix, "list_gpus", lambda: [MINI_NVIDIA])
-        monkeypatch.setenv("REPRO_FI_SAMPLES", "2")
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        monkeypatch.setattr("repro.spec.campaign.KERNEL_NAMES",
-                            ("vectoradd",))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cells = run_matrix()
-        assert [c.gpu for c in cells] == [MINI_NVIDIA.name]
-
-    def test_spec_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ConfigError, match="both"):
-            run_matrix(SPEC, samples=3)
-
-    def test_spec_plus_explicit_none_kwargs_is_fine(self):
-        # None meant "default" in every legacy signature; a partially
-        # migrated caller passing spec plus fault_model=None must work.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cells = run_matrix(SPEC.replace(samples=2), fault_model=None)
-        assert len(cells) == 1
-
-    def test_unknown_legacy_kwarg_is_config_error(self):
-        with pytest.raises(ConfigError, match="smaples"):
-            run_matrix(smaples=3)
-
-    def test_non_spec_positional_is_config_error(self):
-        with pytest.raises(ConfigError, match="CampaignSpec"):
-            run_matrix("gtx480")
-        # Old positional gpus-list form gets a migration hint.
-        with pytest.raises(ConfigError, match="gpus="):
-            run_matrix([MINI_NVIDIA])
-
-    def test_run_cell_duplicate_positional_keyword_raises(self):
-        with pytest.raises(ConfigError, match="multiple values"):
-            run_cell(MINI_NVIDIA, "vectoradd", "small", scale="tiny")
+    @pytest.mark.parametrize("entry_point", [
+        run_cell, run_matrix, run_campaign, run_fig1, run_fig2, run_fig3,
+        run_control_avf, run_model_compare,
+    ], ids=lambda entry_point: entry_point.__name__)
+    def test_non_spec_positional_is_config_error(self, entry_point):
+        for not_a_spec in ("gtx480", [MINI_NVIDIA], MINI_NVIDIA):
+            with pytest.raises(ConfigError, match="CampaignSpec"):
+                entry_point(not_a_spec)
 
 
 class TestHarnessSpecPath:
     """The fig harnesses consume specs and fill their own defaults."""
 
     def test_fig2_defaults_local_memory_and_subset(self):
-        from repro.experiments.fig2_localmem_avf import (
-            local_memory_workloads,
-            run_fig2,
-        )
+        from repro.experiments.fig2_localmem_avf import local_memory_workloads
         spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("histogram",),
                             scale="tiny", samples=2)
         cells, report = run_fig2(spec)
@@ -404,7 +278,6 @@ class TestHarnessSpecPath:
             set(local_memory_workloads("tiny"))
 
     def test_model_compare_spec_and_subset(self):
-        from repro.experiments.fig_model_compare import run_model_compare
         spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("vectoradd",),
                             scale="tiny", samples=2)
         cells, report = run_model_compare(spec,
@@ -412,12 +285,6 @@ class TestHarnessSpecPath:
         assert [c.fault_model for c in cells] == ["stuck_at"]
         assert "stuck_at" in report
         assert "models: stuck_at)" in report  # the only compared model
-        # Legacy fault_model kwarg restricts the comparison, as before.
-        with pytest.deprecated_call():
-            cells, _ = run_model_compare(
-                gpus=[MINI_NVIDIA], workloads=["vectoradd"], scale="tiny",
-                samples=2, fault_model="mbu")
-        assert [c.fault_model for c in cells] == ["mbu"]
 
 
 class TestRunSweep:

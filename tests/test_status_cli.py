@@ -217,22 +217,12 @@ class TestProfileCommand:
 
 
 class TestConsolidatedCli:
-    @pytest.mark.parametrize("legacy,current", [
-        ("control_avf", "control"), ("model_compare", "models"),
-    ])
-    def test_legacy_experiment_names_warn_and_dispatch(self, legacy,
-                                                       current, capsys):
-        with pytest.warns(DeprecationWarning, match=legacy):
-            code = main([legacy, "--samples", "4", "--scale", "tiny",
-                         "--gpus", "gtx480", "--workloads", "vectoradd",
-                         "--quiet"])
-        assert code == 0
-        assert f"== running {current} ==" in capsys.readouterr().err
-
     def test_current_names_do_not_warn(self, recwarn, capsys):
-        assert main(["control", "--samples", "4", "--scale", "tiny",
-                     "--gpus", "gtx480", "--workloads", "vectoradd",
-                     "--quiet"]) == 0
+        for name in ("control", "models"):
+            assert main([name, "--samples", "4", "--scale", "tiny",
+                         "--gpus", "gtx480", "--workloads", "vectoradd",
+                         "--quiet"]) == 0
+            assert f"== running {name} ==" in capsys.readouterr().err
         assert not [w for w in recwarn
                     if issubclass(w.category, DeprecationWarning)]
 

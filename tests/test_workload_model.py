@@ -9,6 +9,7 @@ from repro.kernels.workload import BufferSpec, run_workload
 from repro.reliability.campaign import run_cell
 from repro.reliability.fi import run_golden
 from repro.sim.gpu import Gpu
+from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 
 
@@ -60,10 +61,10 @@ class TestGoldenReuse:
     def test_run_cell_accepts_precomputed_golden(self):
         workload = get_workload("histogram", "tiny")
         golden = run_golden(MINI_NVIDIA, workload)
-        cell_a = run_cell(MINI_NVIDIA, "histogram", scale="tiny", samples=25,
-                          seed=9, golden=golden)
-        cell_b = run_cell(MINI_NVIDIA, "histogram", scale="tiny", samples=25,
-                          seed=9)
+        spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("histogram",),
+                            scale="tiny", samples=25, seed=9)
+        cell_a = run_cell(spec, golden=golden)
+        cell_b = run_cell(spec)
         assert cell_a.cycles == cell_b.cycles
         for structure in cell_a.fi:
             assert cell_a.fi[structure].avf == cell_b.fi[structure].avf
