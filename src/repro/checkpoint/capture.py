@@ -24,7 +24,6 @@ sparser set only shortens the skipped prefix less.
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.checkpoint.digest import digest_machine
 from repro.checkpoint.snapshot import MachineSnapshot, SnapshotPoint, SnapshotSet
 from repro.telemetry import profile as _profile
 
@@ -85,7 +84,9 @@ class CheckpointRecorder:
         """Record one machine image under the given labels.
 
         Thresholds crossed within a single core step share one image
-        (the machine cannot be observed between them).
+        (the machine cannot be observed between them). Nothing is
+        hashed here: the image's digest is computed only if a faulty
+        run is ever compared against it (:class:`MachineSnapshot`).
         """
         with _profile.phase("snapshot_capture"):
             state = gpu.snapshot_state()
@@ -94,13 +95,10 @@ class CheckpointRecorder:
                 launch_cycles=list(self._launch_cycles),
                 state=state,
             )
-            digest = digest_machine(snapshot.launch_index,
-                                    snapshot.launch_cycles, state)
         core_times = tuple(int(c["time"]) for c in state["cores"])
         for label in labels:
             self._points.append(SnapshotPoint(
-                label=label, core_times=core_times, digest=digest,
-                snapshot=snapshot,
+                label=label, core_times=core_times, snapshot=snapshot,
             ))
         while len(self._points) > self._max:
             self._points = self._points[::2]

@@ -108,11 +108,14 @@ class ConvergenceMonitor:
                 return
             self.checks += 1
             _profile.count("digest_checks")
+            # The image is built outside the ``digest`` phase: state
+            # construction is booked with the suffix run around it, and
+            # so is the golden point's lazy digest (its first compare).
+            state = gpu.snapshot_state(copy=False)
             with _profile.phase("digest"):
                 mine = digest_machine(self._launch_index,
-                                      self._launch_cycles,
-                                      gpu.snapshot_state(copy=False))
-            if mine == point.digest:
+                                      self._launch_cycles, state)
+            if mine == point.state_digest:
                 raise ConvergedToGolden(point.label)
             return
         # Memoizing: quiescent states recur across injections even when
@@ -128,11 +131,11 @@ class ConvergenceMonitor:
             return
         self.checks += 1
         _profile.count("digest_checks")
+        state = gpu.snapshot_state(copy=False)
         with _profile.phase("digest"):
             primary, secondary = digest_machine_pair(
-                self._launch_index, self._launch_cycles,
-                gpu.snapshot_state(copy=False))
-        if self._golden_compare and times_match and primary == point.digest:
+                self._launch_index, self._launch_cycles, state)
+        if forced and primary == point.state_digest:
             raise ConvergedToGolden(point.label)
         record = self._memo.observe(point.label, core_times,
                                     primary, secondary)

@@ -8,8 +8,11 @@ the workload-level launch progress needed to resume the run.
 
 A :class:`SnapshotPoint` is one capture: its label (an interval
 threshold or a launch boundary), the per-core clocks at capture (the
-restore-validity test), the state digest (the convergence test), and —
-unless thinned away — the snapshot itself.
+restore-validity test) and — unless thinned away — the snapshot
+itself. Its state digest (the convergence test) is lazy: the snapshot
+hashes its image the first time a faulty run is compared against it
+and keeps the result, so every label sharing that snapshot shares one
+hash, and a point no faulty run ever reaches is never hashed.
 
 A :class:`SnapshotSet` is everything one golden run captured. Within
 an inline campaign the engine hands it to a cell's FI shard jobs by
@@ -21,6 +24,11 @@ scale a set is tens of MB, more than per-shard pickling is worth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+# Imported from the digest module itself, not through the convergence
+# module's names: those count the faulty-side digests only.
+from repro.checkpoint.digest import digest_machine
 
 
 @dataclass
@@ -33,6 +41,12 @@ class MachineSnapshot:
     launch_cycles: list
     #: Plain-data machine image from :meth:`repro.sim.gpu.Gpu.snapshot_state`.
     state: dict
+
+    @cached_property
+    def digest(self) -> str:
+        """Canonical state digest, hashed on first use and then kept."""
+        return digest_machine(self.launch_index, self.launch_cycles,
+                              self.state)
 
 
 @dataclass
@@ -48,12 +62,21 @@ class SnapshotPoint:
     #: the target core has then provably not yet executed any issue at
     #: or after the fault cycle, so the fault-free prefix is shared.
     core_times: tuple
-    #: Canonical state digest (see :mod:`repro.checkpoint.digest`).
-    digest: str
+    #: Canonical state digest (see :mod:`repro.checkpoint.digest`) of a
+    #: hand-built point; None on recorded points, whose digest is their
+    #: snapshot's, hashed lazily (read :attr:`state_digest`).
+    digest: str | None = None
     #: The machine image. The recorder always retains it (thinning
     #: drops whole points); None is allowed for hand-built digest-only
     #: points, which restore selection skips.
     snapshot: MachineSnapshot | None = None
+
+    @property
+    def state_digest(self) -> str:
+        """The digest a faulty run's state is compared against."""
+        if self.digest is not None:
+            return self.digest
+        return self.snapshot.digest
 
 
 @dataclass

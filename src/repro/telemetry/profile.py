@@ -43,7 +43,9 @@ from time import perf_counter
 
 #: Canonical phase names, in report order. ``golden`` also covers the
 #: golden-prefix re-runs pooled shard workers use to rebuild snapshot
-#: sets (the same simulation, re-derived).
+#: sets (the same simulation, re-derived). ``digest`` is the hashing of
+#: faulty-run states only: building the image it hashes, and a golden
+#: point's lazy digest on its first comparison, count as ``suffix_sim``.
 PHASES = (
     "golden",
     "prune",

@@ -13,6 +13,7 @@ import pytest
 from repro.checkpoint import (
     CheckpointRecorder,
     ConvergedToGolden,
+    ConvergenceMonitor,
     MachineSnapshot,
     SnapshotPoint,
     SnapshotSet,
@@ -111,8 +112,83 @@ class TestRestoreRoundTrip:
         rebuilt = capture_snapshots(config, workload, "rr", 200)
         assert [p.label for p in rebuilt.points] == \
                [p.label for p in from_recorder.points]
-        assert [p.digest for p in rebuilt.points] == \
-               [p.digest for p in from_recorder.points]
+        assert [p.state_digest for p in rebuilt.points] == \
+               [p.state_digest for p in from_recorder.points]
+
+
+def _count_golden_digests(monkeypatch) -> list:
+    """Record the snapshot of every lazy golden digest computed."""
+    from repro.checkpoint import snapshot as snapshot_module
+    hashed = []
+    real = snapshot_module.digest_machine
+
+    def counting(launch_index, launch_cycles, state):
+        hashed.append(id(state))
+        return real(launch_index, launch_cycles, state)
+
+    monkeypatch.setattr(snapshot_module, "digest_machine", counting)
+    return hashed
+
+
+class TestLazyGoldenDigest:
+    """Golden digests are hashed on first comparison, once per image."""
+
+    def test_capture_computes_no_digest(self, monkeypatch):
+        hashed = _count_golden_digests(monkeypatch)
+        _, _, snapshots = _golden_with_recorder(*CASES[0], interval=1)
+        assert snapshots.points and hashed == []
+        assert all(p.digest is None for p in snapshots.points)
+
+    def test_shared_snapshot_hashed_at_most_once(self, monkeypatch):
+        config, workload_name = CASES[0]
+        workload, _, snapshots = _golden_with_recorder(
+            config, workload_name, interval=1)
+        images = {id(p.snapshot) for p in snapshots.points}
+        assert len(images) < len(snapshots.points), "no shared snapshot"
+        hashed = _count_golden_digests(monkeypatch)
+        for point in snapshots.points + snapshots.points:
+            assert point.state_digest == point.snapshot.digest
+        assert len(hashed) == len(images)
+        assert len(set(hashed)) == len(hashed)
+
+    def test_campaign_hashes_each_golden_image_at_most_once(
+            self, monkeypatch):
+        config = MINI_NVIDIA
+        workload = get_workload("kmeans", "tiny")
+        golden = run_golden(config, workload, checkpoint_interval="auto")
+        hashed = _count_golden_digests(monkeypatch)
+        output = run_fi_campaign(config, workload, golden, samples=60,
+                                 seed=3, keep_results=True)
+        assert any(r.early_exit for r in output.results)
+        assert 0 < len(hashed) == len(set(hashed))
+        assert len(hashed) <= golden.snapshots.num_snapshots
+
+    @pytest.mark.parametrize("config,workload_name", CASES,
+                             ids=["sass", "si"])
+    def test_digest_only_points_still_compare(self, config, workload_name):
+        """Hand-built points carry their digest and no snapshot."""
+        workload, golden, snapshots = _golden_with_recorder(
+            config, workload_name)
+        start = snapshots.points[1]
+
+        def resume(points):
+            gpu, launches = restore_machine(config, workload, start)
+            monitor = ConvergenceMonitor(points)
+            monitor.set_context(start.snapshot.launch_index,
+                                start.snapshot.launch_cycles)
+            return resume_workload(gpu, workload, launches, start.snapshot,
+                                   monitor=monitor)
+
+        later = snapshots.points_after(1)
+        real = [SnapshotPoint(label=p.label, core_times=p.core_times,
+                              digest=p.snapshot.digest) for p in later]
+        # A fault-free run equals golden at the first later point.
+        with pytest.raises(ConvergedToGolden) as converged:
+            resume(real)
+        assert converged.value.label == later[0].label
+        wrong = [SnapshotPoint(label=p.label, core_times=p.core_times,
+                               digest="0" * 64) for p in later]
+        assert resume(wrong).cycles == golden.cycles
 
 
 class TestTraceSuffixTransparency:
