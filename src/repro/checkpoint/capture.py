@@ -114,10 +114,10 @@ def capture_snapshots(config, workload, scheduler: str = "rr",
                       max_snapshots: int = MAX_SNAPSHOTS) -> SnapshotSet:
     """Re-derive a golden run's snapshot set with a bare (untraced) run.
 
-    Used by pooled FI workers — snapshots are ephemeral (never written
-    to JSONL, never pickled through the pool), so a worker process
-    rebuilds them once per cell and caches them in-process
-    (:func:`cached_snapshots`). The machine trajectory is
+    Used by the engine's pooled and remote FI shard workers — snapshots
+    are ephemeral (never written to JSONL, never pickled through the
+    pool), so a worker process rebuilds them once per cell and caches
+    them in-process (:func:`cached_snapshots`). The machine trajectory is
     sink-independent, so the rebuilt set is identical to the one the
     golden run produced.
     """
@@ -133,9 +133,9 @@ def capture_snapshots(config, workload, scheduler: str = "rr",
 
 
 #: Per-process rebuilt snapshot sets, bounded FIFO. Shared by every
-#: pooled consumer (engine FI shards, the serial path's worker pool):
-#: one golden-prefix run per (cell, process) buys suffix-only
-#: simulation for all the faults of that cell the process handles.
+#: FI shard a pooled or remote engine worker runs: one golden-prefix
+#: run per (cell, process) buys suffix-only simulation for all the
+#: faults of that cell the process handles.
 _REBUILD_CACHE: dict = {}
 _REBUILD_CACHE_MAX = 4
 

@@ -99,17 +99,17 @@ def run_golden_job(args: tuple) -> dict:
     ACE AVFs and occupancies are recorded for *all* structures so one
     golden payload serves campaigns targeting any structure subset.
 
-    With a checkpoint interval (the optional sixth element), the run
-    additionally captures machine snapshots, attached under the
+    With a checkpoint interval (the sixth element; None for off), the
+    run additionally captures machine snapshots, attached under the
     ephemeral ``_snapshots`` key: FI shard jobs of the same cell
     receive them with the golden payload and run suffix-only. The
     persisted payload is unchanged — the store strips ephemeral keys —
     so golden fingerprints stay interval-independent and old stores
     keep resolving.
     """
-    config, workload_name, scale, scheduler, ace_mode_value = args[:5]
-    checkpoint_interval = args[5] if len(args) > 5 else None
-    collector = _collector_for(args[6] if len(args) > 6 else False)
+    (config, workload_name, scale, scheduler, ace_mode_value,
+     checkpoint_interval, profile) = args
+    collector = _collector_for(profile)
     workload = get_workload(workload_name, scale)
     with _collecting(collector):
         golden = run_golden(config, workload, scheduler=scheduler,
@@ -173,11 +173,11 @@ def run_plan_job(args: tuple) -> dict:
     Sampling reproduces the serial path exactly: one generator seeded
     with ``seed``, structures drawn in campaign order through the
     campaign's fault model, so the engine's plans are bit-identical to
-    ``run_fi_campaign``'s for any worker count or shard size.
+    ``run_fi_campaign``'s whatever the engine's pool size or shard size.
     """
     (config, workload_name, scale, scheduler, cycles, samples, seed,
-     structures, fault_model) = args[:9]
-    collector = _collector_for(args[9] if len(args) > 9 else False)
+     structures, fault_model, profile) = args
+    collector = _collector_for(profile)
     model = get_fault_model(fault_model)
     start = time.perf_counter()
     with _collecting(collector), _profile.phase("prune"):
@@ -267,8 +267,8 @@ def run_shard_job(args: tuple) -> dict:
     same 8-element flat rows as the single-model era for default plan
     keys, with the key's width/stuck suffix inlined for extended ones.
 
-    The optional trailing args (snapshots, checkpoint_interval,
-    profile flag, suffix_memo flag) switch the re-simulations to
+    The trailing args (snapshots, checkpoint_interval, profile flag,
+    suffix_memo flag; None/False for off) switch the re-simulations to
     suffix-only restore with early-exit convergence, attach a
     ``_profile`` payload, and/or share classified quiescent states
     across the campaign's injections via the per-process suffix memo
@@ -278,11 +278,9 @@ def run_shard_job(args: tuple) -> dict:
     unaffected.
     """
     (config, workload_name, scale, scheduler, cycles, golden_fp,
-     outputs_encoded, plan_keys, fault_model) = args[:9]
-    snapshots = args[9] if len(args) > 9 else None
-    checkpoint_interval = args[10] if len(args) > 10 else None
-    collector = _collector_for(args[11] if len(args) > 11 else False)
-    suffix_memo = args[12] if len(args) > 12 else False
+     outputs_encoded, plan_keys, fault_model, snapshots,
+     checkpoint_interval, profile, suffix_memo) = args
+    collector = _collector_for(profile)
     outputs = _decoded_outputs_for(golden_fp, outputs_encoded)
     workload = get_workload(workload_name, scale)
     start = time.perf_counter()

@@ -88,8 +88,7 @@ def encode_args(kind: str, args: tuple) -> list:
                for a in args]
     if kind == jobs.SHARD:
         encoded[6] = {GOLDEN_OUTPUTS_KEY: encoded[5]}
-        if len(encoded) > 9:
-            encoded[9] = None
+        encoded[9] = None
     return encoded
 
 

@@ -623,15 +623,9 @@ def _list_structures() -> None:
 # Spec-field value parsing (the `run --set` / `sweep --axis` surface)
 # ----------------------------------------------------------------------
 
-# Field typing comes from the spec package (declared once, next to
-# the dataclass) so a new campaign axis needs no CLI edit.
-_LIST_FIELDS = TUPLE_FIELDS
-_INT_FIELDS = INT_FIELDS
-
-
-def _check_set_key(key: str, *, flag: str) -> None:
-    check_spec_keys([key], context=f"{flag} {key}=...")
-
+# Field typing comes from the spec package (TUPLE_FIELDS/INT_FIELDS,
+# declared once next to the dataclass) so a new campaign axis needs no
+# CLI edit.
 
 def _split_assignment(text: str, *, flag: str) -> tuple[str, str]:
     key, sep, value = text.partition("=")
@@ -643,7 +637,7 @@ def _split_assignment(text: str, *, flag: str) -> tuple[str, str]:
 
 def _scalar_value(key: str, text: str):
     """One spec-field value from CLI text (typed per field)."""
-    if key in _INT_FIELDS:
+    if key in INT_FIELDS:
         try:
             return int(text)
         except ValueError:
@@ -688,7 +682,7 @@ def _scalar_value(key: str, text: str):
 
 def _set_value(key: str, text: str):
     """The value of one ``--set key=value`` override."""
-    if key in _LIST_FIELDS:
+    if key in TUPLE_FIELDS:
         names = tuple(name for name in text.split(",") if name)
         if not names:
             raise ConfigError(
@@ -702,7 +696,7 @@ def _apply_sets(spec: CampaignSpec, sets: list | None,
                 *, flag: str = "--set") -> CampaignSpec:
     for text in sets or ():
         key, value = _split_assignment(text, flag=flag)
-        _check_set_key(key, flag=flag)
+        check_spec_keys([key], context=f"{flag} {key}=...")
         spec = spec.replace(**{key: _set_value(key, value)})
     return spec
 
@@ -719,7 +713,7 @@ def _axis_points(key: str, text: str) -> list:
     for part in text.split(","):
         if not part:
             continue
-        if key in _INT_FIELDS and ".." in part:
+        if key in INT_FIELDS and ".." in part:
             lo, _, hi = part.partition("..")
             try:
                 lo, hi = int(lo), int(hi)
@@ -731,7 +725,7 @@ def _axis_points(key: str, text: str) -> list:
                 raise ConfigError(
                     f"sweep axis {key!r}: empty range {part!r}")
             points.extend(range(lo, hi + 1))
-        elif key in _LIST_FIELDS:
+        elif key in TUPLE_FIELDS:
             points.append(tuple(name for name in part.split("+") if name))
         else:
             points.append(_scalar_value(key, part))
@@ -824,7 +818,7 @@ def _main_sweep(args) -> int:
     axes: dict = {}
     for text in args.axis:
         key, value = _split_assignment(text, flag="--axis")
-        _check_set_key(key, flag="--axis")
+        check_spec_keys([key], context=f"--axis {key}=...")
         if key in axes:
             raise ConfigError(
                 f"duplicate sweep axis {key!r}; give each --axis "

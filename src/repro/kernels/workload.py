@@ -64,8 +64,7 @@ class Workload:
     description: str = ""
     #: True when the kernel allocates local/shared memory (Fig. 2 membership)
     uses_local_memory: bool = False
-    #: input scale this instance was built at (set by the registry;
-    #: parallel FI workers use (name, scale) to rebuild the workload)
+    #: input scale this instance was built at (set by the registry)
     scale: str = "default"
 
     def program(self, isa: str):

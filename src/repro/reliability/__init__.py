@@ -3,8 +3,6 @@
 from repro.reliability.campaign import (
     CellResult,
     average_cell,
-    default_samples,
-    default_scale,
     run_cell,
     run_matrix,
 )
@@ -30,6 +28,7 @@ from repro.reliability.liveness import (
 )
 from repro.reliability.outcomes import FaultResult, Outcome, classify_outputs
 from repro.reliability.sampling import margin_of_error, required_samples
+from repro.spec.defaults import default_samples, default_scale
 
 __all__ = [
     "run_cell",

@@ -20,16 +20,7 @@ from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
 from repro.reliability.epf import EpfResult, compute_epf
-from repro.reliability.fi import AvfEstimate, GoldenRun, run_fi_campaign, run_golden
-
-# Re-exported for backward compatibility: these helpers lived here
-# before the spec API centralized default resolution.
-from repro.spec.defaults import (  # noqa: F401  (re-export)
-    ENV_SAMPLES,
-    ENV_SCALE,
-    default_samples,
-    default_scale,
-)
+from repro.reliability.fi import GoldenRun, run_fi_campaign, run_golden
 
 
 @dataclass
@@ -88,16 +79,17 @@ class CellResult:
         }
 
 
-def run_cell(spec, *, golden: GoldenRun | None = None,
-             workers: int = 1) -> CellResult:
-    """Measure one (GPU, benchmark) cell end to end.
+def run_cell(spec, *, golden: GoldenRun | None = None) -> CellResult:
+    """Measure one (GPU, benchmark) cell end to end, in process.
 
     ``spec`` is a :class:`repro.spec.CampaignSpec` naming exactly one
-    GPU and one workload.
+    GPU and one workload. This is the serial reference path the engine
+    (:func:`run_matrix`) is held bit-identical to; parallel campaigns
+    run through the engine.
 
-    ``golden`` (a precomputed :class:`GoldenRun`) and ``workers`` are
-    execution resources, not campaign parameters, so they stay
-    explicit arguments. The spec's ``checkpoint_interval`` (None,
+    ``golden`` (a precomputed :class:`GoldenRun`) is an execution
+    resource, not a campaign parameter, so it stays an explicit
+    argument. The spec's ``checkpoint_interval`` (None,
     ``"auto"``, or a cycle count) makes the golden run capture machine
     snapshots so live-fault re-simulations run suffix-only with
     early-exit convergence — same outcomes and cycle counts, less wall
@@ -121,7 +113,7 @@ def run_cell(spec, *, golden: GoldenRun | None = None,
     start = time.perf_counter()
     campaign = run_fi_campaign(
         config, workload, golden, samples=samples, seed=spec.seed,
-        structures=structures, workers=workers, fault_model=model_name,
+        structures=structures, fault_model=model_name,
         suffix_memo=spec.resolved_suffix_memo(),
     )
     fi_time = time.perf_counter() - start

@@ -160,8 +160,8 @@ class CampaignOutput:
     estimates: dict            # structure -> AvfEstimate
     results: list = field(default_factory=list)  # list[FaultResult]
     #: Suffix-memo counters (hits/misses/collisions/entries) when the
-    #: campaign ran memoized in-process; None otherwise (memo off, or
-    #: pooled workers owning their own per-process tables).
+    #: campaign ran memoized; None when the memo was off or the golden
+    #: run captured no snapshots.
     memo: dict | None = None
 
 
@@ -188,8 +188,8 @@ def resimulate_plan(config: GpuConfig, workload: Workload, plan: FaultPlan,
     """Faulty run for one live fault site.
 
     The single deterministic re-simulation primitive shared by the
-    serial path, the per-cell process pool, and the campaign engine's
-    FI-shard jobs (:mod:`repro.engine.jobs`). ``fault_model`` selects
+    serial reference loop (:func:`run_fi_campaign`) and the campaign
+    engine's FI-shard jobs (:mod:`repro.engine.jobs`). ``fault_model`` selects
     the disturbance semantics (default: transient single-bit flip).
 
     ``snapshots`` (a :class:`repro.checkpoint.SnapshotSet` from the
@@ -261,141 +261,19 @@ def resimulate_plan(config: GpuConfig, workload: Workload, plan: FaultPlan,
         cycles=result.cycles))
 
 
-def _resimulate(config: GpuConfig, workload: Workload, plan: FaultPlan,
-                golden: GoldenRun, model_name: str,
-                memo=None) -> FaultResult:
-    return resimulate_plan(config, workload, plan, golden.outputs,
-                           golden.cycles, golden.scheduler,
-                           fault_model=model_name,
-                           snapshots=golden.snapshots, memo=memo)
-
-
-def _capture_key(config, workload, scheduler: str, interval) -> tuple:
-    """Canonical capture identity for per-process caches."""
-    import dataclasses
-    import json
-    params = dataclasses.asdict(config)
-    params.pop("backend", None)  # execution resource, not identity
-    return (json.dumps(params, sort_keys=True),
-            workload.name, workload.scale, scheduler, interval)
-
-
-def _worker_snapshots(config, workload, scheduler: str, interval):
-    """Per-process snapshot set for the pooled serial path.
-
-    Keyed by the full capture identity (the serial path has no job
-    fingerprints); the shared per-process cache in
-    :func:`repro.checkpoint.cached_snapshots` re-derives the golden
-    run's set once and reuses it for every fault of that cell the
-    worker simulates.
-    """
-    if interval is None:
-        return None
-    from repro.checkpoint import cached_snapshots
-    key = ("capture-params",) + _capture_key(config, workload, scheduler,
-                                             interval)
-    return cached_snapshots(key, config, workload, scheduler, interval)
-
-
-def _worker_memo(config, workload, scheduler: str, interval,
-                 model_name: str):
-    """Per-process suffix-memo table for the pooled serial path.
-
-    The fault model joins the key (different disturbance semantics
-    never share a table); each worker process accumulates and profits
-    from its own table across all the faults it simulates.
-    """
-    from repro.checkpoint import cached_memo
-    key = ("memo-params", model_name) + _capture_key(
-        config, workload, scheduler, interval)
-    return cached_memo(key)
-
-
-def _resim_worker(args) -> tuple:
-    """Process-pool worker: re-simulate one fault from plain data.
-
-    Workloads hold closures (not picklable), so workers rebuild them
-    from the registry by (name, scale) — deterministic by construction.
-    Likewise snapshot sets: shipping one per fault would out-cost the
-    suffix savings, so the golden's checkpoint interval travels
-    instead and each worker captures the set once. The suffix memo is
-    per-process for the same reason.
-    """
-    (config, workload_name, scale, scheduler, golden_outputs,
-     golden_cycles, plan, model_name, checkpoint_interval,
-     suffix_memo) = args
-    from repro.kernels.registry import get_workload
-    workload = get_workload(workload_name, scale)
-    snapshots = _worker_snapshots(config, workload, scheduler,
-                                  checkpoint_interval)
-    memo = None
-    if suffix_memo and snapshots is not None:
-        memo = _worker_memo(config, workload, scheduler,
-                            checkpoint_interval, model_name)
-    result = resimulate_plan(config, workload, plan, golden_outputs,
-                             golden_cycles, scheduler,
-                             fault_model=model_name,
-                             snapshots=snapshots, memo=memo)
-    return (plan, result.outcome.value, result.detail,
-            result.corrupted_words, result.cycles)
-
-
-def _resimulate_batch(config: GpuConfig, workload: Workload,
-                      plans: list, golden: GoldenRun,
-                      workers: int, model_name: str,
-                      memo=None) -> dict:
-    """Re-simulate live faults, optionally across processes.
-
-    Returns plan -> FaultResult. Results are independent of ``workers``
-    — when the golden run carries snapshots, pooled workers re-derive
-    the identical set once per process (pickling it per fault would
-    out-cost the suffix savings), and scratch and suffix runs classify
-    identically anyway. ``memo`` is the in-process suffix-memo table;
-    pooled workers derive their own per-process tables instead.
-    """
-    if workers <= 1 or len(plans) < 2:
-        return {plan: _resimulate(config, workload, plan, golden,
-                                  model_name, memo=memo)
-                for plan in plans}
-    from repro.errors import ConfigError
-    from repro.kernels.registry import KERNEL_NAMES
-    if workload.name not in KERNEL_NAMES:
-        raise ConfigError(
-            "parallel campaigns need a registry workload "
-            f"(got {workload.name!r}); use workers=1"
-        )
-    from concurrent.futures import ProcessPoolExecutor
-    interval = golden.snapshots.interval if golden.snapshots is not None \
-        else None
-    jobs = [
-        (config, workload.name, workload.scale, golden.scheduler,
-         golden.outputs, golden.cycles, plan, model_name, interval,
-         memo is not None)
-        for plan in plans
-    ]
-    results: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for plan, outcome_value, detail, corrupted, cycles in pool.map(
-                _resim_worker, jobs, chunksize=4):
-            results[plan] = FaultResult(
-                plan, Outcome(outcome_value), True, detail=detail,
-                corrupted_words=corrupted, cycles=cycles,
-            )
-    return results
-
-
 def run_fi_campaign(config: GpuConfig, workload: Workload, golden: GoldenRun,
                     samples: int, seed: int = 0,
                     structures: tuple = DATAPATH_STRUCTURES,
                     keep_results: bool = False,
-                    workers: int = 1,
                     fault_model=None,
                     suffix_memo: bool = True) -> CampaignOutput:
     """Run the statistical FI campaign for the given structures.
 
-    ``workers > 1`` fans the fault re-simulations out over a process
-    pool; results are bit-identical to the serial run (faults are
-    independent and each re-simulation is deterministic).
+    The in-process reference loop: live faults are re-simulated one
+    after another, in sorted plan order. Parallel campaigns go through
+    the job-graph engine (:func:`repro.engine.run_campaign`), whose
+    results the parity tests hold bit-identical to this loop.
+
     ``fault_model`` (name or :class:`~repro.faultmodels.FaultModel`)
     selects sampling/application/liveness semantics; the default
     transient model reproduces the paper's campaign bit for bit.
@@ -428,13 +306,18 @@ def run_fi_campaign(config: GpuConfig, workload: Workload, golden: GoldenRun,
         from repro.checkpoint import SuffixMemo
         memo = SuffixMemo()
     resim_start = time.perf_counter()
-    resim_results = _resimulate_batch(config, workload, live_plans, golden,
-                                      workers, model.name, memo=memo)
+    resim_results = {
+        plan: resimulate_plan(config, workload, plan, golden.outputs,
+                              golden.cycles, golden.scheduler,
+                              fault_model=model.name,
+                              snapshots=golden.snapshots, memo=memo)
+        for plan in live_plans
+    }
     resim_time = time.perf_counter() - resim_start
     total_live = max(1, len(live_plans))
 
     output = CampaignOutput(estimates={})
-    if memo is not None and (workers <= 1 or len(live_plans) < 2):
+    if memo is not None:
         output.memo = memo.stats()
     for structure, plans in plans_by_structure.items():
         masked = sdc = due = pruned = resims = 0

@@ -5,12 +5,7 @@ import math
 
 import pytest
 
-from repro.reliability.campaign import (
-    average_cell,
-    default_samples,
-    default_scale,
-    run_cell,
-)
+from repro.reliability.campaign import average_cell, run_cell
 from repro.reliability.report import (
     bar,
     format_ace_vs_fi,
@@ -20,6 +15,7 @@ from repro.reliability.report import (
 )
 from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 from repro.spec import CampaignSpec
+from repro.spec.defaults import default_samples, default_scale
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 

@@ -288,23 +288,32 @@ class TestSuffixFiBitIdentical:
             assert left.cycles == right.cycles
 
 
-class TestPooledSerialPath:
-    def test_workers_with_snapshots_match_scratch(self):
-        """Pooled workers re-derive snapshots per process; results are
-        bit-identical to the un-checkpointed serial run."""
-        config = MINI_NVIDIA
+class TestCampaignMemoStats:
+    """``CampaignOutput.memo`` accounts for every live re-simulation."""
+
+    @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
+                             ids=["sass", "si"])
+    def test_hits_plus_misses_cover_distinct_live_plans(self, config):
+        workload = get_workload("histogram", "tiny")
+        golden = run_golden(config, workload, checkpoint_interval="auto")
+        output = run_fi_campaign(config, workload, golden, samples=40,
+                                 seed=3, keep_results=True)
+        live = {r.plan for r in output.results if r.resimulated}
+        assert live, "no live plan drawn at this seed"
+        assert output.memo["hits"] + output.memo["misses"] == len(live)
+
+    @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
+                             ids=["sass", "si"])
+    def test_no_stats_without_memo(self, config):
         workload = get_workload("histogram", "tiny")
         plain = run_golden(config, workload)
-        ckpt = run_golden(config, workload, checkpoint_interval=300)
-        base = run_fi_campaign(config, workload, plain, samples=30, seed=6,
-                               keep_results=True, workers=1)
-        pooled = run_fi_campaign(config, workload, ckpt, samples=30, seed=6,
-                                 keep_results=True, workers=2)
-        for left, right in zip(base.results, pooled.results):
-            assert left.plan == right.plan
-            assert left.outcome == right.outcome
-            assert left.corrupted_words == right.corrupted_words
-            assert left.cycles == right.cycles
+        ckpt = run_golden(config, workload, checkpoint_interval="auto")
+        memo_off = run_fi_campaign(config, workload, ckpt, samples=40,
+                                   seed=3, suffix_memo=False)
+        no_snapshots = run_fi_campaign(config, workload, plain, samples=40,
+                                       seed=3)
+        assert memo_off.memo is None
+        assert no_snapshots.memo is None
 
 
 class TestEarlyExit:

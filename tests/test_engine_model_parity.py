@@ -60,15 +60,19 @@ class TestModelParityWithCheckpoints:
                        (b.masked, b.sdc, b.due, b.pruned, b.resimulated)
 
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
-    def test_checkpointed_pool_matches_serial(self, model):
-        """Workers + snapshot shipping must not change any cell."""
+    @pytest.mark.parametrize("checkpoint_interval", [None, 200])
+    def test_checkpointed_pool_matches_serial(self, model,
+                                              checkpoint_interval):
+        """Pooled workers, with per-process snapshot rebuilds or with
+        checkpoints off, must not change any cell."""
         spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
                             scale="tiny", samples=SAMPLES, seed=SEED,
                             structures=STRUCTURES, fault_model=model)
         serial = run_campaign(spec).cells
         clear_memory_cache()
         pooled = run_campaign(
-            spec.replace(checkpoint_interval=200, shard_size=4),
+            spec.replace(checkpoint_interval=checkpoint_interval,
+                         shard_size=4),
             workers=3).cells
         assert [_comparable(c) for c in serial] == \
                [_comparable(c) for c in pooled]

@@ -244,20 +244,6 @@ class TestCampaignIntegration:
                 == estimate.samples
             assert estimate.resimulated == estimate.samples - estimate.pruned
 
-    @pytest.mark.parametrize("model", ["stuck_at", "mbu"])
-    def test_workers_do_not_change_results(self, model):
-        config = MINI_NVIDIA
-        workload = get_workload("histogram", "tiny")
-        golden = run_golden(config, workload)
-        serial = run_fi_campaign(config, workload, golden, samples=30,
-                                 seed=21, fault_model=model, workers=1)
-        parallel = run_fi_campaign(config, workload, golden, samples=30,
-                                   seed=21, fault_model=model, workers=3)
-        for structure in serial.estimates:
-            a, b = serial.estimates[structure], parallel.estimates[structure]
-            assert (a.masked, a.sdc, a.due, a.pruned) == \
-                   (b.masked, b.sdc, b.due, b.pruned)
-
     def test_transient_keyword_equals_default(self):
         """`--fault-model transient` is the pre-registry default path."""
         config = MINI_NVIDIA

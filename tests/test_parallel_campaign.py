@@ -4,48 +4,13 @@ import numpy as np
 import pytest
 
 from repro.engine import clear_memory_cache
-from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
 from repro.reliability.campaign import run_cell, run_matrix
 from repro.reliability.fi import run_fi_campaign, run_golden
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
-from repro.sim.faults import REGISTER_FILE
 from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
-
-
-class TestParallelCampaign:
-    def test_workers_do_not_change_results(self):
-        config = MINI_NVIDIA
-        workload = get_workload("histogram", "tiny")
-        golden = run_golden(config, workload)
-        serial = run_fi_campaign(config, workload, golden, samples=40,
-                                 seed=21, keep_results=True, workers=1)
-        parallel = run_fi_campaign(config, workload, golden, samples=40,
-                                   seed=21, keep_results=True, workers=3)
-        for structure in serial.estimates:
-            a, b = serial.estimates[structure], parallel.estimates[structure]
-            assert (a.masked, a.sdc, a.due, a.pruned) == \
-                   (b.masked, b.sdc, b.due, b.pruned)
-        for left, right in zip(serial.results, parallel.results):
-            assert left.plan == right.plan
-            assert left.outcome == right.outcome
-            assert left.corrupted_words == right.corrupted_words
-
-    def test_parallel_requires_registry_workload(self):
-        from repro.kernels.workload import Workload
-        workload = get_workload("vectoradd", "tiny")
-        golden = run_golden(MINI_NVIDIA, workload)
-        clone = Workload(
-            name="custom", programs=workload.programs,
-            buffers=workload.buffers, make_launches=workload.make_launches,
-            output_buffers=workload.output_buffers,
-            reference=workload.reference,
-        )
-        with pytest.raises(ConfigError, match="registry workload"):
-            run_fi_campaign(MINI_NVIDIA, clone, golden, samples=30,
-                            seed=0, workers=2)
 
 
 class TestCellParallelMatrix:
