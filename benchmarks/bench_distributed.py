@@ -27,7 +27,7 @@ from benchmarks.conftest import bench_samples, bench_scale
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.engine import clear_memory_cache
 from repro.engine.service import CampaignService
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, diff_stores
 from repro.spec import CampaignSpec
 
 FLEET_SIZES = (1, 2, 4)
@@ -67,15 +67,6 @@ def _run_fleet(spec: CampaignSpec, store_path: Path, count: int) -> float:
     return time.perf_counter() - start
 
 
-def _strip_times(value):
-    if isinstance(value, dict):
-        return {k: _strip_times(v) for k, v in value.items()
-                if not k.endswith("_time_s")}
-    if isinstance(value, list):
-        return [_strip_times(v) for v in value]
-    return value
-
-
 def test_distributed_throughput(benchmark, tmp_path):
     samples = bench_samples()
     scale = bench_scale()
@@ -94,13 +85,9 @@ def test_distributed_throughput(benchmark, tmp_path):
             spec, tmp_path / f"dist{largest}.jsonl", largest)),
         rounds=1, iterations=1)
 
-    def image(path):
-        store = ResultStore(path)
-        return {fp: (store.kind_of(fp), _strip_times(store.get(fp)))
-                for fp in store._records}
-
-    assert image(tmp_path / f"dist{FLEET_SIZES[0]}.jsonl") == \
-        image(tmp_path / f"dist{largest}.jsonl")
+    assert diff_stores(tmp_path / f"dist{FLEET_SIZES[0]}.jsonl",
+                       tmp_path / f"dist{largest}.jsonl",
+                       ignore_order=True) == []
 
     rates = {count: injections / seconds if seconds else float("inf")
              for count, seconds in sorted(wall.items())}

@@ -12,9 +12,9 @@ from scipy import stats
 
 from benchmarks.conftest import bench_scale
 from repro.arch.scaling import get_scaled_gpu
+from repro.arch.structures import REGISTER_FILE
 from repro.kernels.registry import KERNEL_NAMES, get_workload
 from repro.reliability.fi import run_golden
-from repro.sim.faults import REGISTER_FILE
 
 
 def test_avf_tracks_occupancy(benchmark):

@@ -13,9 +13,9 @@ from dataclasses import replace
 
 from benchmarks.conftest import bench_scale
 from repro.arch.scaling import get_scaled_gpu
+from repro.arch.structures import REGISTER_FILE
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import run_golden
-from repro.sim.faults import REGISTER_FILE
 
 SIZES = (16 * 1024, 32 * 1024, 64 * 1024)  # registers per core
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from benchmarks.conftest import bench_scale
 from repro.arch.scaling import get_scaled_gpu
+from repro.arch.structures import REGISTER_FILE
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import run_fi_campaign, run_golden
 from repro.reliability.sampling import margin_of_error
-from repro.sim.faults import REGISTER_FILE
 
 SWEEP = (25, 50, 100, 200)
 REFERENCE = 400

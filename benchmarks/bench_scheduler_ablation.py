@@ -13,9 +13,9 @@ import numpy as np
 
 from benchmarks.conftest import bench_scale
 from repro.arch.scaling import get_scaled_gpu
+from repro.arch.structures import REGISTER_FILE
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import run_golden
-from repro.sim.faults import REGISTER_FILE
 
 GPU = "gtx480"
 WORKLOAD = "scan"

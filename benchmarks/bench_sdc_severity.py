@@ -14,10 +14,10 @@ from collections import Counter
 
 from benchmarks.conftest import bench_samples, bench_scale
 from repro.arch.scaling import get_scaled_gpu
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import run_fi_campaign, run_golden
 from repro.reliability.outcomes import Outcome
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 
 
 def test_sdc_severity_distribution(benchmark):

@@ -1,27 +1,13 @@
 #!/usr/bin/env python
-"""Semantic diff of two campaign result stores (checkpoint parity gate).
+"""Semantic diff of two campaign result stores (store parity gate).
 
-Checkpointed fault injection must be *bit-identical* to full
-re-simulation: a campaign run with ``--checkpoint-interval N`` and one
-run with ``--no-checkpoints`` must produce the same golden payloads,
-the same fault plans and pruning verdicts, the same per-fault outcome
-rows, and the same reduced cells. This script compares two JSONL
-stores record by record under exactly that contract:
-
-* golden / plan / shard records must match by fingerprint with
-  payloads equal after stripping wall-time fields (``wall_time_s`` and
-  ``*_time_s`` are machine-load measurements, not results);
-* cell records carry the checkpoint setting in their fingerprint by
-  design, so they are matched by campaign identity — (gpu, workload,
-  scale, scheduler, samples, seed, fault_model) — and compared on
-  every non-time field.
-
-By default the stores must also *append* their shared non-cell records
-in the same relative order — the right check for twins produced by
-deterministic (serial/inline) runs. ``--ignore-order`` compares purely
-as canonical fingerprint-keyed sets: concurrent twins (process pools,
-the campaign service's lease scheduling) complete jobs in racy order,
-which is execution scheduling, not results.
+Command-line front end of :func:`repro.engine.store.diff_stores`:
+golden / plan / shard records must match by fingerprint and cells by
+campaign identity, with wall-time fields ignored. By default the
+records both stores hold must also have been appended in the same
+relative order; ``--ignore-order`` compares them as fingerprint-keyed
+sets (for concurrent twins: process pools and the campaign service
+complete jobs in racy order).
 
 Exit status 0 means the stores agree; 1 lists the differences.
 
@@ -34,108 +20,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-_TIME_SUFFIX = "_time_s"
-
-
-def strip_times(value):
-    """Recursively drop wall-time measurement fields."""
-    if isinstance(value, dict):
-        return {
-            key: strip_times(item)
-            for key, item in value.items()
-            if not key.endswith(_TIME_SUFFIX)
-        }
-    if isinstance(value, list):
-        return [strip_times(item) for item in value]
-    return value
-
-
-def load(path: Path) -> dict:
-    """fingerprint -> record in append order, skipping torn lines.
-
-    Byte-mode per-line decode, so a final line torn inside a
-    multi-byte UTF-8 sequence is skipped like any other torn line
-    (the store's own load tolerance). Insertion order of the dict is
-    the append order, which the default (ordered) comparison uses.
-    """
-    records = {}
-    for line in path.read_bytes().split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-            records[record["fp"]] = record
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError):
-            continue
-    return records
-
-
-def cell_key(payload: dict) -> tuple:
-    return (payload["gpu"], payload["workload"], payload["scale"],
-            payload["scheduler"], payload["samples"], payload["seed"],
-            payload.get("fault_model", "transient"))
-
-
-def diff(left_path: Path, right_path: Path, *,
-         ignore_order: bool = False) -> int:
-    left, right = load(left_path), load(right_path)
-    problems = []
-
-    if not ignore_order:
-        shared = set(left) & set(right)
-        left_seq = [fp for fp in left if fp in shared]
-        right_seq = [fp for fp in right if fp in shared]
-        if left_seq != right_seq:
-            first = next(i for i, (a, b)
-                         in enumerate(zip(left_seq, right_seq)) if a != b)
-            problems.append(
-                f"append order differs at shared record {first} "
-                f"({left_seq[first][:12]}… vs {right_seq[first][:12]}…); "
-                f"concurrent runs may legitimately reorder — "
-                f"use --ignore-order to compare as keyed sets")
-
-    def split(records):
-        sim = {fp: r for fp, r in records.items() if r["kind"] != "cell"}
-        cells = {cell_key(r["payload"]): r["payload"]
-                 for r in records.values() if r["kind"] == "cell"}
-        return sim, cells
-
-    left_sim, left_cells = split(left)
-    right_sim, right_cells = split(right)
-
-    for fp in sorted(set(left_sim) | set(right_sim)):
-        a, b = left_sim.get(fp), right_sim.get(fp)
-        if a is None or b is None:
-            missing = left_path.name if a is None else right_path.name
-            present = b if a is None else a
-            problems.append(
-                f"{present['kind']} {fp[:12]}… missing from {missing}")
-        elif strip_times(a["payload"]) != strip_times(b["payload"]):
-            problems.append(f"{a['kind']} {fp[:12]}… payloads differ")
-
-    for key in sorted(set(left_cells) | set(right_cells)):
-        a, b = left_cells.get(key), right_cells.get(key)
-        if a is None or b is None:
-            missing = left_path.name if a is None else right_path.name
-            problems.append(f"cell {key} missing from {missing}")
-        elif strip_times(a) != strip_times(b):
-            problems.append(f"cell {key} payloads differ")
-
-    counts = (f"{len(left_sim)} sim records + {len(left_cells)} cells vs "
-              f"{len(right_sim)} + {len(right_cells)}")
-    if problems:
-        print(f"stores DIFFER ({counts}):", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    mode = "append order ignored" if ignore_order else "append order checked"
-    print(f"stores agree ({counts}; wall-time fields ignored, {mode})")
-    return 0
+from repro.engine.store import ResultStore, diff_stores
 
 
 def main(argv=None) -> int:
@@ -148,7 +36,21 @@ def main(argv=None) -> int:
              "append order (for concurrent twins: process pools and "
              "the campaign service reorder completions)")
     args = parser.parse_args(argv)
-    return diff(args.left, args.right, ignore_order=args.ignore_order)
+    left, right = ResultStore(args.left), ResultStore(args.right)
+    problems = diff_stores(left, right, ignore_order=args.ignore_order)
+    cells = [store.counts_by_kind().get("cell", 0)
+             for store in (left, right)]
+    counts = (f"{len(left) - cells[0]} sim records + {cells[0]} cells vs "
+              f"{len(right) - cells[1]} + {cells[1]}")
+    if problems:
+        print(f"stores DIFFER ({counts}):", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    mode = "append order ignored" if args.ignore_order \
+        else "append order checked"
+    print(f"stores agree ({counts}; wall-time fields ignored, {mode})")
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ independent** digest (BLAKE2b over the same canonical stream —
 A primary-only match is counted as a collision and treated as a miss.
 
 The memo is derived state, exactly like checkpoints: outcomes are
-bit-identical with it on or off (CI's ``fastpath-parity`` job diffs the
+bit-identical with it on or off (tests/test_transparency.py diffs the
 stores), so it joins no job fingerprint and stores written before it
 existed resume with zero jobs executed.
 """

@@ -25,7 +25,8 @@ def config_params(config: GpuConfig) -> dict:
     """Complete plain-data description of one chip (incl. latencies).
 
     The interpreter ``backend`` is stripped: vector and pure-python
-    execution are bit-identical by contract (CI diffs their stores), so
+    execution are bit-identical by contract (tests/test_transparency.py
+    diffs their stores), so
     the backend is an execution resource like ``workers`` — the same
     chip fingerprints the same under either, and stores written before
     the backend field existed resume with zero jobs executed.

@@ -11,9 +11,10 @@ worker and an idempotent push path keeping the shared
 :class:`~repro.engine.store.ResultStore` append-once per fingerprint.
 
 The contract is the engine's own: a distributed store is bit-identical
-to the single-host process-pool store (``scripts/diff_stores.py``
-gates it in CI), and any pre-service store resumes under the
-coordinator with zero jobs executed.
+to the single-host process-pool store (tests/test_transparency.py
+checks it with an in-process fleet, CI's ``dist-smoke`` job with real
+worker processes, one killed), and any pre-service store resumes under
+the coordinator with zero jobs executed.
 
 Entry points: ``repro-experiments serve SPEC...`` (coordinator),
 ``repro-experiments worker URL`` (fleet member), and

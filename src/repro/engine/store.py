@@ -10,6 +10,11 @@ re-running an already-complete campaign executes nothing at all.
 Records are appended with a flush + fsync per job, so at most the
 record being written when the process dies can be lost; a truncated
 trailing line is detected and skipped on load.
+
+:func:`diff_stores` compares two stores semantically: execution
+settings (checkpoints, memo, backend, telemetry, profile, workers,
+shard size, the campaign service) must leave the stored results
+bit-identical, and this is the comparison that checks it.
 """
 
 from __future__ import annotations
@@ -124,3 +129,88 @@ class ResultStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+_TIME_SUFFIX = "_time_s"
+
+
+def _strip_times(value):
+    """Recursively drop wall-time measurement fields (``*_time_s``)."""
+    if isinstance(value, dict):
+        return {key: _strip_times(item) for key, item in value.items()
+                if not key.endswith(_TIME_SUFFIX)}
+    if isinstance(value, list):
+        return [_strip_times(item) for item in value]
+    return value
+
+
+def _cell_key(payload: dict) -> tuple:
+    return (payload["gpu"], payload["workload"], payload["scale"],
+            payload["scheduler"], payload["samples"], payload["seed"],
+            payload.get("fault_model", "transient"))
+
+
+def diff_stores(left, right, *, ignore_order: bool = False) -> list[str]:
+    """Semantic differences between two result stores; ``[]`` = agree.
+
+    ``left``/``right`` are :class:`ResultStore` objects or paths to
+    one (loaded with the store's own torn-line tolerance).
+
+    * golden / plan / shard records must match by fingerprint, with
+      payloads equal once wall-time fields are stripped (``*_time_s``
+      are machine-load measurements, not results);
+    * cell records carry the checkpoint setting in their fingerprint by
+      design, so they are matched by campaign identity — (gpu,
+      workload, scale, scheduler, samples, seed, fault_model) — and
+      compared on every non-time field.
+
+    Unless ``ignore_order``, the records both stores hold must also
+    have been appended in the same relative order: the right check for
+    twins from deterministic (inline) runs. Concurrent twins (process
+    pools, the campaign service's leases) complete jobs in racy order,
+    which is execution scheduling, not results.
+    """
+    stores = [side if isinstance(side, ResultStore) else ResultStore(side)
+              for side in (left, right)]
+    names = [store.path.name if store.path is not None else side
+             for store, side in zip(stores, ("left", "right"))]
+    records = [store._records for store in stores]
+    problems = []
+
+    if not ignore_order:
+        shared = records[0].keys() & records[1].keys()
+        left_seq, right_seq = ([fp for fp in side if fp in shared]
+                               for side in records)
+        if left_seq != right_seq:
+            first = next(i for i, (a, b)
+                         in enumerate(zip(left_seq, right_seq)) if a != b)
+            problems.append(
+                f"append order differs at shared record {first} "
+                f"({left_seq[first][:12]}… vs {right_seq[first][:12]}…); "
+                f"concurrent runs may legitimately reorder — compare "
+                f"them with ignore_order (--ignore-order)")
+
+    sims = [{fp: r for fp, r in side.items() if r["kind"] != "cell"}
+            for side in records]
+    cells = [{_cell_key(r["payload"]): r["payload"]
+              for r in side.values() if r["kind"] == "cell"}
+             for side in records]
+
+    for fp in sorted(sims[0].keys() | sims[1].keys()):
+        a, b = sims[0].get(fp), sims[1].get(fp)
+        if a is None or b is None:
+            present = b if a is None else a
+            missing = names[0] if a is None else names[1]
+            problems.append(
+                f"{present['kind']} {fp[:12]}… missing from {missing}")
+        elif _strip_times(a["payload"]) != _strip_times(b["payload"]):
+            problems.append(f"{a['kind']} {fp[:12]}… payloads differ")
+
+    for key in sorted(cells[0].keys() | cells[1].keys()):
+        a, b = cells[0].get(key), cells[1].get(key)
+        if a is None or b is None:
+            missing = names[0] if a is None else names[1]
+            problems.append(f"cell {key} missing from {missing}")
+        elif _strip_times(a) != _strip_times(b):
+            problems.append(f"cell {key} payloads differ")
+    return problems

@@ -527,14 +527,20 @@ def _checkpoint_interval(args):
     return "auto"
 
 
-def _suffix_memo_arg(args):
-    """The spec's ``suffix_memo`` value from the CLI flag pair."""
-    if getattr(args, "no_suffix_memo", False):
-        if getattr(args, "suffix_memo", None):
+def _flag_pair(args, name: str):
+    """A spec setting from its ``--NAME``/``--no-NAME`` flag pair.
+
+    ``None`` defers to the spec's own field; ``False`` forces it off;
+    otherwise the ``--NAME`` value (``True``, or ``--telemetry``'s path).
+    """
+    value = getattr(args, name, None)
+    if getattr(args, f"no_{name}", False):
+        if value is not None:
+            flag = name.replace("_", "-")
             raise ConfigError(
-                "--suffix-memo and --no-suffix-memo are mutually exclusive")
+                f"--{flag} and --no-{flag} are mutually exclusive")
         return False
-    return getattr(args, "suffix_memo", None)
+    return value
 
 
 def _spec_from_args(args) -> CampaignSpec:
@@ -551,36 +557,8 @@ def _spec_from_args(args) -> CampaignSpec:
         checkpoint_interval=_checkpoint_interval(args),
         shard_size=args.shard_size,
         backend=getattr(args, "backend", None),
-        suffix_memo=_suffix_memo_arg(args),
+        suffix_memo=_flag_pair(args, "suffix_memo"),
     )
-
-
-def _telemetry_arg(args):
-    """The run/sweep telemetry setting from the flag pair.
-
-    ``None`` defers to the spec's own ``telemetry`` field; ``False``
-    forces it off; ``True``/a path come from ``--telemetry [PATH]``.
-    """
-    if args.no_telemetry:
-        if args.telemetry is not None:
-            raise ConfigError(
-                "--telemetry and --no-telemetry are mutually exclusive")
-        return False
-    return args.telemetry
-
-
-def _profile_arg(args):
-    """The run/sweep profile setting from the flag pair.
-
-    ``None`` defers to the spec's own ``profile`` field; ``False``
-    forces it off; ``True`` comes from ``--profile``.
-    """
-    if args.no_profile:
-        if args.profile:
-            raise ConfigError(
-                "--profile and --no-profile are mutually exclusive")
-        return False
-    return args.profile
 
 
 def _progress(cell):
@@ -662,19 +640,14 @@ def _scalar_value(key: str, text: str):
             raise ConfigError(
                 f"spec field {key!r}: expected 'auto', 'none' or a cycle "
                 f"count, got {text!r}") from None
-    if key == "telemetry":
+    if key in ("telemetry", "profile", "suffix_memo"):
         low = text.lower()
         if low in ("true", "on", "1", "yes"):
             return True
         if low in ("false", "off", "0", "no", "none"):
             return False
-        return text  # a JSONL path
-    if key in ("profile", "suffix_memo"):
-        low = text.lower()
-        if low in ("true", "on", "1", "yes"):
-            return True
-        if low in ("false", "off", "0", "no", "none"):
-            return False
+        if key == "telemetry":
+            return text  # a JSONL path
         raise ConfigError(
             f"spec field {key!r}: expected true/false, got {text!r}")
     return text
@@ -779,7 +752,7 @@ def _main_run(args) -> int:
     """``run SPEC``: execute one spec file."""
     spec = CampaignSpec.from_file(args.spec)
     spec = _apply_sets(spec, getattr(args, "set"))
-    telemetry = _telemetry_arg(args)
+    telemetry = _flag_pair(args, "telemetry")
     from repro.engine.matrix import run_campaign
     title = spec.name or args.spec
     print(f"== running spec {title} ==", file=sys.stderr, flush=True)
@@ -788,7 +761,7 @@ def _main_run(args) -> int:
     result = run_campaign(
         spec, store=args.resume, workers=args.workers,
         progress=None if args.quiet else _progress, stats=stats,
-        telemetry=telemetry, profile=_profile_arg(args))
+        telemetry=telemetry, profile=_flag_pair(args, "profile"))
     anchor = spec.resolved_structures()[0]
     # Cells whose chip does not expose the anchor structure never
     # sampled it; keep them out of the table instead of rendering a
@@ -814,7 +787,7 @@ def _main_sweep(args) -> int:
             f"(valid keys: {', '.join(f for f in SPEC_FIELDS if f != 'name')})")
     spec = CampaignSpec.from_file(args.spec)
     spec = _apply_sets(spec, getattr(args, "set"))
-    telemetry = _telemetry_arg(args)
+    telemetry = _flag_pair(args, "telemetry")
     axes: dict = {}
     for text in args.axis:
         key, value = _split_assignment(text, flag="--axis")
@@ -834,7 +807,7 @@ def _main_sweep(args) -> int:
     result = run_sweep(
         spec, axes, store=args.resume, workers=args.workers,
         progress=None if args.quiet else _progress, stats=stats,
-        telemetry=telemetry, profile=_profile_arg(args))
+        telemetry=telemetry, profile=_flag_pair(args, "profile"))
     print(result.summary())
     if args.out:
         write_cells_csv(result.cells, args.out)
@@ -935,8 +908,9 @@ def _main_serve(args) -> int:
     try:
         service = CampaignService(
             store, specs, host=args.host, port=args.port,
-            lease_ttl_s=args.lease_ttl, telemetry=_telemetry_arg(args),
-            profile=_profile_arg(args),
+            lease_ttl_s=args.lease_ttl,
+            telemetry=_flag_pair(args, "telemetry"),
+            profile=_flag_pair(args, "profile"),
             progress=None if args.quiet else _progress)
         print(f"coordinator listening on {service.url} "
               f"({len(specs)} campaign(s) queued)", flush=True)

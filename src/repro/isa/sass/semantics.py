@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import IllegalInstruction
-from repro.isa.base import Imm, Instruction, LabelRef, MemRef, Pred, Reg
+from repro.isa.base import Instruction, LabelRef, MemRef
 
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1

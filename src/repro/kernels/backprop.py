@@ -10,8 +10,6 @@ the numpy reference) sums partials and applies the sigmoid.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kernels import common
 from repro.kernels.workload import BufferSpec, Workload
 from repro.sim.launch import LaunchConfig, pack_params

@@ -59,9 +59,7 @@ def get_workload(name: str, scale: str = "default") -> Workload:
     if scale not in SCALES:
         raise ConfigError(f"unknown scale {scale!r}; known: {', '.join(SCALES)}")
     module = importlib.import_module(_MODULES[name])
-    workload = module.build(scale)
-    workload.scale = scale
-    return workload
+    return module.build(scale)
 
 
 def list_workloads(scale: str = "default") -> list[Workload]:

@@ -8,8 +8,6 @@ a useful test of the allocator).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kernels import common
 from repro.kernels.workload import BufferSpec, Workload
 from repro.sim.launch import LaunchConfig, pack_params

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.gpu import Gpu
-from repro.sim.launch import LaunchConfig
 
 
 @dataclass
@@ -64,8 +63,6 @@ class Workload:
     description: str = ""
     #: True when the kernel allocates local/shared memory (Fig. 2 membership)
     uses_local_memory: bool = False
-    #: input scale this instance was built at (set by the registry)
-    scale: str = "default"
 
     def program(self, isa: str):
         """Primary program for an ISA (first kernel for multi-kernel suites)."""

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from scipy import stats
 
-from repro.reliability.campaign import CellResult
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,12 @@ import numpy as np
 from repro.arch.config import GpuConfig
 from repro.arch.structures import (
     CONTROL_STRUCTURES,
+    LOCAL_MEMORY,
+    REGISTER_FILE,
     control_words_per_warp,
     structure_info,
 )
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.tracing import TraceSink
 
 

@@ -1,16 +1,15 @@
 """Microarchitectural GPU simulators (the GPGPU-Sim / Multi2Sim substitutes)."""
 
-from repro.sim.gpu import Gpu, default_watchdog_for
-from repro.sim.launch import LaunchConfig, pack_params
-from repro.sim.faults import (
-    FaultPlan,
+from repro.arch.structures import (
     LOCAL_MEMORY,
     PREDICATE_FILE,
     REGISTER_FILE,
     SCHEDULER_STATE,
     SIMT_STACK,
-    sample_faults,
 )
+from repro.sim.gpu import Gpu, default_watchdog_for
+from repro.sim.launch import LaunchConfig, pack_params
+from repro.sim.faults import FaultPlan, sample_faults
 from repro.sim.tracing import (
     TRACE_SCHEMA_VERSION,
     CompositeSink,

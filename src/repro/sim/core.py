@@ -21,10 +21,11 @@ Subclasses implement the ISA front-end: :class:`repro.sim.sass_core.SassCore`
 from __future__ import annotations
 
 from repro.arch.config import GpuConfig
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import BarrierDeadlock, LaunchError, WatchdogTimeout
 from repro.faultmodels.registry import get_fault_model
 from repro.sim.control import make_control_banks
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.launch import LaunchConfig
 from repro.sim.memory import GlobalMemory
 from repro.sim.occupancy import BlockFootprint

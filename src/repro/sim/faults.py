@@ -29,16 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.config import GpuConfig
-from repro.arch.structures import (
-    ALL_STRUCTURES,
-    CONTROL_STRUCTURES,
-    LOCAL_MEMORY,
-    PREDICATE_FILE,
-    REGISTER_FILE,
-    SCHEDULER_STATE,
-    SIMT_STACK,
-    structure_info,
-)
+from repro.arch.structures import structure_info
 from repro.arch.structures import words_per_core as _words_per_core
 from repro.errors import ConfigError
 

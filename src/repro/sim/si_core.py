@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from repro.errors import IllegalInstruction
-from repro.isa.base import EXEC, Imm, Param, SCC, SReg, SRegPair, SpecialScalar, VReg
+from repro.isa.base import Imm, Param, SReg, SRegPair, SpecialScalar, VReg
 from repro.isa.si import semantics
 from repro.isa.si.opcodes import SI_OPCODES
 from repro.sim.core import CoreBase

@@ -17,8 +17,8 @@ at once:
   semantics as grouped prefix sums instead of a per-lane loop.
 
 Everything here is bit-identical to the reference loops by contract:
-the vector and python backends are diffed store-for-store in CI
-(``fastpath-parity``), and the unit tests compare each helper against
+the vector and python backends are diffed store-for-store by
+tests/test_transparency.py, and the unit tests compare each helper against
 its reference implementation exhaustively on random inputs. Cached
 arrays are returned *read-only* and shared — callers treat operands as
 immutable (the ISA semantics handlers are purely functional).

@@ -129,8 +129,8 @@ class CampaignSpec:
     #: Interpreter implementation for every resolved chip: "vector"
     #: (numpy whole-warp fast path) or "python" (per-lane reference).
     #: None = each chip's own default (vector). An execution resource:
-    #: results are bit-identical either way (CI's ``fastpath-parity``
-    #: job diffs the stores) and it joins no job fingerprint.
+    #: results are bit-identical either way (tests/test_transparency.py
+    #: diffs the stores) and it joins no job fingerprint.
     backend: str | None = None
     #: Cross-sample suffix memoization (:mod:`repro.checkpoint.memo`):
     #: None = on (the default), False = off. Takes effect only with

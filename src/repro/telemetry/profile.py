@@ -22,8 +22,8 @@ Design constraints, in order:
   fingerprint; collected data travels between workers and the driver
   under the ephemeral ``_profile`` payload key, which the result
   store and the in-process golden cache strip — so stores produced
-  with profiling on and off are bit-identical (the same CI-gated
-  guarantee as the telemetry setting itself).
+  with profiling on and off are bit-identical (the same guarantee as
+  the telemetry setting itself, checked by tests/test_transparency.py).
 * **Phase times are exclusive.** Phases nest (a digest check happens
   inside a suffix simulation, a snapshot capture inside a golden
   run); entering a nested phase suspends the parent's clock, so the

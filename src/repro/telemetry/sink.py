@@ -16,8 +16,8 @@ for the consumer's view of each event type).
 Telemetry is **strictly observability-only**: nothing in the engine
 reads an event back, sinks never see job payloads by reference (only
 scalar summaries), and result stores produced with telemetry on and
-off are bit-identical — ``scripts/diff_stores.py`` gates exactly that
-in CI. A sink that raises is dropped-from, never propagated: a full
+off are bit-identical — tests/test_transparency.py checks exactly
+that. A sink that raises is dropped-from, never propagated: a full
 disk must not kill a multi-hour campaign.
 """
 

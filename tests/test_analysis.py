@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.reliability.analysis import (
-    FindingsSummary,
     ace_fi_ratios,
     avf_occupancy_correlation,
     summarize,
@@ -13,7 +13,6 @@ from repro.reliability.analysis import (
 from repro.reliability.campaign import CellResult
 from repro.reliability.epf import EpfResult
 from repro.reliability.fi import AvfEstimate
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 
 
 def make_cell(gpu, workload, rf_fi, rf_ace, rf_occ, lm_fi=0.02, lm_ace=0.021,

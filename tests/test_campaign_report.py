@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.reliability.campaign import average_cell, run_cell
 from repro.reliability.report import (
     bar,
@@ -13,7 +14,6 @@ from repro.reliability.report import (
     format_epf_figure,
     write_cells_csv,
 )
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 from repro.spec import CampaignSpec
 from repro.spec.defaults import default_samples, default_scale
 from tests.conftest import MINI_AMD, MINI_NVIDIA

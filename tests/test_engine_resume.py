@@ -10,7 +10,7 @@ from repro.engine import clear_memory_cache, run_campaign
 from repro.engine.jobs import CELL, GOLDEN, PLAN, SHARD
 from repro.engine.store import ResultStore
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 

@@ -1,4 +1,5 @@
-"""Result store round-trips and job fingerprint invalidation."""
+"""Result store round-trips, the store comparator and job fingerprint
+invalidation."""
 
 import json
 from dataclasses import replace
@@ -14,7 +15,7 @@ from repro.engine.fingerprint import (
     shard_params,
 )
 from repro.engine.jobs import decode_outputs, encode_outputs
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, diff_stores
 from repro.reliability.liveness import AceMode
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
@@ -88,6 +89,113 @@ class TestResultStore:
         assert store.get("nope") is None
         assert store.kind_of("nope") is None
         assert "nope" not in store
+
+
+def _cell(**changes) -> dict:
+    payload = {"gpu": "g", "workload": "w", "scale": "tiny",
+               "scheduler": "rr", "samples": 4, "seed": 0,
+               "fault_model": "transient", "fi": {"sdc": 1},
+               "fi_time_s": 0.5}
+    payload.update(changes)
+    return payload
+
+
+def _write(path, records) -> None:
+    """A store holding ``records`` ((fp, kind, payload)) in this order."""
+    with ResultStore(path) as store:
+        for fp, kind, payload in records:
+            store.put(fp, kind, payload)
+
+
+#: A minimal campaign store image: golden -> shard -> cell.
+RECORDS = [
+    ("g1", "golden", {"cycles": 10, "wall_time_s": 0.1}),
+    ("s1", "shard", {"results": [["register_file", 0, 1, 2, "sdc", "", 1]],
+                     "wall_time_s": 0.2}),
+    ("c1", "cell", _cell()),
+]
+
+
+class TestDiffStores:
+    def test_identical_stores_agree(self, tmp_path):
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", RECORDS)
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == []
+
+    def test_wall_time_fields_are_ignored(self, tmp_path):
+        timed = [(fp, kind, {**payload, "wall_time_s": 9.0,
+                             "golden_time_s": 9.0})
+                 for fp, kind, payload in RECORDS]
+        timed[2] = ("c1", "cell", _cell(fi_time_s=7.0,
+                                        fi={"sdc": 1, "wall_time_s": 3.0}))
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", timed)
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == []
+
+    def test_changed_shard_payload_is_reported(self, tmp_path):
+        changed = list(RECORDS)
+        changed[1] = ("s1", "shard",
+                      {"results": [["register_file", 0, 1, 2, "due",
+                                    "WatchdogTimeout", 0]]})
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", changed)
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == \
+            ["shard s1… payloads differ"]
+
+    def test_extra_payload_key_is_reported(self, tmp_path):
+        changed = list(RECORDS)
+        changed[1] = ("s1", "shard", {**RECORDS[1][2], "profile": {}})
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", changed)
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == \
+            ["shard s1… payloads differ"]
+
+    def test_missing_record_is_reported(self, tmp_path):
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", RECORDS[1:])
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == \
+            ["golden g1… missing from b.jsonl"]
+
+    def test_changed_cell_is_reported(self, tmp_path):
+        changed = RECORDS[:2] + [("c1", "cell", _cell(fi={"sdc": 2}))]
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", changed)
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == \
+            ["cell ('g', 'w', 'tiny', 'rr', 4, 0, 'transient') "
+             "payloads differ"]
+
+    def test_cells_match_by_campaign_identity_not_fingerprint(
+            self, tmp_path):
+        # The checkpoint interval joins only the cell fingerprint.
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", RECORDS[:2] + [("c2", "cell", _cell())])
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == []
+
+    def test_append_order_difference_unless_ignored(self, tmp_path):
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", [RECORDS[1], RECORDS[0], RECORDS[2]])
+        problems = diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
+        assert len(problems) == 1
+        assert problems[0].startswith("append order differs at shared "
+                                      "record 0 (g1… vs s1…)")
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl",
+                           ignore_order=True) == []
+
+    def test_torn_trailing_line_is_tolerated(self, tmp_path):
+        _write(tmp_path / "a.jsonl", RECORDS)
+        _write(tmp_path / "b.jsonl", RECORDS)
+        with (tmp_path / "b.jsonl").open("ab") as handle:
+            handle.write(b'{"fp": "x1", "kind": "shard", "payload": {"re')
+        assert diff_stores(tmp_path / "a.jsonl", tmp_path / "b.jsonl") == []
+
+    def test_accepts_open_stores(self, tmp_path):
+        _write(tmp_path / "a.jsonl", RECORDS)
+        memory = ResultStore(None)
+        for fp, kind, payload in RECORDS[:2]:
+            memory.put(fp, kind, payload)
+        assert diff_stores(ResultStore(tmp_path / "a.jsonl"), memory) == \
+            ["cell ('g', 'w', 'tiny', 'rr', 4, 0, 'transient') "
+             "missing from right"]
 
 
 class TestOutputCodec:

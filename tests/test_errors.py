@@ -1,7 +1,5 @@
 """Exception taxonomy tests."""
 
-import pytest
-
 from repro import errors
 
 

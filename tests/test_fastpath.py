@@ -5,8 +5,8 @@ Three layers of coverage for the campaign acceleration stack:
 * the :mod:`repro.sim.vector` helpers against their per-lane reference
   loops (bit-exactness is the backend's whole contract);
 * backend and memo *parity* — identical campaign outcomes with the
-  fast path on or off, plus fingerprint transparency (a store written
-  under one backend resumes under the other with zero jobs executed);
+  fast path on or off (store-level parity and the zero-executed
+  cross-backend resume are tests/test_transparency.py);
 * the :class:`repro.checkpoint.SuffixMemo` protocol itself, including
   the ISSUE-mandated constructed-collision case: a primary-digest
   match whose independent secondary digest disagrees must never reuse
@@ -20,13 +20,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.checkpoint import MemoRecord, SuffixMemo
 from repro.checkpoint.digest import digest_machine, digest_machine_pair
-from repro.engine import clear_memory_cache, run_campaign
+from repro.engine import clear_memory_cache
 from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import resimulate_plan, run_fi_campaign, run_golden
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim import vector
 from repro.spec import CampaignSpec
@@ -159,24 +160,6 @@ class TestBackendParity:
         assert sorted(py[0]) == sorted(vec[0])
         assert all(np.array_equal(py[0][k], vec[0][k]) for k in py[0])
         assert py[1:] == vec[1:]
-
-    def test_fingerprint_transparent_resume(self, tmp_path):
-        """Backend + memo join no fingerprint: cross-config resume is free."""
-        store = tmp_path / "store.jsonl"
-        base = dict(gpus=(MINI_NVIDIA,), workloads=(WORKLOAD,),
-                    scale="tiny", samples=8, seed=3,
-                    structures=(REGISTER_FILE, LOCAL_MEMORY),
-                    checkpoint_interval="auto")
-        first = run_campaign(
-            CampaignSpec(backend="python", suffix_memo=False, **base),
-            store=store)
-        assert first.stats.executed > 0
-        clear_memory_cache()
-        second = run_campaign(
-            CampaignSpec(backend="vector", suffix_memo=True, **base),
-            store=store)
-        assert second.stats.executed == 0
-        assert second.stats.cached == second.stats.total
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,14 @@ when actually re-simulated, produce bit-identical outputs.
 import numpy as np
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import SimFault, WatchdogTimeout
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
 from repro.reliability.fi import run_golden, run_fi_campaign
 from repro.reliability.liveness import FaultSiteResolver
 from repro.reliability.outcomes import Outcome, classify_outputs
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan, sample_faults
+from repro.sim.faults import FaultPlan, sample_faults
 from repro.sim.gpu import Gpu
 from repro.sim.tracing import EventRecorder
 from tests.conftest import MINI_NVIDIA, run_sass

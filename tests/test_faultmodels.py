@@ -10,6 +10,7 @@ stores, and serial == engine == pooled equivalence.
 import numpy as np
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.engine import clear_memory_cache
 from repro.engine.fingerprint import fingerprint, plan_params
 from repro.errors import ConfigError
@@ -28,7 +29,7 @@ from repro.kernels.workload import run_workload
 from repro.reliability.campaign import run_cell, run_matrix
 from repro.reliability.fi import run_fi_campaign, run_golden
 from repro.reliability.liveness import FaultSiteResolver
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
+from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim.regfile import RegisterFile
 from repro.sim.sharedmem import LocalMemory

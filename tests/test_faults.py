@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.arch.presets import GEFORCE_GTX_480, HD_RADEON_7970
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
 from repro.sim.faults import (
-    LOCAL_MEMORY,
-    REGISTER_FILE,
     FaultPlan,
     fault_from_flat,
     sample_faults,

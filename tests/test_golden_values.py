@@ -9,8 +9,8 @@ when a change is *supposed* to alter results, and say why in the
 commit.
 """
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.reliability.campaign import run_cell
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 

@@ -7,13 +7,14 @@ rule is pinned down independently of the simulator.
 import numpy as np
 import pytest
 
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.reliability.liveness import (
     AceAccumulator,
     AceMode,
     FaultSiteResolver,
     OccupancyAccumulator,
 )
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE, FaultPlan
+from repro.sim.faults import FaultPlan
 from tests.conftest import MINI_NVIDIA
 
 FULL = 0xFFFFFFFF

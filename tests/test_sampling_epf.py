@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch.presets import GEFORCE_GTX_480, HD_RADEON_7970
+from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
 from repro.reliability.epf import (
     RAW_FIT_PER_BIT,
@@ -16,7 +17,6 @@ from repro.reliability.epf import (
     structure_fit,
 )
 from repro.reliability.sampling import margin_of_error, required_samples, z_score
-from repro.sim.faults import LOCAL_MEMORY, REGISTER_FILE
 
 
 class TestSamplingFormula:

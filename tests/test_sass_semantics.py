@@ -6,7 +6,6 @@ words — covering every opcode the benchmark suite relies on.
 """
 
 import numpy as np
-import pytest
 
 from repro.bits import float_to_bits
 from tests.conftest import run_sass

@@ -28,7 +28,7 @@ from repro.engine.service import (
     RemoteBackend,
 )
 from repro.engine.service import protocol
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, diff_stores
 from repro.errors import ConfigError
 from repro.spec import CampaignSpec
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
@@ -265,23 +265,12 @@ class TestHttpLayer:
         assert server.backend.counters["pushes_duplicate"] == 1
 
 
-def _strip_times(value):
-    if isinstance(value, dict):
-        return {k: _strip_times(v) for k, v in value.items()
-                if not k.endswith("_time_s")}
-    if isinstance(value, list):
-        return [_strip_times(v) for v in value]
-    return value
-
-
-def _store_image(path):
-    """fingerprint -> (kind, time-stripped payload) plus raw line count."""
-    store = ResultStore(path)
-    image = {fp: (store.kind_of(fp), _strip_times(store.get(fp)))
-             for fp in store._records}
-    lines = [line for line in path.read_bytes().split(b"\n")
-             if line.strip()]
-    return image, len(lines)
+def _assert_same_results(pool_path, dist_path):
+    """Same results as the pool twin; no job lost, none appended twice."""
+    assert diff_stores(pool_path, dist_path, ignore_order=True) == []
+    lines = [[line for line in path.read_bytes().split(b"\n")
+              if line.strip()] for path in (pool_path, dist_path)]
+    assert len(lines[1]) == len(lines[0]) == len(ResultStore(pool_path))
 
 
 def _run_distributed(store, specs, worker_ids=("w1", "w2"),
@@ -325,11 +314,7 @@ class TestDistributedCampaign:
         dist_path = tmp_path / "dist.jsonl"
         stats, counters = _run_distributed(
             ResultStore(dist_path), [SPEC])
-        pool_image, pool_lines = _store_image(pool_path)
-        dist_image, dist_lines = _store_image(dist_path)
-        assert dist_image == pool_image
-        # No job lost, none appended twice.
-        assert dist_lines == pool_lines == len(pool_image)
+        _assert_same_results(pool_path, dist_path)
         assert stats.executed > 0
         executed = sum(c["executed"] for c in counters.values())
         assert executed == sum(c["pushed"] for c in counters.values())
@@ -396,10 +381,7 @@ class TestDistributedCampaign:
 
         assert service.backend.counters["leases_expired"] >= 1
         assert outcome["stats"].executed > 0
-        pool_image, pool_lines = _store_image(pool_path)
-        dist_image, dist_lines = _store_image(dist_path)
-        assert dist_image == pool_image
-        assert dist_lines == pool_lines  # nothing lost, nothing doubled
+        _assert_same_results(pool_path, dist_path)
         assert counters["rejected"] == 0
 
     def test_fleet_telemetry_reaches_the_hub(self, tmp_path, monkeypatch):

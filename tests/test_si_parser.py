@@ -4,7 +4,7 @@ import pytest
 
 from repro.bits import float_to_bits
 from repro.errors import AssemblyError
-from repro.isa.base import EXEC, Imm, Param, SCC, SReg, SRegPair, VCC, VReg
+from repro.isa.base import EXEC, Imm, Param, SReg, SRegPair, VCC, VReg
 from repro.isa.si.parser import ABI_SGPRS, assemble_si
 
 

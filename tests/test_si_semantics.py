@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.bits import float_to_bits
 from tests.conftest import run_si
 
 

@@ -103,7 +103,7 @@ class TestRunSubcommand:
         assert "omitted" in captured.err and "simt_stack" in captured.err
 
     def test_checked_in_smoke_spec_loads(self):
-        # The CI spec-smoke artifact must stay loadable.
+        # The dist-smoke CI job serves this checked-in spec.
         from pathlib import Path
         from repro.spec import CampaignSpec
         root = Path(__file__).resolve().parent.parent
