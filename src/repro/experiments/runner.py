@@ -267,6 +267,23 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _add_set_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    """The repeatable ``--set KEY=VALUE`` spec-field override."""
+    parser.add_argument(
+        "--set", action="append", default=None, metavar="KEY=VALUE",
+        help=help)
+
+
+def _add_store_args(parser: argparse.ArgumentParser) -> None:
+    """``status``/``profile``: the store and its telemetry stream."""
+    parser.add_argument("store", help="path to the result store (JSONL)")
+    parser.add_argument(
+        "--telemetry", default=None, metavar="PATH",
+        help="telemetry JSONL to read (default: the store's "
+             ".telemetry.jsonl sibling)",
+    )
+
+
 def _add_list_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--list-gpus", action="store_true",
@@ -319,11 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execute a TOML/JSON campaign spec file",
         description="Execute a TOML/JSON campaign spec file.")
     run_parser.add_argument("spec", help="path to the .toml/.json spec file")
-    run_parser.add_argument(
-        "--set", action="append", default=None, metavar="KEY=VALUE",
-        help="override one spec field (repeatable); unknown keys are "
-             f"errors — valid: {', '.join(SPEC_FIELDS)}",
-    )
+    _add_set_flag(
+        run_parser,
+        "override one spec field (repeatable); unknown keys are "
+        f"errors — valid: {', '.join(SPEC_FIELDS)}")
 
     sweep_parser = sub.add_parser(
         "sweep", parents=[execution, telemetry],
@@ -337,10 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "integer axes accept a..b ranges, set-valued axes join "
              "names with '+'",
     )
-    sweep_parser.add_argument(
-        "--set", action="append", default=None, metavar="KEY=VALUE",
-        help="override one base-spec field before expansion (repeatable)",
-    )
+    _add_set_flag(
+        sweep_parser,
+        "override one base-spec field before expansion (repeatable)")
 
     status_parser = sub.add_parser(
         "status",
@@ -349,13 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "per-kind job counts, cache hit rates, worker "
                     "occupancy, throughput and ETA, from the telemetry "
                     "stream recorded next to the store.")
-    status_parser.add_argument(
-        "store", help="path to the result store (JSONL)")
-    status_parser.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="telemetry JSONL to read (default: the store's "
-             ".telemetry.jsonl sibling)",
-    )
+    _add_store_args(status_parser)
     status_parser.add_argument(
         "--follow", action="store_true",
         help="live-tail the telemetry stream: re-render the panel as a "
@@ -400,9 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seconds a leased job may go without a worker heartbeat "
              "before it is re-queued (default: the spec's lease_ttl_s, "
              "or 30)")
-    serve_parser.add_argument(
-        "--set", action="append", default=None, metavar="KEY=VALUE",
-        help="override one spec field on every served spec (repeatable)")
+    _add_set_flag(
+        serve_parser,
+        "override one spec field on every served spec (repeatable)")
     serve_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress the per-cell progress lines")
@@ -450,10 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--url", default=None,
         help="coordinator URL (default: the first spec's own "
              "'coordinator' field)")
-    submit_parser.add_argument(
-        "--set", action="append", default=None, metavar="KEY=VALUE",
-        help="override one spec field on every submitted spec "
-             "(repeatable)")
+    _add_set_flag(
+        submit_parser,
+        "override one spec field on every submitted spec (repeatable)")
 
     profile_parser = sub.add_parser(
         "profile",
@@ -463,13 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "opcode-class dispatch mix, counters and top cost "
                     "centers, from the cell_profile/campaign_profile "
                     "events a campaign run with --profile recorded.")
-    profile_parser.add_argument(
-        "store", help="path to the result store (JSONL)")
-    profile_parser.add_argument(
-        "--telemetry", default=None, metavar="PATH",
-        help="telemetry JSONL to read (default: the store's "
-             ".telemetry.jsonl sibling)",
-    )
+    _add_store_args(profile_parser)
     return parser
 
 
@@ -674,6 +676,11 @@ def _apply_sets(spec: CampaignSpec, sets: list | None,
     return spec
 
 
+def _load_spec(path: str, args) -> CampaignSpec:
+    """A spec file with the subcommand's ``--set`` overrides applied."""
+    return _apply_sets(CampaignSpec.from_file(path), args.set)
+
+
 def _axis_points(key: str, text: str) -> list:
     """The value list of one ``--axis key=v1,v2`` sweep axis.
 
@@ -750,8 +757,7 @@ def _main_figures(args) -> int:
 
 def _main_run(args) -> int:
     """``run SPEC``: execute one spec file."""
-    spec = CampaignSpec.from_file(args.spec)
-    spec = _apply_sets(spec, getattr(args, "set"))
+    spec = _load_spec(args.spec, args)
     telemetry = _flag_pair(args, "telemetry")
     from repro.engine.matrix import run_campaign
     title = spec.name or args.spec
@@ -785,8 +791,7 @@ def _main_sweep(args) -> int:
         raise ConfigError(
             "sweep needs at least one --axis key=v1,v2 "
             f"(valid keys: {', '.join(f for f in SPEC_FIELDS if f != 'name')})")
-    spec = CampaignSpec.from_file(args.spec)
-    spec = _apply_sets(spec, getattr(args, "set"))
+    spec = _load_spec(args.spec, args)
     telemetry = _flag_pair(args, "telemetry")
     axes: dict = {}
     for text in args.axis:
@@ -815,6 +820,19 @@ def _main_sweep(args) -> int:
     return 0
 
 
+def _store_and_telemetry(args) -> tuple[Path, Path]:
+    """``status``/``profile``: the existing store and its telemetry path."""
+    from repro.telemetry import telemetry_path_for_store
+    store_path = Path(args.store)
+    if not store_path.exists():
+        raise ConfigError(
+            f"result store not found: {store_path} (give the JSONL file a "
+            f"campaign wrote via --resume)")
+    telemetry_path = (Path(args.telemetry) if args.telemetry
+                      else telemetry_path_for_store(store_path))
+    return store_path, telemetry_path
+
+
 def _store_counts(store_path: Path) -> dict:
     store = ResultStore(store_path)
     try:
@@ -829,15 +847,8 @@ def _main_status(args) -> int:
         aggregate_events,
         format_status,
         load_telemetry_events,
-        telemetry_path_for_store,
     )
-    store_path = Path(args.store)
-    if not store_path.exists():
-        raise ConfigError(
-            f"result store not found: {store_path} (give the JSONL file a "
-            f"campaign wrote via --resume)")
-    telemetry_path = (Path(args.telemetry) if args.telemetry
-                      else telemetry_path_for_store(store_path))
+    store_path, telemetry_path = _store_and_telemetry(args)
     if args.follow or args.once:
         return _follow_status(store_path, telemetry_path,
                               interval=args.interval, once=args.once)
@@ -893,10 +904,7 @@ def _follow_status(store_path: Path, telemetry_path: Path, *,
 def _main_serve(args) -> int:
     """``serve SPEC...``: the campaign-service coordinator."""
     from repro.engine.service import CampaignService
-    specs = []
-    for path in args.specs:
-        spec = CampaignSpec.from_file(path)
-        specs.append(_apply_sets(spec, getattr(args, "set")))
+    specs = [_load_spec(path, args) for path in args.specs]
     store = ResultStore(args.store)
 
     def on_campaign(spec, result):
@@ -945,10 +953,7 @@ def _main_worker(args) -> int:
 def _main_submit(args) -> int:
     """``submit SPEC...``: queue specs onto a running coordinator."""
     from repro.engine.service import CoordinatorClient, protocol
-    specs = []
-    for path in args.specs:
-        spec = CampaignSpec.from_file(path)
-        specs.append((path, _apply_sets(spec, getattr(args, "set"))))
+    specs = [(path, _load_spec(path, args)) for path in args.specs]
     url = args.url or next(
         (spec.coordinator for _, spec in specs
          if spec.coordinator is not None), None)
@@ -974,15 +979,8 @@ def _main_profile(args) -> int:
         aggregate_profiles,
         format_profile,
         load_telemetry_events,
-        telemetry_path_for_store,
     )
-    store_path = Path(args.store)
-    if not store_path.exists():
-        raise ConfigError(
-            f"result store not found: {store_path} (give the JSONL file a "
-            f"campaign wrote via --resume)")
-    telemetry_path = (Path(args.telemetry) if args.telemetry
-                      else telemetry_path_for_store(store_path))
+    store_path, telemetry_path = _store_and_telemetry(args)
     if not telemetry_path.exists():
         raise ConfigError(
             f"no telemetry stream at {telemetry_path}; re-run the campaign "
@@ -991,7 +989,7 @@ def _main_profile(args) -> int:
     events, skipped = load_telemetry_events(telemetry_path)
     work = [e.get("work_s") for e in events
             if e.get("event") == "campaign_profile"]
-    work_s = sum(w for w in work if w) or None
+    work_s = sum(w for w in work if isinstance(w, (int, float))) or None
     print(format_profile(store_path, aggregate_profiles(events),
                          work_s=work_s))
     if skipped:

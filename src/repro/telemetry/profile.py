@@ -176,27 +176,41 @@ class ProfileCollector:
         }
 
 
+def _items(section) -> list:
+    """The ``(name, value)`` pairs of ``section`` if it is a dict."""
+    return list(section.items()) if isinstance(section, dict) else []
+
+
+def _numeric_items(section) -> list:
+    """The ``(name, value)`` pairs of a profile section that are numbers."""
+    return [(name, value) for name, value in _items(section)
+            if isinstance(value, (int, float))]
+
+
 def merge_profiles(into: dict | None, data: dict | None) -> dict | None:
     """Fold one ``as_dict()``-format profile into another (sums).
 
     Either side may be ``None`` (a cached dep carries no profile —
     profiling reports *executed* work only); the merge never mutates
-    ``data``.
+    ``data``. A ``data`` that is not a dict, and any section entry that
+    is not a number, is skipped: telemetry streams are read back from
+    disk, and one malformed event must not sink the whole report.
     """
-    if data is None:
+    if not isinstance(data, dict):
         return into
     if into is None:
         into = {"phases": {}, "phase_calls": {}, "dispatch": {},
                 "counters": {}}
     for key in ("phases", "phase_calls", "counters"):
         bucket = into.setdefault(key, {})
-        for name, value in data.get(key, {}).items():
+        for name, value in _numeric_items(data.get(key)):
             bucket[name] = bucket.get(name, 0) + value
     dispatch = into.setdefault("dispatch", {})
-    for isa, classes in data.get("dispatch", {}).items():
-        per_isa = dispatch.setdefault(isa, {})
-        for cls, value in classes.items():
-            per_isa[cls] = per_isa.get(cls, 0) + value
+    for isa, classes in _items(data.get("dispatch")):
+        if isinstance(classes, dict):
+            per_isa = dispatch.setdefault(isa, {})
+            for cls, value in _numeric_items(classes):
+                per_isa[cls] = per_isa.get(cls, 0) + value
     return into
 
 

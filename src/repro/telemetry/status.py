@@ -25,6 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .report import aggregate_profiles
+
 
 @dataclass
 class CampaignStatus:
@@ -118,13 +120,6 @@ class CampaignStatus:
 def aggregate_events(events: list[dict]) -> CampaignStatus:
     """Fold a telemetry event stream into one :class:`CampaignStatus`."""
     status = CampaignStatus()
-    # Memo counters: prefer the driver's campaign_profile summaries
-    # (authoritative totals), fall back to summing cell_profile events
-    # when a run was interrupted before the summary was written.
-    memo_keys = ("memo_hits", "memo_misses", "memo_collisions")
-    cell_memo = dict.fromkeys(memo_keys, 0)
-    campaign_memo = dict.fromkeys(memo_keys, 0)
-    saw_campaign_profile = False
     for event in events:
         status.events += 1
         ts = event.get("ts")
@@ -191,23 +186,12 @@ def aggregate_events(events: list[dict]) -> CampaignStatus:
                 status.pushes_duplicate += 1
             else:
                 status.pushes_ok += 1
-        elif etype in ("cell_profile", "campaign_profile"):
-            profile = event.get("profile")
-            counters = (profile.get("counters")
-                        if isinstance(profile, dict) else None)
-            sink = cell_memo
-            if etype == "campaign_profile":
-                saw_campaign_profile = True
-                sink = campaign_memo
-            if isinstance(counters, dict):
-                for key in memo_keys:
-                    value = counters.get(key, 0)
-                    if isinstance(value, (int, float)):
-                        sink[key] += int(value)
-    chosen = campaign_memo if saw_campaign_profile else cell_memo
-    status.memo_hits = chosen["memo_hits"]
-    status.memo_misses = chosen["memo_misses"]
-    status.memo_collisions = chosen["memo_collisions"]
+    # Memo counters follow the profile report's totals rule: the
+    # campaign_profile summaries, else the sum of the cell_profile events.
+    counters = (aggregate_profiles(events)["total"] or {}).get("counters", {})
+    status.memo_hits = int(counters.get("memo_hits", 0))
+    status.memo_misses = int(counters.get("memo_misses", 0))
+    status.memo_collisions = int(counters.get("memo_collisions", 0))
     return status
 
 

@@ -140,6 +140,18 @@ class TestMerge:
         assert b == b_copy
 
 
+    def test_skips_non_dict_profiles_and_non_numeric_entries(self):
+        data = {"phases": {"golden": 1.0, "digest": None},
+                "phase_calls": "garbage",
+                "dispatch": {"sass": {"alu": 2, "mem": "x"}, "si": 7},
+                "counters": {"memo_hits": "bogus", "memo_misses": 2}}
+        assert merge_profiles(None, "not-a-dict") is None
+        merged = merge_profiles(None, data)
+        assert merged["phases"] == {"golden": 1.0}
+        assert merged["phase_calls"] == {}
+        assert merged["dispatch"] == {"sass": {"alu": 2}}
+        assert merged["counters"] == {"memo_misses": 2}
+
 def _cell_event(workload, profile, fault_model="transient",
                 structures=("register_file",)):
     return {"event": "cell_profile", "workload": workload,

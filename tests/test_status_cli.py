@@ -195,6 +195,28 @@ class TestProfileCommand:
         assert "no profile events" in out
         assert "--profile" in out
 
+    def test_malformed_profile_events_render_like_status(
+            self, tmp_path, capsys):
+        # A stream that `status` renders must not crash `profile`: a
+        # non-dict profile and a non-numeric counter or work_s are
+        # skipped.
+        store = tmp_path / "status_store.jsonl"
+        store.write_text(STORE.read_text())
+        events = load_telemetry(TELEMETRY) + [
+            {"event": "campaign_profile", "profile": "not-a-dict",
+             "work_s": "bogus"},
+            {"event": "cell_profile",
+             "profile": {"counters": {"memo_hits": "bogus",
+                                      "memo_misses": 2}}},
+        ]
+        (tmp_path / "status_store.telemetry.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in events))
+        assert main(["status", str(store)]) == 0
+        assert main(["profile", str(store)]) == 0
+        out, err = capsys.readouterr()
+        assert "memo_misses" in out and "bogus" not in out
+        assert "Traceback" not in err
+
     def test_profile_flag_conflict_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "tiny.toml"
         spec.write_text('gpus = ["gtx480"]\nworkloads = ["vectoradd"]\n'
