@@ -6,13 +6,6 @@ is not slower than serial (``MIN_SPEEDUP``, 1x) on hosts with at least
 two CPUs. The golden-run memory cache is cleared between the runs so
 each pays the full campaign cost.
 
-Pinned to the pure-python reference interpreter, isolating the *pool*
-optimization: the vector backend halves the per-cell work, and at
-smoke scale what remains is dominated by the pool's fixed process
-start-up cost, turning the gate into a coin flip. The combined fast
-path is gated separately by
-``bench_checkpoint_speedup.py::test_fastpath_speedup``.
-
 Knobs: ``REPRO_FI_SAMPLES`` / ``REPRO_SCALE`` (see conftest) plus
 ``REPRO_BENCH_WORKERS`` (default: min(4, cpu_count)).
 """
@@ -51,7 +44,7 @@ def test_matrix_parallel_speedup(benchmark):
 
     spec = CampaignSpec(gpus=tuple(gpus), workloads=tuple(WORKLOADS),
                         scale=scale, samples=samples, seed=1,
-                        structures=STRUCTURES, backend="python")
+                        structures=STRUCTURES)
 
     clear_memory_cache()
     start = time.perf_counter()

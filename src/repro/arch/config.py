@@ -80,20 +80,10 @@ class GpuConfig:
     #: number of independent warp schedulers per core
     num_schedulers: int = 1
     latency: LatencyModel = field(default_factory=LatencyModel)
-    #: interpreter implementation: "vector" batches all active lanes as
-    #: numpy arrays under the SIMT mask; "python" is the per-lane
-    #: reference implementation. Bit-identical results either way (a CI
-    #: parity job diffs their stores), so the backend is an execution
-    #: resource, not a campaign parameter — it joins no job fingerprint.
-    backend: str = "vector"
 
     def __post_init__(self):
         if self.vendor not in ("nvidia", "amd"):
             raise ConfigError(f"unknown vendor {self.vendor!r}")
-        if self.backend not in ("vector", "python"):
-            raise ConfigError(
-                f"unknown backend {self.backend!r} (use 'vector' or "
-                f"'python')")
         if self.isa not in ("sass", "si"):
             raise ConfigError(f"unknown isa {self.isa!r}")
         if self.warp_size not in (32, 64):

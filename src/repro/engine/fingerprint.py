@@ -24,16 +24,12 @@ from repro.reliability.liveness import AceMode
 def config_params(config: GpuConfig) -> dict:
     """Complete plain-data description of one chip (incl. latencies).
 
-    The interpreter ``backend`` is stripped: vector and pure-python
-    execution are bit-identical by contract (tests/test_transparency.py
-    diffs their stores), so
-    the backend is an execution resource like ``workers`` — the same
-    chip fingerprints the same under either, and stores written before
-    the backend field existed resume with zero jobs executed.
+    Every :class:`GpuConfig` field is a chip parameter; none is an
+    execution setting. Stores written while configs still carried an
+    interpreter ``backend`` field (stripped from fingerprints then)
+    resume with zero jobs executed.
     """
-    params = asdict(config)
-    params.pop("backend", None)
-    return params
+    return asdict(config)
 
 
 def canonical_json(params: dict) -> str:

@@ -387,8 +387,6 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
             scale=scale, samples=samples, seed=spec.seed,
             fault_model=spec.fault_model,
             structures=list(spec.resolved_structures()),
-            backend=",".join(sorted({g.backend
-                                     for g in spec.resolved_gpus()})),
             suffix_memo=spec.resolved_suffix_memo(),
             cells=len(cell_ids), workers=workers,
             store=str(store.path) if store is not None and store.path

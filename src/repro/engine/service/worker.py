@@ -4,8 +4,8 @@ A worker is a plain process anywhere that can reach the coordinator
 over HTTP. It registers, then loops: pull a lease, decode the argument
 list (fetching + caching golden output blobs by fingerprint), run the
 job through the *same* worker functions the process pool uses
-(:mod:`repro.engine.jobs` — vector backend, per-process snapshot
-rebuild, suffix memo all intact), and push the payload back. A
+(:mod:`repro.engine.jobs` — per-process snapshot rebuild and suffix
+memo intact), and push the payload back. A
 background heartbeat renews held leases at a third of the TTL, so a
 live worker grinding through a long shard never expires, while a
 killed one silently does — the coordinator re-queues its lease and the

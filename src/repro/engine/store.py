@@ -12,7 +12,7 @@ record being written when the process dies can be lost; a truncated
 trailing line is detected and skipped on load.
 
 :func:`diff_stores` compares two stores semantically: execution
-settings (checkpoints, memo, backend, telemetry, profile, workers,
+settings (checkpoints, memo, telemetry, profile, workers,
 shard size, the campaign service) must leave the stored results
 bit-identical, and this is the comparison that checks it.
 """

@@ -192,12 +192,6 @@ def _campaign_parent() -> argparse.ArgumentParser:
              "from cycle zero (bit-identical, slower)",
     )
     group.add_argument(
-        "--backend", choices=("vector", "python"), default=None,
-        help="interpreter backend for every chip: 'vector' (numpy "
-             "whole-warp fast path, the default) or 'python' (per-lane "
-             "reference); bit-identical results either way",
-    )
-    group.add_argument(
         "--suffix-memo", action="store_true", default=None,
         help="share classified quiescent states across the campaign's "
              "injections (cross-sample suffix memoization; needs "
@@ -558,7 +552,6 @@ def _spec_from_args(args) -> CampaignSpec:
         fault_model=args.fault_model or "transient",
         checkpoint_interval=_checkpoint_interval(args),
         shard_size=args.shard_size,
-        backend=getattr(args, "backend", None),
         suffix_memo=_flag_pair(args, "suffix_memo"),
     )
 

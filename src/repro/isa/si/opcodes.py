@@ -30,7 +30,7 @@ def _scalar(name, latency="alu", **kw):
     return OpInfo(name, latency, is_scalar=True, **kw)
 
 
-def _vector(name, latency="alu", **kw):
+def _vop(name, latency="alu", **kw):
     return OpInfo(name, latency, **kw)
 
 
@@ -76,52 +76,52 @@ _OPS = [
     _scalar("s_waitcnt"),
     _scalar("s_load_dword"),        # kernel-argument load: s_load_dword sN, param[k]
     # --- vector moves / integer ALU ---
-    _vector("v_mov_b32"),
-    _vector("v_add_i32"),
-    _vector("v_sub_i32"),
-    _vector("v_mul_lo_i32", "mul"),
-    _vector("v_mad_i32", "mul"),
-    _vector("v_min_i32"),
-    _vector("v_max_i32"),
-    _vector("v_and_b32"),
-    _vector("v_or_b32"),
-    _vector("v_xor_b32"),
-    _vector("v_lshlrev_b32"),
-    _vector("v_lshrrev_b32"),
-    _vector("v_ashrrev_i32"),
+    _vop("v_mov_b32"),
+    _vop("v_add_i32"),
+    _vop("v_sub_i32"),
+    _vop("v_mul_lo_i32", "mul"),
+    _vop("v_mad_i32", "mul"),
+    _vop("v_min_i32"),
+    _vop("v_max_i32"),
+    _vop("v_and_b32"),
+    _vop("v_or_b32"),
+    _vop("v_xor_b32"),
+    _vop("v_lshlrev_b32"),
+    _vop("v_lshrrev_b32"),
+    _vop("v_ashrrev_i32"),
     # --- vector float ALU ---
-    _vector("v_add_f32"),
-    _vector("v_sub_f32"),
-    _vector("v_mul_f32"),
-    _vector("v_mac_f32", "mul"),
-    _vector("v_fma_f32", "mul"),
-    _vector("v_min_f32"),
-    _vector("v_max_f32"),
-    _vector("v_rcp_f32", "sfu"),
-    _vector("v_sqrt_f32", "sfu"),
-    _vector("v_rsq_f32", "sfu"),
-    _vector("v_exp_f32", "sfu"),
-    _vector("v_log_f32", "sfu"),
-    _vector("v_sin_f32", "sfu"),
-    _vector("v_cos_f32", "sfu"),
-    _vector("v_cvt_f32_i32", "sfu"),
-    _vector("v_cvt_f32_u32", "sfu"),
-    _vector("v_cvt_i32_f32", "sfu"),
-    _vector("v_cndmask_b32"),
+    _vop("v_add_f32"),
+    _vop("v_sub_f32"),
+    _vop("v_mul_f32"),
+    _vop("v_mac_f32", "mul"),
+    _vop("v_fma_f32", "mul"),
+    _vop("v_min_f32"),
+    _vop("v_max_f32"),
+    _vop("v_rcp_f32", "sfu"),
+    _vop("v_sqrt_f32", "sfu"),
+    _vop("v_rsq_f32", "sfu"),
+    _vop("v_exp_f32", "sfu"),
+    _vop("v_log_f32", "sfu"),
+    _vop("v_sin_f32", "sfu"),
+    _vop("v_cos_f32", "sfu"),
+    _vop("v_cvt_f32_i32", "sfu"),
+    _vop("v_cvt_f32_u32", "sfu"),
+    _vop("v_cvt_i32_f32", "sfu"),
+    _vop("v_cndmask_b32"),
     # --- vector compares ---
     *[
-        _vector(f"v_cmp_{op}_{ty}")
+        _vop(f"v_cmp_{op}_{ty}")
         for op in ("lt", "le", "gt", "ge", "eq", "ne")
         for ty in ("i32", "u32", "f32")
     ],
     # --- LDS ---
-    _vector("ds_read_b32", "shared", memory_space="shared"),
-    _vector("ds_write_b32", "shared", memory_space="shared"),
-    _vector("ds_add_u32", "shared", memory_space="shared"),
+    _vop("ds_read_b32", "shared", memory_space="shared"),
+    _vop("ds_write_b32", "shared", memory_space="shared"),
+    _vop("ds_add_u32", "shared", memory_space="shared"),
     # --- global memory ---
-    _vector("global_load_dword", "global", memory_space="global"),
-    _vector("global_store_dword", "global", memory_space="global"),
-    _vector("global_atomic_add", "global", memory_space="global"),
+    _vop("global_load_dword", "global", memory_space="global"),
+    _vop("global_store_dword", "global", memory_space="global"),
+    _vop("global_atomic_add", "global", memory_space="global"),
 ]
 
 SI_OPCODES: dict[str, OpInfo] = {op.name: op for op in _OPS}

@@ -42,6 +42,9 @@ DEFAULT_WATCHDOG = 50_000_000
 class CoreBase:
     """One SM/CU: storage, resident blocks, issue loop."""
 
+    #: The ISA's opcode table (mnemonic -> OpInfo), set per subclass.
+    OPCODES: dict = {}
+
     def __init__(self, core_id: int, config: GpuConfig, gmem: GlobalMemory,
                  scheduler: WarpScheduler, sink: TraceSink | None = None):
         self.core_id = core_id
@@ -49,14 +52,10 @@ class CoreBase:
         self.gmem = gmem
         self.scheduler = scheduler
         self.sink = sink
-        #: True under the vector fast path (``config.backend``); the
-        #: pure-python reference path stays bit-identical by contract.
-        self.vector = config.backend == "vector"
         self.regfile = RegisterFile(
             core_id, config.registers_per_core, config.warp_size, sink
         )
-        self.lmem = LocalMemory(core_id, config.local_memory_bytes, sink,
-                                backend=config.backend)
+        self.lmem = LocalMemory(core_id, config.local_memory_bytes, sink)
         # Control-structure banks (SIMT stack, predicate file, scheduler
         # state): (word, bit)-addressable fault targets over the live
         # warp state. ``_control_dirty`` flags installed stuck-at
@@ -88,8 +87,9 @@ class CoreBase:
         self.blocks_retired = 0
         self.instructions_issued = 0
         self._warp_counter = 0
-        # Prebuilt latency-class table (the python path builds the dict
-        # per call; the table is the same mapping, hoisted out).
+        #: Per-pc (inst, opcode-info, latency) decode cache, built once
+        #: per launch instead of per issue.
+        self._decoded: list = []
         table = config.latency
         self._latency_table = {
             "alu": table.alu,
@@ -302,7 +302,14 @@ class CoreBase:
         self._prepare_program(program)
 
     def _prepare_program(self, program) -> None:
-        """ISA-specific per-launch preparation (e.g. CFG analysis)."""
+        """Per-launch preparation: the decode cache (subclasses extend
+        it, e.g. with CFG analysis)."""
+        self._decoded = []
+        for pc in range(len(program)):
+            inst = program.at(pc)
+            info = self.OPCODES[inst.opcode]
+            self._decoded.append(
+                (inst, info, self.latency_of(info.latency_class)))
 
     @property
     def can_accept_block(self) -> bool:
@@ -388,54 +395,11 @@ class CoreBase:
         points to land close to their interval thresholds.
         """
         retired_before = self.blocks_retired
-        limit = None
         self.resume_at = None
-        if self.vector:
-            return self._run_until_retire_fast(quantum, retired_before)
-        while self.blocks:
-            candidates = [
-                warp for warp in self.warps
-                if not warp.done and not warp.at_barrier
-            ]
-            if not candidates:
-                # Every live warp is at a barrier that never completed:
-                # arrival-time release should have fired, so this is a
-                # genuine deadlock (possible under injected faults).
-                raise BarrierDeadlock(
-                    f"core {self.core_id}: all warps blocked at barrier"
-                )
-            t_best = min(
-                max(warp.ready_cycle, self.issue_free) for warp in candidates
-            )
-            if quantum is not None:
-                if limit is None:
-                    # First issue of this step pins the slice boundary;
-                    # it always proceeds, so every step makes progress.
-                    limit = (t_best // quantum + 1) * quantum
-                elif t_best >= limit:
-                    self.resume_at = t_best
-                    return False
-            ties = [
-                warp for warp in candidates
-                if max(warp.ready_cycle, self.issue_free) == t_best
-            ]
-            warp = self.scheduler.pick(ties, self.last_issued)
-            self._issue(warp, t_best)
-            if self.blocks_retired != retired_before:
-                return True
-        return False
-
-    def _run_until_retire_fast(self, quantum: int | None,
-                               retired_before: int) -> bool:
-        """Vector-backend issue loop: one fused candidate scan per issue.
-
-        Identical decisions to the reference loop above — same
-        candidate set, same ``t_best``, same tie list in the same warp
-        order — computed in a single pass instead of three
-        comprehensions over ``self.warps``.
-        """
         limit = None
         while self.blocks:
+            # One fused scan: the earliest issue time over the live
+            # warps not held at a barrier, and its ties in warp order.
             t_best = None
             ties = None
             issue_free = self.issue_free
@@ -451,11 +415,16 @@ class CoreBase:
                 elif t == t_best:
                     ties.append(warp)
             if t_best is None:
+                # Every live warp is at a barrier that never completed:
+                # arrival-time release should have fired, so this is a
+                # genuine deadlock (possible under injected faults).
                 raise BarrierDeadlock(
                     f"core {self.core_id}: all warps blocked at barrier"
                 )
             if quantum is not None:
                 if limit is None:
+                    # First issue of this step pins the slice boundary;
+                    # it always proceeds, so every step makes progress.
                     limit = (t_best // quantum + 1) * quantum
                 elif t_best >= limit:
                     self.resume_at = t_best
@@ -525,13 +494,4 @@ class CoreBase:
         return (segments - 1) * self.config.latency.uncoalesced_penalty
 
     def latency_of(self, latency_class: str) -> int:
-        table = self.config.latency
-        return {
-            "alu": table.alu,
-            "mul": table.mul,
-            "sfu": table.sfu,
-            "shared": table.shared,
-            "global": table.global_mem,
-            "branch": table.branch,
-            "barrier": table.barrier,
-        }[latency_class]
+        return self._latency_table[latency_class]

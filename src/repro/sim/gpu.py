@@ -61,7 +61,7 @@ class Gpu:
                  memory_capacity: int = 1 << 24):
         self.config = config
         self.sink = sink
-        self.mem = GlobalMemory(memory_capacity, backend=config.backend)
+        self.mem = GlobalMemory(memory_capacity)
         self.scheduler_name = scheduler
         core_class = self._core_class(config)
         self.cores = [

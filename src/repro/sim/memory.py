@@ -45,7 +45,7 @@ class Buffer:
 class GlobalMemory:
     """Flat device memory with buffer-granular bounds checking."""
 
-    def __init__(self, capacity_bytes: int = 1 << 24, backend: str = "python"):
+    def __init__(self, capacity_bytes: int = 1 << 24):
         if capacity_bytes % 4:
             raise ConfigError("capacity must be a word multiple")
         self.capacity = capacity_bytes
@@ -59,10 +59,9 @@ class GlobalMemory:
         self._words[:_BASE // 4] = 0
         self._next = _BASE
         self.buffers: dict[str, Buffer] = {}
-        self._vector = backend == "vector"
-        # Sorted buffer extents for the vector backend's searchsorted
-        # bounds check (bump allocation keeps bases ascending already;
-        # sorting makes that explicit and restore-proof).
+        # Sorted buffer extents for the searchsorted bounds check (bump
+        # allocation keeps bases ascending already; sorting makes that
+        # explicit and restore-proof).
         self._bases = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
 
@@ -127,17 +126,14 @@ class GlobalMemory:
         if np.any(addresses & 3):
             bad = int(addresses[np.argmax((addresses & 3) != 0)])
             raise MemoryFault(bad, f"misaligned {kind}")
-        if self._vector and self._bases.size:
-            # searchsorted(right) - 1 = index of the last buffer whose
-            # base <= address; the address is valid iff it also falls
-            # before that buffer's end (buffers never overlap).
-            idx = np.searchsorted(self._bases, addresses, side="right") - 1
-            inside = idx >= 0
-            valid = inside & (addresses < self._ends[np.where(inside, idx, 0)])
-        else:
-            valid = np.zeros(addresses.shape, dtype=bool)
-            for buffer in self.buffers.values():
-                valid |= (addresses >= buffer.base) & (addresses < buffer.end)
+        if not self._bases.size:
+            raise MemoryFault(int(addresses[0]), kind)
+        # searchsorted(right) - 1 = index of the last buffer whose
+        # base <= address; the address is valid iff it also falls
+        # before that buffer's end (buffers never overlap).
+        idx = np.searchsorted(self._bases, addresses, side="right") - 1
+        inside = idx >= 0
+        valid = inside & (addresses < self._ends[np.where(inside, idx, 0)])
         if not valid.all():
             bad = int(addresses[np.argmin(valid)])
             raise MemoryFault(bad, kind)
@@ -162,17 +158,7 @@ class GlobalMemory:
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         self._check(addresses, "atomic")
-        index = addresses >> 2
-        if self._vector:
-            return scatter_add_serialized(self._words, index, values)
-        old = np.empty(addresses.size, dtype=np.uint32)
-        # Serialise in lane order for a deterministic old-value per lane.
-        for lane in range(addresses.size):
-            old[lane] = self._words[index[lane]]
-            self._words[index[lane]] = np.uint32(
-                (int(old[lane]) + int(values[lane])) & 0xFFFFFFFF
-            )
-        return old
+        return scatter_add_serialized(self._words, addresses >> 2, values)
 
     def segments_touched(self, addresses: np.ndarray, segment_bytes: int = 128) -> int:
         """Distinct memory segments hit — the coalescing metric."""

@@ -19,40 +19,19 @@ from repro.isa.sass.cfg import immediate_postdominators
 from repro.isa.sass.opcodes import SASS_OPCODES
 from repro.sim.core import CoreBase
 from repro.sim.simt_stack import NO_RECONV
-from repro.sim.vector import bools_to_mask as _v_bools_to_mask
-from repro.sim.vector import const_bool, const_u32
-from repro.sim.vector import mask_to_bools as _v_mask_to_bools
+from repro.sim.vector import bools_to_mask, const_bool, const_u32, mask_to_bools
 from repro.sim.warp import BlockState, SassWarp
 from repro.telemetry import profile as _profile
-
-
-def _bools_to_mask(bools: np.ndarray) -> int:
-    mask = 0
-    for lane in np.flatnonzero(bools):
-        mask |= 1 << int(lane)
-    return mask
-
-
-def _mask_to_bools(mask: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=bool)
-    lane = 0
-    while mask:
-        if mask & 1:
-            out[lane] = True
-        mask >>= 1
-        lane += 1
-    return out
 
 
 class SassCore(CoreBase):
     """One streaming multiprocessor executing SASS-like kernels."""
 
+    OPCODES = SASS_OPCODES
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._ipdom: dict[int, int] = {}
-        #: vector backend: per-pc (inst, opcode-info, latency) decode
-        #: cache, built once per launch instead of per issue.
-        self._decoded: list = []
         # Per-instruction context (the semantics handlers' `ctx` is self).
         self._warp: SassWarp | None = None
         self.eff_bool: np.ndarray | None = None
@@ -64,13 +43,7 @@ class SassCore(CoreBase):
     # ------------------------------------------------------------------
     def _prepare_program(self, program) -> None:
         self._ipdom = immediate_postdominators(program)
-        if self.vector:
-            self._decoded = []
-            for pc in range(len(program)):
-                inst = program.at(pc)
-                info = SASS_OPCODES[inst.opcode]
-                self._decoded.append(
-                    (inst, info, self.latency_of(info.latency_class)))
+        super()._prepare_program(program)
 
     def _populate_warps(self, block: BlockState) -> None:
         threads = self.launch.threads_per_block
@@ -95,19 +68,16 @@ class SassCore(CoreBase):
         return SassWarp.from_state(state, block, self.config.warp_size)
 
     def _execute(self, warp: SassWarp, t_issue: int) -> int:
-        if self.vector:
-            return self._execute_fast(warp, t_issue)
-        program = self.program
+        decoded = self._decoded
         pc = warp.stack.pc
-        if not 0 <= pc < len(program):
+        if not 0 <= pc < len(decoded):
             # Only reachable under fault injection (e.g. a flipped
             # SIMT-stack pc); hardware raises an illegal-address
             # exception here, which the campaign classifies as DUE.
             raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(program) - 1}"
+                f"pc {pc} outside program 0..{len(decoded) - 1}"
             )
-        inst = program.at(pc)
-        info = SASS_OPCODES[inst.opcode]
+        inst, info, latency = decoded[pc]
 
         # Hot-path profiling hook: one global read + branch when off.
         prof = _profile.ACTIVE
@@ -116,59 +86,10 @@ class SassCore(CoreBase):
                           bool(info.memory_space))
 
         active_mask = warp.stack.active_mask
-        active_bool = _mask_to_bools(active_mask, self.config.warp_size)
-        if inst.guard is not None:
-            guard_bool = self._pred_values(warp, inst.guard)
-            eff_bool = active_bool & guard_bool
-        else:
-            eff_bool = active_bool
-        eff_mask = _bools_to_mask(eff_bool)
-
-        self._warp = warp
-        self.eff_bool = eff_bool
-        self.eff_mask = eff_mask
-        self._cycle = t_issue
-
-        latency = self.latency_of(info.latency_class)
-
-        if eff_mask == 0 and not (info.is_branch or info.is_exit or info.is_barrier):
-            warp.stack.advance(pc + 1)
-            return latency
-
-        # Corrupted values under fault injection legitimately overflow
-        # float arithmetic; hardware does not warn, neither do we.
-        with np.errstate(all="ignore"):
-            effect = semantics.execute(self, inst)
-
-        self._apply_effect(warp, pc, effect, t_issue)
-        return latency + effect.extra_cycles
-
-    def _execute_fast(self, warp: SassWarp, t_issue: int) -> int:
-        """Vector-backend twin of :meth:`_execute` (same decisions).
-
-        Differences are purely mechanical: the per-pc decode cache
-        replaces the opcode-table lookups, and the SIMT mask/bool
-        conversions come from :mod:`repro.sim.vector`'s cached
-        ``packbits`` forms instead of per-bit loops.
-        """
-        decoded = self._decoded
-        pc = warp.stack.pc
-        if not 0 <= pc < len(decoded):
-            raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(decoded) - 1}"
-            )
-        inst, info, latency = decoded[pc]
-
-        prof = _profile.ACTIVE
-        if prof is not None:
-            prof.dispatch("sass", info.latency_class,
-                          bool(info.memory_space))
-
-        active_mask = warp.stack.active_mask
-        active_bool = _v_mask_to_bools(active_mask, self.config.warp_size)
+        active_bool = mask_to_bools(active_mask, self.config.warp_size)
         if inst.guard is not None:
             eff_bool = active_bool & self._pred_values(warp, inst.guard)
-            eff_mask = _v_bools_to_mask(eff_bool)
+            eff_mask = bools_to_mask(eff_bool)
         else:
             eff_bool = active_bool
             eff_mask = active_mask
@@ -182,6 +103,8 @@ class SassCore(CoreBase):
             warp.stack.advance(pc + 1)
             return latency
 
+        # Corrupted values under fault injection legitimately overflow
+        # float arithmetic; hardware does not warn, neither do we.
         with np.errstate(all="ignore"):
             effect = semantics.execute(self, inst)
 
@@ -212,9 +135,7 @@ class SassCore(CoreBase):
 
     def read_reg(self, reg: Reg) -> np.ndarray:
         if reg.index < 0:  # RZ
-            if self.vector:
-                return const_u32(self.config.warp_size, 0)
-            return np.zeros(self.config.warp_size, dtype=np.uint32)
+            return const_u32(self.config.warp_size, 0)
         row = self._warp.reg_base_row + reg.index
         return self.regfile.read_row(row, self.eff_mask, self._cycle)
 
@@ -228,11 +149,8 @@ class SassCore(CoreBase):
 
     def _pred_values(self, warp: SassWarp, pred: Pred) -> np.ndarray:
         if pred.index < 0:  # PT
-            if self.vector:
-                return const_bool(self.config.warp_size, not pred.negated)
-            values = np.ones(self.config.warp_size, dtype=bool)
-        else:
-            values = warp.preds[pred.index].copy()
+            return const_bool(self.config.warp_size, not pred.negated)
+        values = warp.preds[pred.index].copy()
         return ~values if pred.negated else values
 
     def read_pred(self, pred: Pred) -> np.ndarray:
@@ -247,14 +165,10 @@ class SassCore(CoreBase):
         if isinstance(op, Reg):
             return self.read_reg(op)
         if isinstance(op, Imm):
-            if self.vector:
-                return const_u32(self.config.warp_size, op.value)
-            return np.full(self.config.warp_size, op.value, dtype=np.uint32)
+            return const_u32(self.config.warp_size, op.value)
         if isinstance(op, Param):
-            word = self.launch.param_word(op.index)
-            if self.vector:
-                return const_u32(self.config.warp_size, word)
-            return np.full(self.config.warp_size, word, dtype=np.uint32)
+            return const_u32(self.config.warp_size,
+                             self.launch.param_word(op.index))
         raise TypeError(f"cannot read operand {op!r}")
 
     def special(self, name: str) -> np.ndarray:

@@ -18,8 +18,7 @@ from repro.sim.vector import scatter_add_serialized
 class LocalMemory:
     """One core's shared memory / LDS."""
 
-    def __init__(self, core_id: int, nbytes: int, sink: TraceSink | None = None,
-                 backend: str = "python"):
+    def __init__(self, core_id: int, nbytes: int, sink: TraceSink | None = None):
         if nbytes % 4:
             raise ConfigError("local memory size must be a word multiple")
         self.core_id = core_id
@@ -27,7 +26,6 @@ class LocalMemory:
         self.num_words = nbytes // 4
         self.data = np.zeros(self.num_words, dtype=np.uint32)
         self.sink = sink
-        self._vector = backend == "vector"
         # word -> (and_mask, or_mask): permanent stuck-at overlays,
         # re-applied after every mutation (see _reapply_forced).
         self._forced: dict[int, tuple[int, int]] = {}
@@ -64,15 +62,7 @@ class LocalMemory:
         index = self._word_index(byte_addrs)
         if self.sink is not None and index.size:
             self.sink.on_lmem_access(cycle, self.core_id, index, False)
-        if self._vector:
-            old = scatter_add_serialized(self.data, index, values)
-        else:
-            old = np.empty(index.size, dtype=np.uint32)
-            for lane in range(index.size):
-                old[lane] = self.data[index[lane]]
-                self.data[index[lane]] = np.uint32(
-                    (int(old[lane]) + int(values[lane])) & 0xFFFFFFFF
-                )
+        old = scatter_add_serialized(self.data, index, values)
         if self._forced:
             self._reapply_forced()
         if self.sink is not None and index.size:

@@ -17,9 +17,9 @@ from repro.isa.base import Imm, Param, SReg, SRegPair, SpecialScalar, VReg
 from repro.isa.si import semantics
 from repro.isa.si.opcodes import SI_OPCODES
 from repro.sim.core import CoreBase
-from repro.sim.vector import bools_to_mask as _v_bools_to_mask
+from repro.sim.vector import bools_to_mask as _bools_to_mask
 from repro.sim.vector import const_u32
-from repro.sim.vector import mask_to_bools as _v_mask_to_bools
+from repro.sim.vector import mask_to_bools as _mask_to_bools
 from repro.sim.warp import BlockState, SiWavefront
 from repro.telemetry import profile as _profile
 
@@ -29,25 +29,15 @@ _MASK64 = (1 << 64) - 1
 class SiCore(CoreBase):
     """One compute unit executing SI-like kernels."""
 
+    OPCODES = SI_OPCODES
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: vector backend: per-pc (inst, opcode-info, latency) decode
-        #: cache, built once per launch instead of per issue.
-        self._decoded: list = []
         self._wave: SiWavefront | None = None
         self.eff_bool: np.ndarray | None = None
         self.eff_mask: int = 0
         self._cycle: int = 0
         self.scc: bool = False  # mirrors the current wavefront during execute
-
-    def _prepare_program(self, program) -> None:
-        if self.vector:
-            self._decoded = []
-            for pc in range(len(program)):
-                inst = program.at(pc)
-                info = SI_OPCODES[inst.opcode]
-                self._decoded.append(
-                    (inst, info, self.latency_of(info.latency_class)))
 
     # ------------------------------------------------------------------
     # CoreBase hooks
@@ -89,7 +79,7 @@ class SiCore(CoreBase):
         flat = wave.lane_offset + np.arange(self.config.warp_size, dtype=np.uint32)
         lid_x = flat % np.uint32(bx)
         lid_y = flat // np.uint32(bx)
-        valid = self._mask_to_bools_width(wave.valid_mask)
+        valid = self.mask_to_bools(wave.valid_mask)
         self.regfile.write_row(wave.reg_base_row + 0, lid_x, valid,
                                wave.valid_mask, self.time)
         if self.program.registers_per_thread > 1:
@@ -100,18 +90,15 @@ class SiCore(CoreBase):
         return SiWavefront.from_state(state, block, self.config.warp_size)
 
     def _execute(self, wave: SiWavefront, t_issue: int) -> int:
-        if self.vector:
-            return self._execute_fast(wave, t_issue)
-        program = self.program
         pc = wave.pc
-        if not 0 <= pc < len(program):
+        decoded = self._decoded
+        if not 0 <= pc < len(decoded):
             # Only reachable under fault injection (corrupted wave pc);
             # the campaign classifies the exception as DUE.
             raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(program) - 1}"
+                f"pc {pc} outside program 0..{len(decoded) - 1}"
             )
-        inst = program.at(pc)
-        info = SI_OPCODES[inst.opcode]
+        inst, info, latency = decoded[pc]
 
         # Hot-path profiling hook: one global read + branch when off.
         prof = _profile.ACTIVE
@@ -121,17 +108,11 @@ class SiCore(CoreBase):
 
         self._wave = wave
         self.scc = wave.scc
-        if info.is_scalar:
-            self.eff_mask = wave.exec_mask & wave.valid_mask
-            self.eff_bool = self._mask_to_bools_width(self.eff_mask)
-        else:
-            self.eff_mask = wave.exec_mask & wave.valid_mask
-            self.eff_bool = self._mask_to_bools_width(self.eff_mask)
+        self.eff_mask = wave.exec_mask & wave.valid_mask
+        self.eff_bool = _mask_to_bools(self.eff_mask, self.config.warp_size)
         self._cycle = t_issue
 
-        latency = self.latency_of(info.latency_class)
-
-        if (not info.is_scalar and self.eff_mask == 0):
+        if not info.is_scalar and self.eff_mask == 0:
             # Vector op with EXEC == 0: architecturally a no-op.
             wave.pc = pc + 1
             return latency
@@ -153,76 +134,14 @@ class SiCore(CoreBase):
             wave.pc = pc + 1
         return latency + effect.extra_cycles
 
-    def _execute_fast(self, wave: SiWavefront, t_issue: int) -> int:
-        """Vector-backend twin of :meth:`_execute` (bit-identical).
-
-        Decode, opcode lookup and latency come from the per-launch
-        cache; SIMT mask conversion goes through the shared cached
-        helpers instead of the per-bit loop.
-        """
-        pc = wave.pc
-        decoded = self._decoded
-        if not 0 <= pc < len(decoded):
-            raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(decoded) - 1}"
-            )
-        inst, info, latency = decoded[pc]
-
-        prof = _profile.ACTIVE
-        if prof is not None:
-            prof.dispatch("si", info.latency_class,
-                          bool(info.memory_space))
-
-        self._wave = wave
-        self.scc = wave.scc
-        self.eff_mask = wave.exec_mask & wave.valid_mask
-        self.eff_bool = _v_mask_to_bools(self.eff_mask, self.config.warp_size)
-        self._cycle = t_issue
-
-        if not info.is_scalar and self.eff_mask == 0:
-            wave.pc = pc + 1
-            return latency
-
-        with np.errstate(all="ignore"):
-            effect = semantics.execute(self, inst)
-        wave.scc = self.scc
-
-        if effect.kind == "branch":
-            wave.pc = effect.target
-        elif effect.kind == "exit":
-            wave.finished = True
-        elif effect.kind == "barrier":
-            wave.pc = pc + 1
-            self._arrive_barrier(wave, t_issue)
-        else:
-            wave.pc = pc + 1
-        return latency + effect.extra_cycles
-
     # ------------------------------------------------------------------
     # Mask helpers
     # ------------------------------------------------------------------
-    def _mask_to_bools_width(self, mask: int) -> np.ndarray:
-        if self.vector:
-            return _v_mask_to_bools(mask, self.config.warp_size)
-        out = np.zeros(self.config.warp_size, dtype=bool)
-        lane = 0
-        while mask:
-            if mask & 1:
-                out[lane] = True
-            mask >>= 1
-            lane += 1
-        return out
-
     def mask_to_bools(self, mask: int) -> np.ndarray:
-        return self._mask_to_bools_width(mask)
+        return _mask_to_bools(mask, self.config.warp_size)
 
     def bools_to_mask(self, bools: np.ndarray) -> int:
-        if self.vector:
-            return _v_bools_to_mask(bools)
-        mask = 0
-        for lane in np.flatnonzero(bools):
-            mask |= 1 << int(lane)
-        return mask
+        return _bools_to_mask(bools)
 
     # ------------------------------------------------------------------
     # Wavefront-context protocol (used by repro.isa.si.semantics)
@@ -248,14 +167,10 @@ class SiCore(CoreBase):
                 self.config.warp_size, self._wave.sgprs[op.index], dtype=np.uint32
             )
         if isinstance(op, Imm):
-            if self.vector:
-                return const_u32(self.config.warp_size, op.value)
-            return np.full(self.config.warp_size, op.value, dtype=np.uint32)
+            return const_u32(self.config.warp_size, op.value)
         if isinstance(op, Param):
-            word = self.launch.param_word(op.index)
-            if self.vector:
-                return const_u32(self.config.warp_size, word)
-            return np.full(self.config.warp_size, word, dtype=np.uint32)
+            return const_u32(self.config.warp_size,
+                             self.launch.param_word(op.index))
         raise IllegalInstruction(f"cannot read vector source {op!r}")
 
     def read_scalar32(self, op) -> int:

@@ -1,11 +1,10 @@
-"""Vector-backend fast-path helpers (``GpuConfig.backend="vector"``).
+"""Whole-warp helpers for the SASS and SI interpreters.
 
-The per-lane reference interpreter (``backend="python"``) spends most
-of its per-instruction budget on a handful of tiny scalar loops and
-repeated small-array allocations: bit-by-bit SIMT mask conversion,
-fresh ``np.full``/``np.zeros`` operands for every immediate, and
-lane-serialised atomic adds. This module batches those over all lanes
-at once:
+A per-lane interpreter spends most of its per-instruction budget on a
+handful of tiny scalar loops and repeated small-array allocations:
+bit-by-bit SIMT mask conversion, fresh ``np.full``/``np.zeros``
+operands for every immediate, and lane-serialised atomic adds. This
+module batches those over all lanes at once:
 
 * :func:`mask_to_bools` / :func:`bools_to_mask` — SIMT masks via
   ``np.unpackbits``/``np.packbits`` with a bounded cache of immutable
@@ -16,11 +15,12 @@ at once:
 * :func:`scatter_add_serialized` — the lane-ordered atomic-add
   semantics as grouped prefix sums instead of a per-lane loop.
 
-Everything here is bit-identical to the reference loops by contract:
-the vector and python backends are diffed store-for-store by
-tests/test_transparency.py, and the unit tests compare each helper against
-its reference implementation exhaustively on random inputs. Cached
-arrays are returned *read-only* and shared — callers treat operands as
+Everything here is bit-identical to the per-lane reference loops: the
+unit tests in tests/test_fastpath.py compare each helper against its
+loop on random inputs, and the interpreters built on them still
+reproduce the result stores the retired per-lane python interpreter
+wrote (tests/test_transparency.py's ``backend-*`` rows). Cached arrays
+are returned *read-only* and shared — callers treat operands as
 immutable (the ISA semantics handlers are purely functional).
 """
 

@@ -126,12 +126,6 @@ class CampaignSpec:
     #: guarantee as ``telemetry``: never part of any job fingerprint,
     #: result stores bit-identical with it on or off.
     profile: bool | None = None
-    #: Interpreter implementation for every resolved chip: "vector"
-    #: (numpy whole-warp fast path) or "python" (per-lane reference).
-    #: None = each chip's own default (vector). An execution resource:
-    #: results are bit-identical either way (tests/test_transparency.py
-    #: diffs the stores) and it joins no job fingerprint.
-    backend: str | None = None
     #: Cross-sample suffix memoization (:mod:`repro.checkpoint.memo`):
     #: None = on (the default), False = off. Takes effect only with
     #: checkpointing enabled; derived state like checkpoints — results
@@ -140,7 +134,7 @@ class CampaignSpec:
     #: Campaign-service coordinator URL (``http://host:port``) this
     #: spec is meant to run against — the default target of
     #: ``repro-experiments submit``. An execution resource like
-    #: ``backend``: never part of any job fingerprint, and a
+    #: ``suffix_memo``: never part of any job fingerprint, and a
     #: distributed store is bit-identical to a local one.
     coordinator: str | None = None
     #: Campaign-service lease TTL in seconds: how long a leased job may
@@ -245,12 +239,6 @@ class CampaignSpec:
             raise _field_error(
                 "profile",
                 f"expected true/false, got {self.profile!r}")
-        if self.backend is not None and self.backend not in (
-                "vector", "python"):
-            raise _field_error(
-                "backend",
-                f"unknown backend {self.backend!r} "
-                f"(use 'vector' or 'python')")
         if self.suffix_memo is not None and not isinstance(
                 self.suffix_memo, bool):
             raise _field_error(
@@ -284,21 +272,11 @@ class CampaignSpec:
     # ------------------------------------------------------------------
 
     def resolved_gpus(self) -> list[GpuConfig]:
-        """Chip configs: names through the scaled presets, configs as-is.
-
-        A spec-level ``backend`` overrides every resolved chip's
-        interpreter backend (fingerprint-transparent, so this never
-        invalidates stored jobs).
-        """
+        """Chip configs: names through the scaled presets, configs as-is."""
         if self.gpus is None:
-            gpus = list_scaled_gpus()
-        else:
-            gpus = [get_scaled_gpu(gpu) if isinstance(gpu, str) else gpu
-                    for gpu in self.gpus]
-        if self.backend is not None:
-            gpus = [dataclasses.replace(gpu, backend=self.backend)
-                    for gpu in gpus]
-        return gpus
+            return list_scaled_gpus()
+        return [get_scaled_gpu(gpu) if isinstance(gpu, str) else gpu
+                for gpu in self.gpus]
 
     def resolved_workloads(self) -> list[str]:
         return list(self.workloads) if self.workloads is not None \

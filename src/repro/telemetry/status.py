@@ -56,9 +56,8 @@ class CampaignStatus:
     max_queue_depth: int = 0
     sweep_campaigns: int = 0
     #: fast-path configuration from campaign_begin (None on streams
-    #: recorded before these fields existed — render as unknown, never
-    #: crash on their absence).
-    backend: str | None = None
+    #: recorded before the field existed — render as unknown, never
+    #: crash on its absence).
     suffix_memo: bool | None = None
     #: suffix-memo counters folded from profile events (all zero when
     #: the campaign was not profiled or predates the memo).
@@ -139,9 +138,6 @@ def aggregate_events(events: list[dict]) -> CampaignStatus:
             status.spec = event.get("spec") or status.spec
             status.workers = max(status.workers, int(event.get("workers", 1)))
             status.cells_total += int(event.get("cells", 0))
-            backend = event.get("backend")
-            if isinstance(backend, str) and backend:
-                status.backend = backend
             suffix_memo = event.get("suffix_memo")
             if isinstance(suffix_memo, bool):
                 status.suffix_memo = suffix_memo
@@ -303,11 +299,8 @@ def format_status(store_path, store_counts: dict, status: CampaignStatus,
                   f"injections re-simulated)")
     lines.append(cells)
 
-    if status.backend is not None or status.suffix_memo is not None:
-        memo_state = ("n/a" if status.suffix_memo is None
-                      else "on" if status.suffix_memo else "off")
-        fast = (f"fast path: backend={status.backend or 'n/a'}, "
-                f"suffix memo {memo_state}")
+    if status.suffix_memo is not None:
+        fast = f"fast path: suffix memo {'on' if status.suffix_memo else 'off'}"
         probes = status.memo_hits + status.memo_misses
         if probes:
             fast += (f" — {status.memo_hits}/{probes} memo hits "

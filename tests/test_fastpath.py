@@ -1,39 +1,50 @@
-"""Fast path: vector backend helpers and cross-sample suffix memo.
+"""Fast path: vector interpreter helpers and cross-sample suffix memo.
 
 Three layers of coverage for the campaign acceleration stack:
 
-* the :mod:`repro.sim.vector` helpers against their per-lane reference
-  loops (bit-exactness is the backend's whole contract);
-* backend and memo *parity* — identical campaign outcomes with the
-  fast path on or off (store-level parity and the zero-executed
-  cross-backend resume are tests/test_transparency.py);
-* the :class:`repro.checkpoint.SuffixMemo` protocol itself, including
-  the ISSUE-mandated constructed-collision case: a primary-digest
-  match whose independent secondary digest disagrees must never reuse
-  an outcome.
+* the :mod:`repro.sim.vector` helpers and the global-memory bounds
+  check against their per-lane reference loops (bit-exactness is the
+  interpreter's whole contract);
+* the interpreter against the frozen verdict of the retired per-lane
+  python interpreter (``tests/fixtures/python_backend``): golden runs
+  and every fault's outcome row, faulty-run cycles included. The
+  frozen result stores and their zero-executed resume are
+  tests/test_transparency.py's ``backend-*`` rows;
+* memo parity — identical campaign outcomes with the memo on or off —
+  and the :class:`repro.checkpoint.SuffixMemo` protocol itself,
+  including the constructed-collision case: a primary-digest match
+  whose independent secondary digest disagrees must never reuse an
+  outcome.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.checkpoint import MemoRecord, SuffixMemo
 from repro.checkpoint.digest import digest_machine, digest_machine_pair
 from repro.engine import clear_memory_cache
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MemoryFault
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import resimulate_plan, run_fi_campaign, run_golden
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
+from repro.sim.memory import GlobalMemory
 from repro.sim import vector
 from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 WORKLOAD = "histogram"
+#: The retired python interpreter's recorded verdict (see README.md there).
+FROZEN = Path(__file__).parent / "fixtures" / "python_backend"
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +127,44 @@ class TestVectorHelpers:
         assert (got == expect_data).all()
         assert (old == expect_old).all()
 
+    @staticmethod
+    def _reference_valid(mem, addresses):
+        """The per-buffer bounds loop the searchsorted check replaced."""
+        valid = np.zeros(addresses.shape, dtype=bool)
+        for buffer in mem.buffers.values():
+            valid |= (addresses >= buffer.base) & (addresses < buffer.end)
+        return valid
+
+    @given(sizes=st.lists(st.integers(1, 100), max_size=4),
+           picks=st.lists(st.tuples(st.integers(0, 7), st.integers(-2, 2)),
+                          min_size=1, max_size=40))
+    def test_bounds_check_matches_reference(self, sizes, picks):
+        """Below the first base, in alignment gaps, exactly at ``end``
+        and with no buffer at all: the first out-of-bounds lane faults."""
+        mem = GlobalMemory(capacity_bytes=1 << 16)
+        buffers = [mem.alloc(f"b{i}", 4 * words)
+                   for i, words in enumerate(sizes)]
+        # Word-aligned probes around every boundary the check can miss.
+        edges = [0, 0x1000, mem._next]
+        for buffer in buffers:
+            edges += [buffer.base, buffer.end, (buffer.base + buffer.end) // 2]
+        addresses = np.array(
+            [max(0, (edges[i % len(edges)] & ~3) + 4 * step)
+             for i, step in picks], dtype=np.int64)
+        valid = self._reference_valid(mem, addresses)
+        if valid.all():
+            mem._check(addresses, "load")
+            return
+        with pytest.raises(MemoryFault) as excinfo:
+            mem._check(addresses, "load")
+        assert excinfo.value.address == int(addresses[np.argmin(valid)])
+
+    def test_bounds_check_without_buffers_faults(self):
+        mem = GlobalMemory(capacity_bytes=1 << 16)
+        with pytest.raises(MemoryFault) as excinfo:
+            mem.load_words(np.array([0x1000, 0x2000]))
+        assert excinfo.value.address == 0x1000
+
     def test_scatter_add_empty(self):
         data = np.arange(4, dtype=np.uint32)
         old = vector.scatter_add_serialized(
@@ -124,42 +173,52 @@ class TestVectorHelpers:
 
 
 # ----------------------------------------------------------------------
-# Backend parity: python and vector interpreters, identical campaigns
+# Backend parity: the interpreter against the python interpreter's record
 # ----------------------------------------------------------------------
 def _outcome_rows(campaign):
     rows = [
-        (r.plan.structure, r.plan.core, r.plan.word, r.plan.bit,
-         r.plan.cycle, r.outcome, r.detail, r.corrupted_words,
-         r.cycles, r.early_exit)
+        [r.plan.structure, r.plan.core, r.plan.word, r.plan.bit,
+         r.plan.cycle, r.outcome.value, r.detail, r.corrupted_words,
+         r.cycles, r.early_exit]
         for r in campaign.results
     ]
     counts = {
-        s: (e.masked, e.sdc, e.due, e.pruned, e.resimulated)
+        s: [e.masked, e.sdc, e.due, e.pruned, e.resimulated]
         for s, e in campaign.estimates.items()
     }
     return rows, counts
 
 
+def _outputs_digest(outputs: dict) -> str:
+    """SHA-256 over every named output's dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(outputs):
+        array = np.ascontiguousarray(outputs[name])
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 class TestBackendParity:
+    RECORD = json.loads((FROZEN / "outcome_rows.json").read_text())
+
     @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
                              ids=["sass", "si"])
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     def test_campaign_identical_across_backends(self, config, model):
+        frozen = self.RECORD[f"{model}-{config.isa}"]
         workload = get_workload(WORKLOAD, "tiny")
-        by_backend = {}
-        for backend in ("python", "vector"):
-            cfg = dataclasses.replace(config, backend=backend)
-            golden = run_golden(cfg, workload)
-            campaign = run_fi_campaign(
-                cfg, workload, golden, samples=10, seed=7,
-                structures=(REGISTER_FILE, LOCAL_MEMORY),
-                fault_model=model, suffix_memo=False, keep_results=True)
-            by_backend[backend] = (golden.outputs, golden.cycles,
-                                   _outcome_rows(campaign))
-        py, vec = by_backend["python"], by_backend["vector"]
-        assert sorted(py[0]) == sorted(vec[0])
-        assert all(np.array_equal(py[0][k], vec[0][k]) for k in py[0])
-        assert py[1:] == vec[1:]
+        golden = run_golden(config, workload)
+        campaign = run_fi_campaign(
+            config, workload, golden, samples=10, seed=7,
+            structures=(REGISTER_FILE, LOCAL_MEMORY),
+            fault_model=model, suffix_memo=False, keep_results=True)
+        assert golden.cycles == frozen["golden_cycles"]
+        assert _outputs_digest(golden.outputs) == \
+            frozen["golden_outputs_sha256"]
+        rows, counts = _outcome_rows(campaign)
+        assert rows == frozen["rows"]
+        assert counts == frozen["counts"]
 
 
 # ----------------------------------------------------------------------
@@ -280,17 +339,9 @@ class TestMemoCampaign:
 # Spec-level validation and resolution
 # ----------------------------------------------------------------------
 class TestSpecFastPathFields:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            CampaignSpec(backend="cuda")
-
     def test_non_bool_suffix_memo_rejected(self):
         with pytest.raises(ConfigError, match="suffix_memo"):
             CampaignSpec(suffix_memo="yes")
-
-    def test_backend_override_applies_to_resolved_gpus(self):
-        spec = CampaignSpec(gpus=(MINI_NVIDIA,), backend="python")
-        assert [g.backend for g in spec.resolved_gpus()] == ["python"]
 
     def test_suffix_memo_defaults_on(self):
         assert CampaignSpec().resolved_suffix_memo() is True

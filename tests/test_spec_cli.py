@@ -50,12 +50,15 @@ class TestRunSubcommand:
 
     def test_unknown_set_key_exits_2_naming_choices(self, spec_path,
                                                     capsys):
-        assert main(["run", str(spec_path), "--set", "nosuch=3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "nosuch" in err and "valid keys" in err
-        assert "samples" in err
-        assert "Traceback" not in err
+        # ``backend`` chose an interpreter once; it is no spec field now.
+        for key, value in (("nosuch", "3"), ("backend", "python")):
+            assert main(["run", str(spec_path),
+                         "--set", f"{key}={value}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"unknown spec key {key!r}" in err
+            assert "valid keys" in err and "samples" in err
+            assert "Traceback" not in err
 
     def test_bad_set_value_exits_2(self, spec_path, capsys):
         assert main(["run", str(spec_path), "--set", "samples=lots"]) == 2
@@ -68,11 +71,12 @@ class TestRunSubcommand:
 
     def test_unknown_key_in_spec_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"
-        path.write_text('smaples = 4\n')
-        assert main(["run", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "smaples" in err and "valid keys" in err
-        assert "Traceback" not in err
+        for key, value in (("smaples", "4"), ("backend", '"python"')):
+            path.write_text(f"{key} = {value}\n")
+            assert main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown spec key {key!r}" in err
+            assert "valid keys" in err and "Traceback" not in err
 
     def test_bad_field_value_in_spec_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"

@@ -1,11 +1,11 @@
 """Execution settings never change a stored result.
 
-Checkpoints, the suffix memo, the interpreter backend, telemetry,
-profiling, the shard size, the worker count, the campaign service and
-the spec-file CLI are execution resources: each must leave a
-campaign's result store bit-identical (wall times aside) and join no
-job fingerprint. Every row runs a reference campaign and a variant that
-differs in one setting, and asserts:
+Checkpoints, the suffix memo, telemetry, profiling, the shard size, the
+worker count, the campaign service and the spec-file CLI are execution
+resources: each must leave a campaign's result store bit-identical
+(wall times aside) and join no job fingerprint. Every row runs a
+reference campaign and a variant that differs in one setting, and
+asserts:
 
 (a) the row is not vacuous: the reference re-simulated live faults on
     every chip and its outcome rows hold at least one SDC and one DUE;
@@ -20,6 +20,12 @@ differs in one setting, and asserts:
     (:func:`repro.engine.fingerprint.cell_params`), so there every
     golden, plan and shard job is reused and only cells are re-reduced,
     to the same values.
+
+The ``backend-*`` rows hold the interpreter to the frozen verdict of
+the retired per-lane python interpreter: their reference is a store it
+wrote (``tests/fixtures/python_backend``) for the datapath and control
+structures under every fault model, checkpoints off, and the variant
+is the same campaign run today.
 
 Each distinct campaign runs once per module and is shared by the rows
 that compare against it.
@@ -36,6 +42,7 @@ import shutil
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +88,9 @@ seed = 0
 structures = ["register_file"]
 checkpoint_interval = "auto"
 """
+#: Stores the python interpreter wrote for the checkpoint-off
+#: ``REFERENCE``/``CONTROL`` campaigns (see README.md there).
+FROZEN = Path(__file__).parent / "fixtures" / "python_backend"
 SUMMARY = re.compile(r"campaign: \d+ jobs — \d+ cached, \d+ executed "
                      r"\((.*); cached\+executed per kind\)")
 
@@ -90,8 +100,10 @@ class Run:
     """One way to execute a campaign.
 
     ``how``: "inline" (one process), "workers" (a 2-process pool),
-    "service" (an in-process coordinator plus one worker thread), or
-    "fig1"/"run" (the CLI campaign above; ``spec`` is then None).
+    "service" (an in-process coordinator plus one worker thread),
+    "fig1"/"run" (the CLI campaign above; ``spec`` is then None), or
+    "frozen" (never executed: the python interpreter's store of
+    ``spec``, read from ``FROZEN``).
     """
 
     spec: CampaignSpec | None
@@ -100,6 +112,11 @@ class Run:
     @property
     def checkpointed(self) -> bool:
         return self.spec is None or self.spec.checkpoint_interval is not None
+
+    @property
+    def frozen_store(self) -> Path:
+        name = "datapath" if self.spec.structures is None else "control"
+        return FROZEN / f"{name}-{self.spec.fault_model}.jsonl"
 
     @property
     def converges(self) -> bool:
@@ -127,11 +144,11 @@ def _rows() -> dict[str, Row]:
             for interval in (300, "auto"):
                 rows[f"checkpoint={interval}-{name}-{model}"] = Row(
                     Run(off), Run(off.replace(checkpoint_interval=interval)))
+            label = model if base is REFERENCE else f"{name}-{model}"
+            rows[f"backend-{label}"] = Row(Run(off, "frozen"), Run(off))
         auto = AUTO.replace(fault_model=model)
         rows[f"suffix_memo-{model}"] = Row(
             Run(auto.replace(suffix_memo=False)), Run(auto))
-        rows[f"backend-{model}"] = Row(
-            Run(auto.replace(backend="python")), Run(auto))
     rows["telemetry"] = Row(Run(AUTO), Run(AUTO.replace(telemetry=True)))
     rows["profile"] = Row(Run(AUTO), Run(AUTO.replace(profile=True)))
     rows["shard_size"] = Row(Run(AUTO), Run(AUTO.replace(shard_size=1)),
@@ -219,15 +236,19 @@ class Campaigns:
         self.root = root
         self._resumes = 0
         runs = sorted(dict.fromkeys(runs), key=lambda run: run.checkpointed)
-        stores = {run: root / f"run{i}.jsonl" for i, run in enumerate(runs)}
+        stores = {run: root / f"run{i}.jsonl" for i, run in enumerate(runs)
+                  if run.how != "frozen"}
+        #: run -> (store path, shortcuts taken)
+        self.fresh = {run: (run.frozen_store, {"suffix": 0, "early_exit": 0})
+                      for run in runs if run.how == "frozen"}
         with ProcessPoolExecutor(
                 max_workers=2,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = {run: pool.submit(_execute, run, store)
                        for run, store in stores.items()}
-            #: run -> (store path, shortcuts taken)
-            self.fresh = {run: (stores[run], future.result(timeout=600)[0])
-                          for run, future in futures.items()}
+            self.fresh.update(
+                (run, (stores[run], future.result(timeout=600)[0]))
+                for run, future in futures.items())
 
     def resume(self, run: Run, reference_store):
         """``run`` resumed on a copy of a store: (executed/kind, copy)."""
