@@ -14,7 +14,9 @@ from benchmarks.conftest import bench_samples, bench_scale
 from repro.arch.scaling import get_scaled_gpu
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.kernels.registry import get_workload
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.reliability.campaign import run_cell
+from repro.reliability.fi import run_golden
+from repro.spec import CampaignSpec
 
 GPU = "gtx480"
 WORKLOAD = "matrixMul"
@@ -34,19 +36,17 @@ def test_ace_analysis_time(benchmark):
 
 def test_fi_campaign_time_and_overestimation(benchmark):
     """Cost of FI + the ACE/FI overestimation ratios."""
-    config = get_scaled_gpu(GPU)
-    workload = get_workload(WORKLOAD, bench_scale())
     samples = bench_samples()
-    golden = run_golden(config, workload)
-
-    output = benchmark.pedantic(
-        lambda: run_fi_campaign(config, workload, golden, samples=samples, seed=1),
-        rounds=1, iterations=1,
-    )
-    print(f"\nACE vs FI on {config.name} / {WORKLOAD} (n={samples}):")
+    spec = CampaignSpec(gpus=(GPU,), workloads=(WORKLOAD,),
+                        scale=bench_scale(), samples=samples, seed=1)
+    cell = benchmark.pedantic(lambda: run_cell(spec), rounds=1, iterations=1)
+    print(f"\nACE vs FI on {cell.gpu} / {WORKLOAD} (n={samples}, "
+          f"FI {cell.fi_time_s:.2f}s after a {cell.golden_time_s:.2f}s "
+          f"golden run):")
+    benchmark.extra_info["fi_time_s"] = round(cell.fi_time_s, 3)
     for structure in (REGISTER_FILE, LOCAL_MEMORY):
-        fi = output.estimates[structure].avf
-        ace = golden.ace.avf(structure)
+        fi = cell.avf_fi(structure)
+        ace = cell.avf_ace(structure)
         ratio = ace / fi if fi else float("inf")
         print(f"  {structure:<14} FI={fi:6.3f} ACE={ace:6.3f} ACE/FI={ratio:5.2f}")
         benchmark.extra_info[structure] = {

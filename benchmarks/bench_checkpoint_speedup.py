@@ -1,13 +1,19 @@
 """CKPT-SPEEDUP — injections/sec of a default campaign's FI stack.
 
-Runs the same serial FI campaigns twice on the one interpreter per
-ISA: first re-simulating every live fault from cycle zero (checkpoints
-and suffix memo off), then with what a default campaign runs — auto
-checkpoints (suffix-only re-simulation from the golden run's machine
-snapshots, with the early-exit convergence check) plus cross-sample
-suffix memoization. It verifies the per-structure outcome counts are
-identical and asserts the injections-per-second speedup of the
-re-simulation phase clears ``MIN_SPEEDUP``. The smoke matrix uses two
+Runs the same FI campaigns twice through the engine, inline: first
+re-simulating every live fault from cycle zero (checkpoints off, so
+the suffix memo is inert), then with what a default campaign runs —
+auto checkpoints (suffix-only re-simulation from the golden run's
+machine snapshots, with the early-exit convergence check) plus
+cross-sample suffix memoization. It verifies the per-structure outcome
+counts are identical and asserts the injections-per-second speedup of
+the re-simulation phase (the cells' FI shard time) clears
+``MIN_SPEEDUP``.
+
+Each arm starts from an empty in-process golden cache. Golden-job
+fingerprints ignore the checkpoint interval, so a golden cached by the
+baseline arm carries no snapshots, and the checkpointed arm's shards
+would rebuild them inside their timed work. The smoke matrix uses two
 compact chips (one per ISA) whose occupancy keeps a healthy live-fault
 fraction.
 
@@ -21,8 +27,8 @@ runs on a 2-core host, two of them below 1.5x).
 from __future__ import annotations
 
 from repro.arch.config import GpuConfig, LatencyModel
-from repro.kernels.registry import get_workload
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.engine import clear_memory_cache, run_campaign
+from repro.spec import CampaignSpec
 
 #: Speedup floor (re-simulation phase, whole smoke matrix).
 MIN_SPEEDUP = 1.5
@@ -58,56 +64,45 @@ CELLS = [
 ]
 
 
-def _counts(campaign) -> list:
+def _counts(cell) -> list:
     return [
         (s, e.masked, e.sdc, e.due, e.pruned, e.resimulated)
-        for s, e in sorted(campaign.estimates.items())
+        for s, e in sorted(cell.fi.items())
     ]
 
 
-def _resim_seconds(campaign) -> float:
-    return sum(e.wall_time_s for e in campaign.estimates.values())
+def _resim_seconds(cell) -> float:
+    return sum(e.wall_time_s for e in cell.fi.values())
+
+
+def _matrix(checkpoint_interval) -> list:
+    """One inline campaign per smoke cell, from an empty golden cache."""
+    clear_memory_cache()
+    return [
+        run_campaign(CampaignSpec(
+            gpus=[config], workloads=[name], scale=SCALE, samples=SAMPLES,
+            seed=1, checkpoint_interval=checkpoint_interval)).cells[0]
+        for config, name in CELLS
+    ]
 
 
 def test_checkpoint_speedup(benchmark):
-    cells = [(config, get_workload(name, SCALE)) for config, name in CELLS]
-    baseline_s = 0.0
-    injections = 0
-    baseline_counts = []
-    for config, workload in cells:
-        golden = run_golden(config, workload)
-        campaign = run_fi_campaign(config, workload, golden,
-                                   samples=SAMPLES, seed=1,
-                                   suffix_memo=False)
-        baseline_s += _resim_seconds(campaign)
-        injections += sum(e.resimulated for e in campaign.estimates.values())
-        baseline_counts.append(_counts(campaign))
+    baseline = _matrix(None)
+    baseline_s = sum(_resim_seconds(c) for c in baseline)
+    injections = sum(e.resimulated for c in baseline for e in c.fi.values())
 
-    goldens = [
-        run_golden(config, workload, checkpoint_interval="auto")
-        for config, workload in cells
-    ]
-
-    def accelerated_matrix():
-        return [run_fi_campaign(config, workload, golden,
-                                samples=SAMPLES, seed=1, keep_results=True)
-                for (config, workload), golden in zip(cells, goldens)]
-
-    campaigns = benchmark.pedantic(accelerated_matrix, rounds=1,
-                                   iterations=1)
-    accelerated_s = sum(_resim_seconds(c) for c in campaigns)
-    assert [_counts(c) for c in campaigns] == baseline_counts
+    accelerated = benchmark.pedantic(_matrix, args=("auto",), rounds=1,
+                                     iterations=1)
+    accelerated_s = sum(_resim_seconds(c) for c in accelerated)
+    assert [_counts(c) for c in accelerated] == \
+        [_counts(c) for c in baseline]
 
     speedup = baseline_s / accelerated_s if accelerated_s else float("inf")
     base_ips = injections / baseline_s if baseline_s else float("inf")
     fast_ips = injections / accelerated_s if accelerated_s else float("inf")
-    early = sum(1 for c in campaigns for r in c.results if r.early_exit)
-    memo_hits = sum((c.memo or {}).get("hits", 0) for c in campaigns)
-    memo_misses = sum((c.memo or {}).get("misses", 0) for c in campaigns)
     print(f"\nCheckpoint speedup ({len(CELLS)} cells, n={SAMPLES}, {SCALE}): "
           f"{injections} injections, {base_ips:.1f} -> {fast_ips:.1f} inj/s "
-          f"(x{speedup:.2f}, early exits={early}, "
-          f"memo {memo_hits} hits / {memo_misses} misses)")
+          f"(x{speedup:.2f})")
     assert injections > 0, "smoke matrix drew no live faults"
     assert speedup >= MIN_SPEEDUP, (
         f"checkpointed FI x{speedup:.2f} is below the x{MIN_SPEEDUP} floor")

@@ -8,30 +8,24 @@ justification for the paper's choice of 2,000 injections/structure.
 from __future__ import annotations
 
 from benchmarks.conftest import bench_scale
-from repro.arch.scaling import get_scaled_gpu
 from repro.arch.structures import REGISTER_FILE
-from repro.kernels.registry import get_workload
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.reliability.campaign import run_cell
 from repro.reliability.sampling import margin_of_error
+from repro.spec import CampaignSpec
 
 SWEEP = (25, 50, 100, 200)
 REFERENCE = 400
 
 
 def test_sample_size_sweep(benchmark):
-    config = get_scaled_gpu("fx5600")
-    workload = get_workload("histogram", bench_scale())
-    golden = run_golden(config, workload)
+    spec = CampaignSpec(gpus=("fx5600",), workloads=("histogram",),
+                        scale=bench_scale(), seed=99,
+                        structures=(REGISTER_FILE,))
 
     def sweep():
-        estimates = {}
-        for n in (*SWEEP, REFERENCE):
-            output = run_fi_campaign(
-                config, workload, golden, samples=n, seed=99,
-                structures=(REGISTER_FILE,),
-            )
-            estimates[n] = output.estimates[REGISTER_FILE].avf
-        return estimates
+        # The golden run is cached in memory after the first size.
+        return {n: run_cell(spec.replace(samples=n)).avf_fi(REGISTER_FILE)
+                for n in (*SWEEP, REFERENCE)}
 
     estimates = benchmark.pedantic(sweep, rounds=1, iterations=1)
     reference = estimates[REFERENCE]

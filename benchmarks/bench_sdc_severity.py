@@ -10,43 +10,48 @@ split the EPF metric builds on.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 from benchmarks.conftest import bench_samples, bench_scale
-from repro.arch.scaling import get_scaled_gpu
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
-from repro.kernels.registry import get_workload
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.engine import run_campaign
+from repro.engine.jobs import SHARD
 from repro.reliability.outcomes import Outcome
+from repro.spec import CampaignSpec
 
 
-def test_sdc_severity_distribution(benchmark):
-    config = get_scaled_gpu("gtx480")
-    workload = get_workload("matrixMul", bench_scale())
-    golden = run_golden(config, workload)
+def test_sdc_severity_distribution(benchmark, tmp_path):
     samples = max(bench_samples(), 120)
-
-    output = benchmark.pedantic(
-        lambda: run_fi_campaign(config, workload, golden, samples=samples,
-                                seed=17, keep_results=True),
+    spec = CampaignSpec(gpus=("gtx480",), workloads=("matrixMul",),
+                        scale=bench_scale(), samples=samples, seed=17)
+    store = tmp_path / "store.jsonl"
+    cell = benchmark.pedantic(
+        lambda: run_campaign(spec, store=store).cells[0],
         rounds=1, iterations=1,
     )
-    sdcs = [r for r in output.results if r.outcome is Outcome.SDC]
+    # Shard records hold one [*plan_key, outcome, detail, corrupted_words]
+    # row per distinct live plan; the plan key starts with the structure.
+    records = [json.loads(line) for line in store.read_text().splitlines()]
+    sdcs = [row for record in records if record["kind"] == SHARD
+            for row in record["payload"]["results"]
+            if row[-3] == Outcome.SDC.value]
     buckets = Counter()
-    for result in sdcs:
-        if result.corrupted_words == 1:
+    for row in sdcs:
+        if row[-1] == 1:
             buckets["1 word"] += 1
-        elif result.corrupted_words <= 16:
+        elif row[-1] <= 16:
             buckets["2-16 words"] += 1
         else:
             buckets[">16 words"] += 1
-    print(f"\nSDC severity on {config.name} / matrixMul "
-          f"({len(sdcs)} SDCs of {2 * samples} injections):")
+    print(f"\nSDC severity on {cell.gpu} / matrixMul "
+          f"({len(sdcs)} distinct SDC sites of {2 * samples} injections):")
     for bucket in ("1 word", "2-16 words", ">16 words"):
         print(f"  {bucket:<12} {buckets.get(bucket, 0)}")
-    by_structure = Counter(r.plan.structure for r in sdcs)
+    by_structure = Counter(row[0] for row in sdcs)
     print(f"  by structure: regfile={by_structure.get(REGISTER_FILE, 0)} "
           f"localmem={by_structure.get(LOCAL_MEMORY, 0)}")
     benchmark.extra_info["sdc_total"] = len(sdcs)
     benchmark.extra_info.update({k: v for k, v in buckets.items()})
-    assert all(r.corrupted_words >= 1 for r in sdcs)
+    assert all(row[-1] >= 1 for row in sdcs)
+    assert len(sdcs) <= sum(e.sdc for e in cell.fi.values())

@@ -10,16 +10,7 @@ tool there.
 Run:  python examples/ace_tradeoff.py
 """
 
-import time
-
-from repro import (
-    LOCAL_MEMORY,
-    REGISTER_FILE,
-    get_scaled_gpu,
-    get_workload,
-    run_fi_campaign,
-    run_golden,
-)
+from repro import LOCAL_MEMORY, REGISTER_FILE, CampaignSpec, run_cell
 
 GPU = "fx5800"
 BENCHMARK = "transpose"
@@ -27,26 +18,19 @@ SAMPLES = 200
 
 
 def main() -> None:
-    config = get_scaled_gpu(GPU)
-    workload = get_workload(BENCHMARK, scale="small")
+    cell = run_cell(CampaignSpec(gpus=(GPU,), workloads=(BENCHMARK,),
+                                 scale="small", samples=SAMPLES, seed=0))
+    estimates = cell.fi.values()
 
-    start = time.perf_counter()
-    golden = run_golden(config, workload)
-    ace_time = time.perf_counter() - start
-
-    start = time.perf_counter()
-    campaign = run_fi_campaign(config, workload, golden, samples=SAMPLES, seed=0)
-    fi_time = time.perf_counter() - start
-
-    print(f"{config.name} / {BENCHMARK} (n={SAMPLES}/structure)\n")
-    print(f"ACE analysis : {ace_time:6.1f}s  (one traced golden run)")
-    print(f"FI campaign  : {fi_time:6.1f}s  "
-          f"({sum(e.resimulated for e in campaign.estimates.values())} re-simulations, "
-          f"{sum(e.pruned for e in campaign.estimates.values())} pruned)\n")
+    print(f"{cell.gpu} / {BENCHMARK} (n={SAMPLES}/structure)\n")
+    print(f"ACE analysis : {cell.golden_time_s:6.1f}s  (one traced golden run)")
+    print(f"FI campaign  : {cell.fi_time_s:6.1f}s  "
+          f"({sum(e.resimulated for e in estimates)} re-simulations, "
+          f"{sum(e.pruned for e in estimates)} pruned)\n")
     print(f"{'structure':<16} {'AVF-FI':>8} {'AVF-ACE':>8} {'ACE/FI':>8}")
     for structure in (REGISTER_FILE, LOCAL_MEMORY):
-        fi = campaign.estimates[structure].avf
-        ace = golden.ace.avf(structure)
+        fi = cell.avf_fi(structure)
+        ace = cell.avf_ace(structure)
         ratio = ace / fi if fi else float("inf")
         print(f"{structure:<16} {fi:8.3f} {ace:8.3f} {ratio:8.2f}")
     print(

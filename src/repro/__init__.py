@@ -98,7 +98,6 @@ from repro.reliability import (
     margin_of_error,
     required_samples,
     run_cell,
-    run_fi_campaign,
     run_golden,
     run_matrix,
 )
@@ -191,7 +190,7 @@ __all__ = [
     # checkpointing
     "CheckpointRecorder", "SnapshotSet", "capture_snapshots",
     # reliability
-    "run_cell", "run_matrix", "run_golden", "run_fi_campaign",
+    "run_cell", "run_matrix", "run_golden",
     "CellResult", "AvfEstimate", "AceMode", "Outcome",
     "compute_epf", "EpfResult", "RAW_FIT_PER_BIT",
     "margin_of_error", "required_samples",

@@ -5,7 +5,7 @@ The engine turns a matrix campaign into a DAG of fingerprinted jobs
 them across a process pool so whole cells run concurrently, shares
 golden runs between campaigns, and persists every finished job so
 interrupted runs resume (``--resume``) and repeated runs are
-incremental — all bit-identical to the serial path.
+incremental — all bit-identical to an inline one-worker run.
 
 * :mod:`repro.engine.fingerprint` — canonical full-parameter job keys
 * :mod:`repro.engine.store` — append-only JSONL result store

@@ -7,9 +7,9 @@ cell:
   ACE AVFs, occupancies, and the golden output buffers. Shared between
   cells (and campaigns) that agree on (gpu, workload, scale, scheduler,
   ace_mode) — sample/seed sweeps hit the cache instead of re-running.
-* **plan** — fault sampling plus the dead-site pruning pass: the exact
-  per-structure plan lists the serial path draws (same RNG seeding),
-  each tagged provably-dead or potentially-live.
+* **plan** — fault sampling plus the dead-site pruning pass: one
+  seeded generator draws the per-structure plan lists, each tagged
+  provably-dead or potentially-live.
 * **shard** — a contiguous slice of the sorted live plans, each fully
   re-simulated and classified MASKED / SDC / DUE. Shards of *different
   cells* run concurrently on the process pool.
@@ -170,10 +170,12 @@ def plan_from_key(key: tuple) -> FaultPlan:
 def run_plan_job(args: tuple) -> dict:
     """Worker: draw fault plans and prune provably-dead sites.
 
-    Sampling reproduces the serial path exactly: one generator seeded
-    with ``seed``, structures drawn in campaign order through the
-    campaign's fault model, so the engine's plans are bit-identical to
-    ``run_fi_campaign``'s whatever the engine's pool size or shard size.
+    Sampling is this job's alone: one generator seeded with ``seed``,
+    structures drawn in campaign order through the campaign's fault
+    model, so a cell's plans depend on (chip, workload, cycles,
+    samples, seed, structures, model) and never on pool size or shard
+    size. The retired serial loop drew the same plans; its frozen
+    verdict is ``tests/fixtures/serial_campaign``.
     """
     (config, workload_name, scale, scheduler, cycles, samples, seed,
      structures, fault_model, profile) = args
@@ -206,11 +208,11 @@ def run_plan_job(args: tuple) -> dict:
 
 
 def live_plan_keys(plan_payload: dict) -> list[tuple]:
-    """Deduplicated live plans in the serial path's re-simulation order.
+    """Deduplicated live plans in re-simulation order.
 
     Keys are (structure, core, word, bit, cycle[, width, stuck])
-    tuples sorted exactly like ``run_fi_campaign`` sorts its live set;
-    shard jobs cover contiguous slices of this list.
+    tuples in sorted order; shard jobs cover contiguous slices of this
+    list, so a plan sampled twice is re-simulated once.
     """
     live = {
         plan_key_from_row(structure, row)
@@ -320,10 +322,11 @@ def reduce_cell_job(config: GpuConfig, workload_name: str, scale: str,
                     fault_model: str = "transient") -> dict:
     """Combine golden + plan + shard payloads into one cell payload.
 
-    The counting mirrors ``run_fi_campaign`` line for line (pruned
-    sites masked without re-simulation, duplicates resolved through the
-    shared outcome map), so the reduced cell matches the serial path's
-    AVF counts, EPF and cycles bit for bit.
+    This is the campaign's only outcome counting: pruned sites count
+    as MASKED without re-simulation, and a plan sampled more than once
+    counts once per sample through the shared outcome map. The counts,
+    EPF and cycles match the retired serial loop's frozen verdict
+    (``tests/fixtures/serial_campaign``) bit for bit.
     """
     outcome_by_key: dict[tuple, tuple] = {}
     resim_time = 0.0
@@ -380,7 +383,7 @@ def reduce_cell_job(config: GpuConfig, workload_name: str, scale: str,
         # only (keeping them byte-identical across structure-taxonomy
         # growth, so old stores keep resolving); control structures
         # have no ACE/occupancy model and report 0.0 — exactly what the
-        # serial path's accumulators return for them.
+        # golden run's accumulators return for them.
         "ace": {s: golden_payload["ace"].get(s, 0.0) for s in structures},
         "occupancy": {s: golden_payload["occupancy"].get(s, 0.0)
                       for s in structures},

@@ -7,9 +7,10 @@ them across a process pool so *cells* run concurrently (not just one
 cell's re-simulations), caches golden runs by (gpu, workload, scale,
 scheduler, ace_mode), and records every finished job in a persistent
 :class:`~repro.engine.store.ResultStore` — making interrupted campaigns
-resumable and repeated invocations incremental. Results are
-bit-identical to the serial ``run_cell`` loop for any worker count and
-any shard size; spec fields map one-to-one onto the job fingerprint
+resumable and repeated invocations incremental. This is the one
+campaign path: ``run_cell`` and ``run_matrix`` run through it, and its
+results are bit-identical for any worker count and any shard size;
+spec fields map one-to-one onto the job fingerprint
 parameters (:func:`cell_fingerprints`), so stores written before the
 spec API resume with zero jobs executed.
 """

@@ -15,9 +15,7 @@ from repro.reliability.epf import (
 )
 from repro.reliability.fi import (
     AvfEstimate,
-    CampaignOutput,
     GoldenRun,
-    run_fi_campaign,
     run_golden,
 )
 from repro.reliability.liveness import (
@@ -38,10 +36,8 @@ __all__ = [
     "default_samples",
     "default_scale",
     "run_golden",
-    "run_fi_campaign",
     "GoldenRun",
     "AvfEstimate",
-    "CampaignOutput",
     "AceAccumulator",
     "AceMode",
     "FaultSiteResolver",

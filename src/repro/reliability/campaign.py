@@ -8,19 +8,17 @@ over cells.
 
 Campaigns are configured by one :class:`repro.spec.CampaignSpec`
 object — ``run_cell(spec)`` and ``run_matrix(spec)`` consume it
-directly.
+directly, and both run on the job-graph engine
+(:func:`repro.engine.run_campaign`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
-from repro.kernels.registry import get_workload
-from repro.reliability.epf import EpfResult, compute_epf
-from repro.reliability.fi import GoldenRun, run_fi_campaign, run_golden
+from repro.reliability.epf import EpfResult
 
 
 @dataclass
@@ -79,70 +77,20 @@ class CellResult:
         }
 
 
-def run_cell(spec, *, golden: GoldenRun | None = None) -> CellResult:
+def run_cell(spec) -> CellResult:
     """Measure one (GPU, benchmark) cell end to end, in process.
 
     ``spec`` is a :class:`repro.spec.CampaignSpec` naming exactly one
-    GPU and one workload. This is the serial reference path the engine
-    (:func:`run_matrix`) is held bit-identical to; parallel campaigns
-    run through the engine.
-
-    ``golden`` (a precomputed :class:`GoldenRun`) is an execution
-    resource, not a campaign parameter, so it stays an explicit
-    argument. The spec's ``checkpoint_interval`` (None,
-    ``"auto"``, or a cycle count) makes the golden run capture machine
-    snapshots so live-fault re-simulations run suffix-only with
-    early-exit convergence — same outcomes and cycle counts, less wall
-    time (:mod:`repro.checkpoint`).
+    GPU and one workload. The cell runs inline on the job-graph engine
+    (:func:`repro.engine.run_campaign`), with no persistent store: the
+    same sampling, pruning, re-simulation and counting as every matrix
+    campaign.
     """
+    from repro.engine.matrix import run_campaign
     from repro.spec.campaign import require_spec
     spec = require_spec(spec, who="run_cell")
-
-    config, workload_name = spec.single()
-    scale = spec.resolved_scale()
-    samples = spec.resolved_samples()
-    structures = spec.resolved_structures()
-    model_name = spec.fault_model
-    workload = get_workload(workload_name, scale)
-
-    if golden is None:
-        golden = run_golden(config, workload, scheduler=spec.scheduler,
-                            ace_mode=spec.ace_mode,
-                            checkpoint_interval=spec.checkpoint_interval)
-
-    start = time.perf_counter()
-    campaign = run_fi_campaign(
-        config, workload, golden, samples=samples, seed=spec.seed,
-        structures=structures, fault_model=model_name,
-        suffix_memo=spec.resolved_suffix_memo(),
-    )
-    fi_time = time.perf_counter() - start
-
-    ace = {s: golden.ace.avf(s) for s in structures}
-    occupancy = {s: golden.occupancy.occupancy(s) for s in structures}
-
-    avf_for_epf = {s: campaign.estimates[s].avf for s in structures}
-    epf = compute_epf(config, workload_name, golden.cycles, avf_for_epf,
-                      spec.raw_fit_per_bit)
-
-    return CellResult(
-        gpu=config.name,
-        workload=workload_name,
-        scale=scale,
-        scheduler=spec.scheduler,
-        cycles=golden.cycles,
-        num_launches=len(golden.launch_cycles),
-        fi=campaign.estimates,
-        ace=ace,
-        occupancy=occupancy,
-        epf=epf,
-        golden_time_s=golden.wall_time_s,
-        fi_time_s=fi_time,
-        samples=samples,
-        seed=spec.seed,
-        uses_local_memory=workload.uses_local_memory,
-        fault_model=model_name,
-    )
+    spec.single()  # ConfigError unless exactly one GPU and one workload
+    return run_campaign(spec).cells[0]
 
 
 def run_matrix(spec, *, progress=None, workers: int = 1,
@@ -155,8 +103,8 @@ def run_matrix(spec, *, progress=None, workers: int = 1,
     ``store`` (a path or :class:`repro.engine.ResultStore`) makes the
     campaign resumable and incremental, and ``stats`` (a
     :class:`repro.engine.CampaignStats`) collects the jobs
-    total/cached/executed accounting. Results are bit-identical to the
-    serial per-cell loop for every setting. ``telemetry`` is the
+    total/cached/executed accounting. Results are bit-identical for
+    every setting, and per cell to :func:`run_cell`. ``telemetry`` is the
     engine observability stream (``None`` defers to the spec's
     ``telemetry`` field — see :func:`repro.engine.run_campaign`).
     """

@@ -1,4 +1,8 @@
-"""Statistical fault-injection engine (the GUFI / SIFI analogue).
+"""Statistical fault-injection primitives (the GUFI / SIFI analogue).
+
+This module holds the golden run, the one-fault re-simulation and the
+per-structure AVF estimate. The campaign engine's jobs
+(:mod:`repro.engine.jobs`) compose them into the one campaign path:
 
 Campaign flow per (GPU, benchmark, structure):
 
@@ -35,18 +39,14 @@ full re-simulation either way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.arch.config import GpuConfig
 from repro.errors import SimFault
-from repro.faultmodels.registry import get_fault_model
 from repro.kernels.workload import Workload, run_workload
 from repro.reliability.liveness import (
     AceAccumulator,
     AceMode,
-    FaultSiteResolver,
     OccupancyAccumulator,
 )
 from repro.reliability.outcomes import (
@@ -56,7 +56,6 @@ from repro.reliability.outcomes import (
     count_corrupted_words,
 )
 from repro.reliability.sampling import margin_of_error
-from repro.arch.structures import DATAPATH_STRUCTURES
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu, default_watchdog_for
 from repro.sim.tracing import CompositeSink
@@ -153,18 +152,6 @@ class AvfEstimate:
         return margin_of_error(self.samples, confidence=self.confidence)
 
 
-@dataclass
-class CampaignOutput:
-    """Everything a fault-injection campaign produced."""
-
-    estimates: dict            # structure -> AvfEstimate
-    results: list = field(default_factory=list)  # list[FaultResult]
-    #: Suffix-memo counters (hits/misses/collisions/entries) when the
-    #: campaign ran memoized; None when the memo was off or the golden
-    #: run captured no snapshots.
-    memo: dict | None = None
-
-
 def _memo_commit(memo, result: FaultResult) -> FaultResult:
     """Memoize a finished run's digest trail under its outcome."""
     if memo is not None:
@@ -187,10 +174,10 @@ def resimulate_plan(config: GpuConfig, workload: Workload, plan: FaultPlan,
                     snapshots=None, memo=None) -> FaultResult:
     """Faulty run for one live fault site.
 
-    The single deterministic re-simulation primitive shared by the
-    serial reference loop (:func:`run_fi_campaign`) and the campaign
-    engine's FI-shard jobs (:mod:`repro.engine.jobs`). ``fault_model`` selects
-    the disturbance semantics (default: transient single-bit flip).
+    The deterministic re-simulation primitive behind the campaign
+    engine's FI-shard jobs (:mod:`repro.engine.jobs`). ``fault_model``
+    selects the disturbance semantics (default: transient single-bit
+    flip).
 
     ``snapshots`` (a :class:`repro.checkpoint.SnapshotSet` from the
     golden run) switches to suffix-only simulation with the early-exit
@@ -259,95 +246,3 @@ def resimulate_plan(config: GpuConfig, workload: Workload, plan: FaultPlan,
     return _memo_commit(memo, FaultResult(
         plan, outcome, True, corrupted_words=corrupted,
         cycles=result.cycles))
-
-
-def run_fi_campaign(config: GpuConfig, workload: Workload, golden: GoldenRun,
-                    samples: int, seed: int = 0,
-                    structures: tuple = DATAPATH_STRUCTURES,
-                    keep_results: bool = False,
-                    fault_model=None,
-                    suffix_memo: bool = True) -> CampaignOutput:
-    """Run the statistical FI campaign for the given structures.
-
-    The in-process reference loop: live faults are re-simulated one
-    after another, in sorted plan order. Parallel campaigns go through
-    the job-graph engine (:func:`repro.engine.run_campaign`), whose
-    results the parity tests hold bit-identical to this loop.
-
-    ``fault_model`` (name or :class:`~repro.faultmodels.FaultModel`)
-    selects sampling/application/liveness semantics; the default
-    transient model reproduces the paper's campaign bit for bit.
-
-    ``suffix_memo`` (default on; needs a checkpointed golden run to
-    take effect) shares classified quiescent states across the
-    campaign's injections (:mod:`repro.checkpoint.memo`) — outcomes
-    stay bit-identical, repeated suffixes are skipped.
-    """
-    model = get_fault_model(fault_model)
-    rng = np.random.default_rng(seed)
-    plans_by_structure = {
-        structure: model.sample(config, structure, golden.cycles, samples, rng)
-        for structure in structures
-    }
-    all_plans = [p for plans in plans_by_structure.values() for p in plans]
-
-    # Pruning pass: one traced golden run resolving dead vs live sites.
-    resolver = FaultSiteResolver(config, all_plans, fault_model=model)
-    gpu = Gpu(config, scheduler=golden.scheduler, sink=resolver)
-    run_workload(gpu, workload)
-
-    live_plans = sorted(
-        {p for p in all_plans if resolver.is_live(p)},
-        key=lambda p: (p.structure, p.core, p.word, p.bit, p.cycle,
-                       p.width, p.stuck_value),
-    )
-    memo = None
-    if suffix_memo and golden.snapshots is not None:
-        from repro.checkpoint import SuffixMemo
-        memo = SuffixMemo()
-    resim_start = time.perf_counter()
-    resim_results = {
-        plan: resimulate_plan(config, workload, plan, golden.outputs,
-                              golden.cycles, golden.scheduler,
-                              fault_model=model.name,
-                              snapshots=golden.snapshots, memo=memo)
-        for plan in live_plans
-    }
-    resim_time = time.perf_counter() - resim_start
-    total_live = max(1, len(live_plans))
-
-    output = CampaignOutput(estimates={})
-    if memo is not None:
-        output.memo = memo.stats()
-    for structure, plans in plans_by_structure.items():
-        masked = sdc = due = pruned = resims = 0
-        results: list[FaultResult] = []
-        for plan in plans:
-            if not resolver.is_live(plan):
-                masked += 1
-                pruned += 1
-                result = FaultResult(plan, Outcome.MASKED, False, detail="dead-site")
-            else:
-                result = resim_results[plan]
-                resims += 1
-                if result.outcome is Outcome.MASKED:
-                    masked += 1
-                elif result.outcome is Outcome.SDC:
-                    sdc += 1
-                else:
-                    due += 1
-            if keep_results:
-                results.append(result)
-        output.estimates[structure] = AvfEstimate(
-            structure=structure,
-            samples=len(plans),
-            masked=masked,
-            sdc=sdc,
-            due=due,
-            pruned=pruned,
-            resimulated=resims,
-            # Batch re-simulation time apportioned by this structure's share.
-            wall_time_s=resim_time * resims / total_live,
-        )
-        output.results.extend(results)
-    return output

@@ -3,8 +3,9 @@
 One typed, frozen, serializable :class:`CampaignSpec` object is the
 single configuration surface for every layer of the reproduction:
 
-* ``run_cell(spec)`` / ``run_matrix(spec)`` /
-  ``run_campaign(spec, store=..., workers=...)``
+* ``run_campaign(spec, store=..., workers=...)``, the one campaign
+  path, and its wrappers ``run_cell(spec)`` (one cell, inline) and
+  ``run_matrix(spec)``
 * the figure harnesses (``repro.experiments``)
 * spec files (``CampaignSpec.from_file`` / ``to_file``, TOML or JSON)
   and the ``repro-experiments run path/to/spec.toml`` CLI

@@ -1,15 +1,28 @@
-"""Shared fixtures: small chips and helpers for running inline kernels."""
+"""Shared fixtures: small chips, helpers for running inline kernels,
+and the campaign helpers the parity tests share."""
 
 from __future__ import annotations
+
+import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.arch.config import GpuConfig, LatencyModel
+from repro.arch.structures import DATAPATH_STRUCTURES
+from repro.engine import jobs
 from repro.isa.sass.parser import assemble_sass
 from repro.isa.si.parser import assemble_si
+from repro.kernels.registry import get_workload
+from repro.reliability.fi import resimulate_plan
+from repro.reliability.outcomes import FaultResult, Outcome
 from repro.sim.gpu import Gpu
 from repro.sim.launch import LaunchConfig, pack_params
+
+#: The retired serial campaign loop's recorded verdict (README.md there).
+SERIAL_CAMPAIGN = Path(__file__).parent / "fixtures" / "serial_campaign"
 
 #: A small NVIDIA-style chip: fast to simulate, big enough for real blocks.
 MINI_NVIDIA = GpuConfig(
@@ -103,3 +116,59 @@ def _run(program, buffers, params, grid, block, config, scheduler, sink,
     gpu.launch(launch)
     gpu.finish()
     return gpu, gpu.mem.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Campaign helpers
+# ----------------------------------------------------------------------
+
+def comparable(cell) -> dict:
+    """A cell's CSV row minus its wall-time fields (they vary per run)."""
+    row = cell.row()
+    row.pop("golden_time_s")
+    row.pop("fi_time_s")
+    return row
+
+
+def fi_counts(cell) -> dict:
+    """structure -> [masked, sdc, due, pruned, resimulated]."""
+    return {s: [e.masked, e.sdc, e.due, e.pruned, e.resimulated]
+            for s, e in cell.fi.items()}
+
+
+@functools.cache
+def serial_verdict(name: str) -> dict:
+    """One file of ``tests/fixtures/serial_campaign``, parsed."""
+    return json.loads((SERIAL_CAMPAIGN / name).read_text())
+
+
+def sample_results(config, workload_name, golden, samples, seed, *,
+                   structures=DATAPATH_STRUCTURES, fault_model=None,
+                   memo=None, scale="tiny") -> list[FaultResult]:
+    """Every sampled fault's :class:`FaultResult`, in sampling order.
+
+    The engine's plan job draws and prunes the sites; each distinct
+    live plan is re-simulated once, in shard order, against ``golden``
+    (suffix-only when it carries snapshots, through ``memo`` when one
+    is given); dead sites are MASKED without re-simulation. Counting
+    stays the engine's: cells come from ``run_campaign``.
+    """
+    plan_payload = jobs.run_plan_job((
+        config, workload_name, scale, golden.scheduler, golden.cycles,
+        samples, seed, tuple(structures), fault_model, False))
+    workload = get_workload(workload_name, scale)
+    live = {
+        key: resimulate_plan(config, workload, jobs.plan_from_key(key),
+                             golden.outputs, golden.cycles, golden.scheduler,
+                             fault_model=fault_model,
+                             snapshots=golden.snapshots, memo=memo)
+        for key in jobs.live_plan_keys(plan_payload)
+    }
+    results = []
+    for structure, rows in plan_payload["plans"].items():
+        for row in rows:
+            key = jobs.plan_key_from_row(structure, row)
+            results.append(live[key] if row[4] else FaultResult(
+                jobs.plan_from_key(key), Outcome.MASKED, False,
+                detail="dead-site"))
+    return results

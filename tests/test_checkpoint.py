@@ -17,6 +17,7 @@ from repro.checkpoint import (
     MachineSnapshot,
     SnapshotPoint,
     SnapshotSet,
+    SuffixMemo,
     capture_snapshots,
     restore_machine,
     resume_workload,
@@ -26,12 +27,12 @@ from repro.errors import ConfigError, SimFault
 from repro.faultmodels.registry import get_fault_model
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.reliability.fi import run_golden
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.sim.gpu import Gpu, default_watchdog_for
 from repro.sim.tracing import EventRecorder
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import MINI_AMD, MINI_NVIDIA, sample_results
 
 #: (config, workload) pairs covering both ISAs and multi-launch suites.
 CASES = [
@@ -157,9 +158,9 @@ class TestLazyGoldenDigest:
         workload = get_workload("kmeans", "tiny")
         golden = run_golden(config, workload, checkpoint_interval="auto")
         hashed = _count_golden_digests(monkeypatch)
-        output = run_fi_campaign(config, workload, golden, samples=60,
-                                 seed=3, keep_results=True)
-        assert any(r.early_exit for r in output.results)
+        results = sample_results(config, "kmeans", golden, 60, 3,
+                                 memo=SuffixMemo())
+        assert any(r.early_exit for r in results)
         assert 0 < len(hashed) == len(set(hashed))
         assert len(hashed) <= golden.snapshots.num_snapshots
 
@@ -267,21 +268,17 @@ class TestSuffixFiBitIdentical:
 
     @pytest.mark.parametrize("model_name", ["transient", "stuck_at", "mbu"])
     def test_campaign_results_identical(self, model_name):
-        """run_fi_campaign with/without snapshots: same per-sample rows."""
+        """A campaign with/without snapshots: same per-sample rows."""
         config = MINI_NVIDIA
         workload = get_workload("histogram", "tiny")
         plain = run_golden(config, workload)
         ckpt = run_golden(config, workload, checkpoint_interval="auto")
-        base = run_fi_campaign(config, workload, plain, samples=20, seed=9,
-                               keep_results=True, fault_model=model_name)
-        fast = run_fi_campaign(config, workload, ckpt, samples=20, seed=9,
-                               keep_results=True, fault_model=model_name)
-        for structure in base.estimates:
-            a, b = base.estimates[structure], fast.estimates[structure]
-            assert (a.masked, a.sdc, a.due, a.pruned, a.resimulated) == \
-                   (b.masked, b.sdc, b.due, b.pruned, b.resimulated)
-        assert len(base.results) == len(fast.results)
-        for left, right in zip(base.results, fast.results):
+        base = sample_results(config, "histogram", plain, 20, 9,
+                              fault_model=model_name)
+        fast = sample_results(config, "histogram", ckpt, 20, 9,
+                              fault_model=model_name, memo=SuffixMemo())
+        assert len(base) == len(fast) == 20 * len(STRUCTURES)
+        for left, right in zip(base, fast):
             assert left.plan == right.plan
             assert left.outcome == right.outcome
             assert left.corrupted_words == right.corrupted_words
@@ -289,31 +286,19 @@ class TestSuffixFiBitIdentical:
 
 
 class TestCampaignMemoStats:
-    """``CampaignOutput.memo`` accounts for every live re-simulation."""
+    """A campaign's memo accounts for every live re-simulation."""
 
     @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
                              ids=["sass", "si"])
     def test_hits_plus_misses_cover_distinct_live_plans(self, config):
         workload = get_workload("histogram", "tiny")
         golden = run_golden(config, workload, checkpoint_interval="auto")
-        output = run_fi_campaign(config, workload, golden, samples=40,
-                                 seed=3, keep_results=True)
-        live = {r.plan for r in output.results if r.resimulated}
+        memo = SuffixMemo()
+        results = sample_results(config, "histogram", golden, 40, 3,
+                                 memo=memo)
+        live = {r.plan for r in results if r.resimulated}
         assert live, "no live plan drawn at this seed"
-        assert output.memo["hits"] + output.memo["misses"] == len(live)
-
-    @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
-                             ids=["sass", "si"])
-    def test_no_stats_without_memo(self, config):
-        workload = get_workload("histogram", "tiny")
-        plain = run_golden(config, workload)
-        ckpt = run_golden(config, workload, checkpoint_interval="auto")
-        memo_off = run_fi_campaign(config, workload, ckpt, samples=40,
-                                   seed=3, suffix_memo=False)
-        no_snapshots = run_fi_campaign(config, workload, plain, samples=40,
-                                       seed=3)
-        assert memo_off.memo is None
-        assert no_snapshots.memo is None
+        assert memo.hits + memo.misses == len(live)
 
 
 class TestEarlyExit:
@@ -321,9 +306,9 @@ class TestEarlyExit:
         config = MINI_NVIDIA
         workload = get_workload("kmeans", "tiny")
         golden = run_golden(config, workload, checkpoint_interval="auto")
-        output = run_fi_campaign(config, workload, golden, samples=60,
-                                 seed=3, keep_results=True)
-        early = [r for r in output.results if r.early_exit]
+        results = sample_results(config, "kmeans", golden, 60, 3,
+                                 memo=SuffixMemo())
+        early = [r for r in results if r.early_exit]
         assert early, "expected convergence exits at this seed"
         assert all(r.outcome is Outcome.MASKED for r in early)
         assert all(r.cycles == golden.cycles for r in early)
@@ -332,10 +317,9 @@ class TestEarlyExit:
         config = MINI_NVIDIA
         workload = get_workload("histogram", "tiny")
         golden = run_golden(config, workload, checkpoint_interval="auto")
-        output = run_fi_campaign(config, workload, golden, samples=60,
-                                 seed=4, keep_results=True,
-                                 fault_model="stuck_at")
-        assert not any(r.early_exit for r in output.results)
+        results = sample_results(config, "histogram", golden, 60, 4,
+                                 fault_model="stuck_at", memo=SuffixMemo())
+        assert not any(r.early_exit for r in results)
 
 
 class TestSnapshotSet:

@@ -2,8 +2,9 @@
 
 The acceptance bar of the control-site taxonomy: per-sample outcome and
 cycle-count identity for every (structure x fault model x ISA)
-combination across the serial path, the job-graph engine, and
-checkpointed (suffix-only) vs from-scratch re-simulation — plus proof
+combination across the job-graph engine, checkpointed (suffix-only) vs
+from-scratch re-simulation, and the frozen verdict of the retired
+serial campaign loop (``tests/fixtures/serial_campaign``) — plus proof
 that every site the slot-occupancy pruning declares dead really is
 masked with golden cycles.
 """
@@ -16,14 +17,20 @@ from repro.engine.jobs import plan_from_key, plan_key_from_row, encode_plan_row
 from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
-from repro.reliability.campaign import run_cell
-from repro.reliability.fi import resimulate_plan, run_fi_campaign, run_golden
+from repro.reliability.fi import resimulate_plan, run_golden
 from repro.reliability.liveness import FaultSiteResolver
 from repro.reliability.outcomes import Outcome
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.spec import CampaignSpec
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import (
+    MINI_AMD,
+    MINI_NVIDIA,
+    comparable,
+    fi_counts,
+    sample_results,
+    serial_verdict,
+)
 
 SAMPLES, SEED = 12, 7
 WORKLOAD = "histogram"
@@ -37,14 +44,15 @@ def _fresh_memory_cache():
 
 
 def _comparable(cell):
-    row = cell.row()
-    row.pop("golden_time_s")
-    row.pop("fi_time_s")
-    counts = {
-        s: (e.masked, e.sdc, e.due, e.pruned, e.resimulated)
-        for s, e in cell.fi.items()
-    }
-    return row, counts
+    return comparable(cell), fi_counts(cell)
+
+
+def _sample_rows(results):
+    """Per-sample rows as ``sample_rows.json`` records them."""
+    return [[r.plan.structure, r.plan.core, r.plan.word, r.plan.bit,
+             r.plan.cycle, r.plan.width, r.plan.stuck_value,
+             r.outcome.value, r.detail, r.corrupted_words, r.cycles]
+            for r in results]
 
 
 class TestSerialEngineCheckpointParity:
@@ -59,40 +67,32 @@ class TestSerialEngineCheckpointParity:
         clear_memory_cache()
         engine_ckpt = run_campaign(
             spec.replace(checkpoint_interval="auto")).cells
-        clear_memory_cache()
-        cell_spec = spec.replace(
-            structures=exposed_structures(config, CONTROL_STRUCTURES))
-        serial = [run_cell(cell_spec)]
-        serial_ckpt = [run_cell(cell_spec.replace(checkpoint_interval=250))]
+        frozen = serial_verdict("cells.json")[
+            f"control_parity/{model}-{config.isa}"]
         rows = [_comparable(c) for c in engine]
         assert rows == [_comparable(c) for c in engine_ckpt]
-        assert rows == [_comparable(c) for c in serial]
-        assert rows == [_comparable(c) for c in serial_ckpt]
+        assert rows == [(frozen["row"], frozen["counts"])]
 
     @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
                              ids=["sass", "si"])
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     def test_per_sample_outcomes_and_cycles(self, config, model):
-        """Checkpointed suffix runs match from-scratch per fault sample."""
+        """Checkpointed suffix runs match from-scratch per fault sample,
+        and both match the frozen serial rows."""
         structures = exposed_structures(config, CONTROL_STRUCTURES)
         workload = get_workload(WORKLOAD, "tiny")
         plain_golden = run_golden(config, workload)
         ckpt_golden = run_golden(config, workload, checkpoint_interval=200)
         assert ckpt_golden.snapshots is not None
-        plain = run_fi_campaign(config, workload, plain_golden,
-                                samples=SAMPLES, seed=SEED,
-                                structures=structures, keep_results=True,
-                                fault_model=model)
-        ckpt = run_fi_campaign(config, workload, ckpt_golden,
-                               samples=SAMPLES, seed=SEED,
-                               structures=structures, keep_results=True,
-                               fault_model=model)
-        assert len(plain.results) == len(ckpt.results) \
-            == SAMPLES * len(structures)
-        for left, right in zip(plain.results, ckpt.results):
-            assert left.plan == right.plan
-            assert left.outcome is right.outcome
-            assert left.cycles == right.cycles
+        plain, ckpt = (
+            _sample_rows(sample_results(
+                config, WORKLOAD, golden, SAMPLES, SEED,
+                structures=structures, fault_model=model))
+            for golden in (plain_golden, ckpt_golden))
+        assert len(plain) == SAMPLES * len(structures)
+        assert plain == ckpt
+        assert plain == serial_verdict("sample_rows.json")[
+            f"{model}-{config.isa}"]
 
     def test_engine_pool_matches_inline(self):
         spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=[WORKLOAD],

@@ -1,20 +1,25 @@
-"""Serial-vs-engine equivalence for every fault model, checkpoints
-on and off.
+"""Engine equivalence for every fault model, checkpoints on and off.
 
 The transient path has had an end-to-end parity test since the engine
 landed (:mod:`tests.test_parallel_campaign`); this extends the bar to
 ``stuck_at`` and ``mbu`` and crosses it with the checkpoint subsystem:
 the engine matrix, the engine matrix with suffix-only checkpointed FI,
-and the serial cell loop must all produce identical cells.
+and the frozen verdict of the retired serial cell loop
+(``tests/fixtures/serial_campaign``) must all agree.
 """
 
 import pytest
 
 from repro.engine import clear_memory_cache, run_campaign
-from repro.reliability.campaign import run_cell
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.spec import CampaignSpec
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import (
+    MINI_AMD,
+    MINI_NVIDIA,
+    comparable,
+    fi_counts,
+    serial_verdict,
+)
 
 SAMPLES, SEED = 20, 5
 
@@ -24,13 +29,6 @@ def _fresh_memory_cache():
     clear_memory_cache()
     yield
     clear_memory_cache()
-
-
-def _comparable(cell):
-    row = cell.row()
-    row.pop("golden_time_s")
-    row.pop("fi_time_s")
-    return row
 
 
 class TestModelParityWithCheckpoints:
@@ -46,18 +44,14 @@ class TestModelParityWithCheckpoints:
         clear_memory_cache()
         checkpointed = run_campaign(
             spec.replace(checkpoint_interval="auto")).cells
-        clear_memory_cache()
-        serial = [run_cell(spec)]
-        serial_ckpt = [run_cell(spec.replace(checkpoint_interval=250))]
-        rows = [_comparable(c) for c in plain]
-        assert rows == [_comparable(c) for c in checkpointed]
-        assert rows == [_comparable(c) for c in serial]
-        assert rows == [_comparable(c) for c in serial_ckpt]
-        for left, right in zip(plain, checkpointed):
-            for structure in STRUCTURES:
-                a, b = left.fi[structure], right.fi[structure]
-                assert (a.masked, a.sdc, a.due, a.pruned, a.resimulated) == \
-                       (b.masked, b.sdc, b.due, b.pruned, b.resimulated)
+        frozen = serial_verdict("cells.json")[
+            f"engine_model_parity/{model}-{config.isa}"]
+        rows = [comparable(c) for c in plain]
+        assert rows == [comparable(c) for c in checkpointed]
+        assert rows == [frozen["row"]]
+        counts = [fi_counts(c) for c in plain]
+        assert counts == [fi_counts(c) for c in checkpointed]
+        assert counts == [frozen["counts"]]
 
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     @pytest.mark.parametrize("checkpoint_interval", [None, 200])
@@ -74,8 +68,8 @@ class TestModelParityWithCheckpoints:
             spec.replace(checkpoint_interval=checkpoint_interval,
                          shard_size=4),
             workers=3).cells
-        assert [_comparable(c) for c in serial] == \
-               [_comparable(c) for c in pooled]
+        assert [comparable(c) for c in serial] == \
+               [comparable(c) for c in pooled]
 
 
 class TestCheckpointStoreCompatibility:
@@ -102,5 +96,5 @@ class TestCheckpointStoreCompatibility:
             if counts["executed"]
         }
         assert executed_kinds == {"cell": 1}
-        assert [_comparable(c) for c in first.cells] == \
-               [_comparable(c) for c in second.cells]
+        assert [comparable(c) for c in first.cells] == \
+               [comparable(c) for c in second.cells]

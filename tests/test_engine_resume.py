@@ -12,7 +12,7 @@ from repro.engine.store import ResultStore
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.spec import CampaignSpec
-from tests.conftest import MINI_NVIDIA
+from tests.conftest import MINI_NVIDIA, comparable
 
 GPUS = [MINI_NVIDIA]
 WORKLOADS = ["histogram", "vectoradd"]
@@ -23,14 +23,6 @@ SPEC = CampaignSpec(gpus=GPUS, workloads=WORKLOADS, scale="tiny",
 
 def _run(store=None, **overrides):
     return run_campaign(SPEC.replace(**overrides), store=store)
-
-
-def _comparable(cell):
-    """Everything the acceptance criteria compare (no wall times)."""
-    row = cell.row()
-    row.pop("golden_time_s")
-    row.pop("fi_time_s")
-    return row
 
 
 @pytest.fixture(autouse=True)
@@ -51,8 +43,8 @@ class TestResume:
         assert second.stats.cached == second.stats.total
         # Finished cells short-circuit: one cached cell job each.
         assert second.stats.total == len(first.cells)
-        assert [_comparable(c) for c in second.cells] == \
-               [_comparable(c) for c in first.cells]
+        assert [comparable(c) for c in second.cells] == \
+               [comparable(c) for c in first.cells]
 
     def test_resume_after_partial_run_skips_finished_jobs(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
@@ -70,8 +62,8 @@ class TestResume:
         assert resumed.stats.by_kind[PLAN]["executed"] == 0
         assert resumed.stats.by_kind[SHARD]["executed"] > 0
         assert resumed.stats.by_kind[CELL]["executed"] == len(full.cells)
-        assert [_comparable(c) for c in resumed.cells] == \
-               [_comparable(c) for c in full.cells]
+        assert [comparable(c) for c in resumed.cells] == \
+               [comparable(c) for c in full.cells]
         # ...and the resumed store is now complete: nothing re-executes.
         clear_memory_cache()
         third = _run(store=partial_path)
@@ -85,8 +77,8 @@ class TestResume:
         resumed = _run(store=store_path)
         # Exactly the destroyed record's job re-ran; all results match.
         assert resumed.stats.executed >= 1
-        assert [_comparable(c) for c in resumed.cells] == \
-               [_comparable(c) for c in full.cells]
+        assert [comparable(c) for c in resumed.cells] == \
+               [comparable(c) for c in full.cells]
 
     def test_shard_size_change_reuses_cells(self, tmp_path):
         store_path = tmp_path / "store.jsonl"

@@ -34,13 +34,14 @@ from repro.checkpoint.digest import digest_machine, digest_machine_pair
 from repro.engine import clear_memory_cache
 from repro.errors import ConfigError, MemoryFault
 from repro.kernels.registry import get_workload
-from repro.reliability.fi import resimulate_plan, run_fi_campaign, run_golden
+from repro.reliability.campaign import run_cell
+from repro.reliability.fi import resimulate_plan, run_golden
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim.memory import GlobalMemory
 from repro.sim import vector
 from repro.spec import CampaignSpec
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import MINI_AMD, MINI_NVIDIA, fi_counts, sample_results
 
 WORKLOAD = "histogram"
 #: The retired python interpreter's recorded verdict (see README.md there).
@@ -175,20 +176,6 @@ class TestVectorHelpers:
 # ----------------------------------------------------------------------
 # Backend parity: the interpreter against the python interpreter's record
 # ----------------------------------------------------------------------
-def _outcome_rows(campaign):
-    rows = [
-        [r.plan.structure, r.plan.core, r.plan.word, r.plan.bit,
-         r.plan.cycle, r.outcome.value, r.detail, r.corrupted_words,
-         r.cycles, r.early_exit]
-        for r in campaign.results
-    ]
-    counts = {
-        s: [e.masked, e.sdc, e.due, e.pruned, e.resimulated]
-        for s, e in campaign.estimates.items()
-    }
-    return rows, counts
-
-
 def _outputs_digest(outputs: dict) -> str:
     """SHA-256 over every named output's dtype, shape and bytes."""
     digest = hashlib.sha256()
@@ -207,18 +194,20 @@ class TestBackendParity:
     @pytest.mark.parametrize("model", ["transient", "stuck_at", "mbu"])
     def test_campaign_identical_across_backends(self, config, model):
         frozen = self.RECORD[f"{model}-{config.isa}"]
-        workload = get_workload(WORKLOAD, "tiny")
-        golden = run_golden(config, workload)
-        campaign = run_fi_campaign(
-            config, workload, golden, samples=10, seed=7,
-            structures=(REGISTER_FILE, LOCAL_MEMORY),
-            fault_model=model, suffix_memo=False, keep_results=True)
-        assert golden.cycles == frozen["golden_cycles"]
+        structures = (REGISTER_FILE, LOCAL_MEMORY)
+        golden = run_golden(config, get_workload(WORKLOAD, "tiny"))
+        results = sample_results(config, WORKLOAD, golden, 10, 7,
+                                 structures=structures, fault_model=model)
+        cell = run_cell(CampaignSpec(
+            gpus=[config], workloads=[WORKLOAD], scale="tiny", samples=10,
+            seed=7, structures=structures, fault_model=model))
+        assert golden.cycles == cell.cycles == frozen["golden_cycles"]
         assert _outputs_digest(golden.outputs) == \
             frozen["golden_outputs_sha256"]
-        rows, counts = _outcome_rows(campaign)
-        assert rows == frozen["rows"]
-        assert counts == frozen["counts"]
+        assert [[r.plan.structure, r.plan.core, r.plan.word, r.plan.bit,
+                 r.plan.cycle, r.outcome.value, r.detail, r.corrupted_words,
+                 r.cycles, r.early_exit] for r in results] == frozen["rows"]
+        assert fi_counts(cell) == frozen["counts"]
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,19 @@ from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import SimFault, WatchdogTimeout
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
-from repro.reliability.fi import run_golden, run_fi_campaign
+from repro.reliability.campaign import run_cell
+from repro.reliability.fi import run_golden
 from repro.reliability.liveness import FaultSiteResolver
-from repro.reliability.outcomes import Outcome, classify_outputs
+from repro.reliability.outcomes import (
+    Outcome,
+    classify_outputs,
+    count_corrupted_words,
+)
 from repro.sim.faults import FaultPlan, sample_faults
 from repro.sim.gpu import Gpu
 from repro.sim.tracing import EventRecorder
-from tests.conftest import MINI_NVIDIA, run_sass
+from repro.spec import CampaignSpec
+from tests.conftest import MINI_AMD, MINI_NVIDIA, run_sass
 
 COPY_KERNEL = """
 .kernel copy
@@ -121,6 +127,106 @@ loop:
             run_sass(source, {"out": 128}, ["out"], watchdog=5_000)
 
 
+#: ``vectoradd`` register rows of the first warp on core 0 (its block
+#: starts at row 0): the sum register, written by the add and read by
+#: the store (SASS R6, SI v4), and the store-address register, whose
+#: last write (offset + output base) does not read it (SASS R5, SI v3).
+VECTORADD_ROWS = {"sass": (MINI_NVIDIA, 6, 5), "si": (MINI_AMD, 4, 3)}
+#: Flipped bit: not 0, so a flip forced onto bit 0 is told apart.
+BIT = 7
+
+
+class TestVectoraddRegisterFaults:
+    """Hand-derived ``vectoradd`` faults on lane 0 of core 0's first warp.
+
+    The fault-timing convention: a fault planned for cycle c lands
+    *before* the instruction issued at c executes. The liveness
+    resolver assumes it (a site is dead iff its first access at or
+    after c is a write), so these cases pin both sides of the boundary.
+    """
+
+    @staticmethod
+    def _run(config, plan=None):
+        workload = get_workload("vectoradd", "tiny")
+        gpu = Gpu(config)
+        if plan is not None:
+            gpu.set_faults([plan])
+        return run_workload(gpu, workload)
+
+    @staticmethod
+    def _events(config, row):
+        """(cycle, is_write) of every access to ``row`` lane 0, core 0."""
+        recorder = EventRecorder()
+        run_workload(Gpu(config, sink=recorder),
+                     get_workload("vectoradd", "tiny"))
+        return [(cycle, is_write)
+                for cycle, core, r, mask, is_write in recorder.reg_events
+                if core == 0 and r == row and mask & 1]
+
+    @staticmethod
+    def _is_live(config, plan):
+        resolver = FaultSiteResolver(config, [plan])
+        run_workload(Gpu(config, sink=resolver),
+                     get_workload("vectoradd", "tiny"))
+        return resolver.is_live(plan)
+
+    def _sum_window(self, config, sum_row):
+        """(add cycle, store cycle) of the sum register's final value."""
+        events = self._events(config, sum_row)
+        # The add reads and writes the sum in one issue; the store
+        # reads it last.
+        assert [w for _, w in events[-3:]] == [False, True, False]
+        (add, _), (add_write, _), (store, _) = events[-3:]
+        assert add == add_write < store
+        return add, store
+
+    def _assert_exact_sdc(self, config, plan):
+        """SDC: exactly one output word, off by exactly the flipped bit."""
+        golden = self._run(config).outputs
+        faulty = self._run(config, plan).outputs
+        assert classify_outputs(golden, faulty) is Outcome.SDC
+        assert count_corrupted_words(golden, faulty) == 1
+        (index,) = np.flatnonzero(faulty["c"] != golden["c"])
+        assert faulty["c"][index] == golden["c"][index] ^ (1 << BIT)
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_fault_at_last_read_issue_cycle_corrupts(self, isa):
+        config, sum_row, _ = VECTORADD_ROWS[isa]
+        _, store = self._sum_window(config, sum_row)
+        plan = FaultPlan(REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
+                         store)
+        assert self._is_live(config, plan)
+        self._assert_exact_sdc(config, plan)
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_fault_at_overwrite_issue_cycle_is_masked(self, isa):
+        config, sum_row, addr_row = VECTORADD_ROWS[isa]
+        _, store = self._sum_window(config, sum_row)
+        events = self._events(config, addr_row)
+        # The address register's last write, then the store's read.
+        assert [w for _, w in events[-2:]] == [True, False]
+        (write, _), (read, _) = events[-2:]
+        assert read == store
+        assert (write, False) not in events, "the overwrite also reads"
+        plan = FaultPlan(REGISTER_FILE, 0, addr_row * config.warp_size, 2,
+                         write)
+        assert not self._is_live(config, plan)
+        golden = self._run(config)
+        faulty = self._run(config, plan)
+        assert classify_outputs(golden.outputs, faulty.outputs) \
+            is Outcome.MASKED
+        assert faulty.cycles == golden.cycles
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_sum_register_flip_is_one_exact_sdc(self, isa):
+        """A flip strictly between the add and the store."""
+        config, sum_row, _ = VECTORADD_ROWS[isa]
+        add, store = self._sum_window(config, sum_row)
+        self._assert_exact_sdc(config, FaultPlan(
+            REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
+            (add + store) // 2))
+
+
 class TestPruningExactness:
     @pytest.mark.parametrize("gpu_alias,workload_name", [
         ("nvidia", "histogram"),
@@ -172,32 +278,21 @@ class TestPruningExactness:
                 )
 
 
+def _cell(workload, samples, seed):
+    return run_cell(CampaignSpec(gpus=[MINI_NVIDIA], workloads=[workload],
+                                 scale="tiny", samples=samples, seed=seed))
+
+
 class TestCampaignEngine:
     def test_campaign_counts_consistent(self):
-        config = MINI_NVIDIA
-        workload = get_workload("matrixMul", "tiny")
-        golden = run_golden(config, workload)
-        output = run_fi_campaign(config, workload, golden, samples=50, seed=3)
-        for estimate in output.estimates.values():
+        for estimate in _cell("matrixMul", 50, 3).fi.values():
             assert estimate.masked + estimate.sdc + estimate.due == estimate.samples
             assert estimate.pruned <= estimate.masked
             assert estimate.resimulated == estimate.samples - estimate.pruned
             assert 0.0 <= estimate.avf <= 1.0
 
     def test_campaign_deterministic_by_seed(self):
-        config = MINI_NVIDIA
-        workload = get_workload("vectoradd", "tiny")
-        golden = run_golden(config, workload)
-        a = run_fi_campaign(config, workload, golden, samples=40, seed=11)
-        b = run_fi_campaign(config, workload, golden, samples=40, seed=11)
-        for structure in a.estimates:
-            assert a.estimates[structure].avf == b.estimates[structure].avf
-            assert a.estimates[structure].sdc == b.estimates[structure].sdc
-
-    def test_keep_results(self):
-        config = MINI_NVIDIA
-        workload = get_workload("vectoradd", "tiny")
-        golden = run_golden(config, workload)
-        output = run_fi_campaign(config, workload, golden, samples=20, seed=5,
-                                 keep_results=True)
-        assert len(output.results) == 40  # 20 per structure
+        a, b = _cell("vectoradd", 40, 11), _cell("vectoradd", 40, 11)
+        for structure in a.fi:
+            assert a.fi[structure].avf == b.fi[structure].avf
+            assert a.fi[structure].sdc == b.fi[structure].sdc

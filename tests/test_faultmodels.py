@@ -4,7 +4,7 @@ Covers the registry, per-model sampling/application/liveness semantics,
 the storage layer's stuck-at re-apply hook (idempotence under
 re-application), MBU cluster geometry (never crossing a word boundary),
 and the engine integration: distinct fingerprints per model, resumable
-stores, and serial == engine == pooled equivalence.
+stores, and engine == pooled == frozen serial verdict equivalence.
 """
 
 import numpy as np
@@ -27,14 +27,21 @@ from repro.faultmodels import (
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
 from repro.reliability.campaign import run_cell, run_matrix
-from repro.reliability.fi import run_fi_campaign, run_golden
+from repro.reliability.fi import run_golden
 from repro.reliability.liveness import FaultSiteResolver
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim.regfile import RegisterFile
 from repro.sim.sharedmem import LocalMemory
 from repro.spec import CampaignSpec
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import (
+    MINI_AMD,
+    MINI_NVIDIA,
+    comparable,
+    fi_counts,
+    sample_results,
+    serial_verdict,
+)
 
 
 class TestRegistry:
@@ -235,12 +242,10 @@ class TestModelAwareLiveness:
 class TestCampaignIntegration:
     @pytest.mark.parametrize("model", ["stuck_at", "mbu"])
     def test_counts_consistent(self, model):
-        config = MINI_NVIDIA
-        workload = get_workload("matrixMul", "tiny")
-        golden = run_golden(config, workload)
-        output = run_fi_campaign(config, workload, golden, samples=40,
-                                 seed=3, fault_model=model)
-        for estimate in output.estimates.values():
+        cell = run_cell(CampaignSpec(
+            gpus=[MINI_NVIDIA], workloads=["matrixMul"], scale="tiny",
+            samples=40, seed=3, fault_model=model))
+        for estimate in cell.fi.values():
             assert estimate.masked + estimate.sdc + estimate.due \
                 == estimate.samples
             assert estimate.resimulated == estimate.samples - estimate.pruned
@@ -248,26 +253,17 @@ class TestCampaignIntegration:
     def test_transient_keyword_equals_default(self):
         """`--fault-model transient` is the pre-registry default path."""
         config = MINI_NVIDIA
-        workload = get_workload("vectoradd", "tiny")
-        golden = run_golden(config, workload)
-        default = run_fi_campaign(config, workload, golden, samples=40,
-                                  seed=11, keep_results=True)
-        explicit = run_fi_campaign(config, workload, golden, samples=40,
-                                   seed=11, keep_results=True,
-                                   fault_model="transient")
-        for left, right in zip(default.results, explicit.results):
+        golden = run_golden(config, get_workload("vectoradd", "tiny"))
+        default = sample_results(config, "vectoradd", golden, 40, 11)
+        explicit = sample_results(config, "vectoradd", golden, 40, 11,
+                                  fault_model="transient")
+        assert len(default) == len(explicit) == 80
+        for left, right in zip(default, explicit):
             assert left.plan == right.plan
             assert left.outcome == right.outcome
 
 
 class TestEngineIntegration:
-    @staticmethod
-    def _comparable(cell):
-        row = cell.row()
-        row.pop("golden_time_s")
-        row.pop("fi_time_s")
-        return row
-
     @pytest.mark.parametrize("model", ["stuck_at", "mbu"])
     def test_engine_matches_serial_cell(self, model):
         clear_memory_cache()
@@ -275,8 +271,9 @@ class TestEngineIntegration:
                             scale="tiny", samples=24, seed=5,
                             fault_model=model)
         cells = run_matrix(spec)
-        serial = run_cell(spec)
-        assert self._comparable(cells[0]) == self._comparable(serial)
+        frozen = serial_verdict("cells.json")[f"faultmodels/{model}"]
+        assert comparable(cells[0]) == frozen["row"]
+        assert fi_counts(cells[0]) == frozen["counts"]
         assert cells[0].fault_model == model
 
     def test_models_have_distinct_plan_fingerprints(self):

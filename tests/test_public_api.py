@@ -43,8 +43,11 @@ def test_key_surfaces_are_exported():
 
 
 def test_examples_use_only_the_public_api():
-    """``examples/`` must not deep-import repro submodules."""
+    """``examples/`` must not deep-import repro submodules, and every
+    name they import from ``repro`` must be in ``repro.__all__`` — so a
+    retired name fails here, not only when someone runs the example."""
     allowed = {"repro"}
+    public = set(repro.__all__)
     for path in sorted(EXAMPLES.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -52,6 +55,9 @@ def test_examples_use_only_the_public_api():
                     and node.module.split(".")[0] == "repro":
                 assert node.module in allowed, \
                     f"{path.name} deep-imports {node.module}"
+                for alias in node.names:
+                    assert alias.name in public, \
+                        f"{path.name} imports {alias.name}, not in repro.__all__"
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "repro":

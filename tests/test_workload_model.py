@@ -6,10 +6,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import BufferSpec, run_workload
-from repro.reliability.campaign import run_cell
 from repro.reliability.fi import run_golden
 from repro.sim.gpu import Gpu
-from repro.spec import CampaignSpec
 from tests.conftest import MINI_NVIDIA
 
 
@@ -58,17 +56,6 @@ class TestWorkloadExecution:
 
 
 class TestGoldenReuse:
-    def test_run_cell_accepts_precomputed_golden(self):
-        workload = get_workload("histogram", "tiny")
-        golden = run_golden(MINI_NVIDIA, workload)
-        spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("histogram",),
-                            scale="tiny", samples=25, seed=9)
-        cell_a = run_cell(spec, golden=golden)
-        cell_b = run_cell(spec)
-        assert cell_a.cycles == cell_b.cycles
-        for structure in cell_a.fi:
-            assert cell_a.fi[structure].avf == cell_b.fi[structure].avf
-
     def test_golden_exposes_ace_and_occupancy(self):
         workload = get_workload("scan", "tiny")
         golden = run_golden(MINI_NVIDIA, workload)
