@@ -10,13 +10,13 @@ split the EPF metric builds on.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 from benchmarks.conftest import bench_samples, bench_scale
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.engine import run_campaign
 from repro.engine.jobs import SHARD
+from repro.engine.store import ResultStore
 from repro.reliability.outcomes import Outcome
 from repro.spec import CampaignSpec
 
@@ -32,9 +32,8 @@ def test_sdc_severity_distribution(benchmark, tmp_path):
     )
     # Shard records hold one [*plan_key, outcome, detail, corrupted_words]
     # row per distinct live plan; the plan key starts with the structure.
-    records = [json.loads(line) for line in store.read_text().splitlines()]
-    sdcs = [row for record in records if record["kind"] == SHARD
-            for row in record["payload"]["results"]
+    sdcs = [row for _, kind, payload in ResultStore(store).records()
+            if kind == SHARD for row in payload["results"]
             if row[-3] == Outcome.SDC.value]
     buckets = Counter()
     for row in sdcs:

@@ -173,9 +173,7 @@ class CampaignWorker:
         """Push every record of the local segment store (idempotent)."""
         if self.segment_store is None:
             return
-        for fingerprint in list(self.segment_store._records):
-            kind = self.segment_store.kind_of(fingerprint)
-            payload = self.segment_store.get(fingerprint)
+        for fingerprint, kind, payload in self.segment_store.records():
             try:
                 response = self.client.post(protocol.PUSH_PATH, {
                     "worker_id": self.worker_id, "fingerprint": fingerprint,

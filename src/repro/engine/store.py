@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -111,6 +112,12 @@ class ResultStore:
         record = {"fp": fp, "kind": kind, "payload": payload}
         self._records[fp] = record
         self._append(record)
+
+    def records(self) -> Iterator[tuple[str, str, dict]]:
+        """Every finished job as ``(fingerprint, kind, payload)``, in
+        append order, as of this call: jobs put later are not seen."""
+        return ((record["fp"], record["kind"], record["payload"])
+                for record in list(self._records.values()))
 
     def counts_by_kind(self) -> dict[str, int]:
         """kind -> number of finished jobs (for summaries)."""

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.arch.config import GpuConfig
 from repro.arch.structures import (
-    CONTROL_STRUCTURES,
     LOCAL_MEMORY,
     REGISTER_FILE,
     control_words_per_warp,
@@ -165,10 +164,6 @@ class AceAccumulator(TraceSink):
                 bit_cycles = self._reg_word_cycles * 32
         elif structure == LOCAL_MEMORY:
             bit_cycles = self._lmem_word_cycles * 32
-        elif structure in CONTROL_STRUCTURES:
-            # No ACE lifetime model for control state: its AVF is
-            # measured by fault injection only (fig_control_avf).
-            return 0.0
         else:
             raise ValueError(f"unknown structure {structure!r}")
         return min(1.0, bit_cycles / denominator)
@@ -339,10 +334,6 @@ class OccupancyAccumulator(TraceSink):
             used_bit_cycles = self._reg_integral * 32
         elif structure == LOCAL_MEMORY:
             used_bit_cycles = self._lmem_integral * 8
-        elif structure in CONTROL_STRUCTURES:
-            # Control-state occupancy is not block-resource based; it
-            # is not modeled (reported as 0.0 in the figures).
-            return 0.0
         else:
             raise ValueError(f"unknown structure {structure!r}")
         capacity = self.config.structure_bits(structure) * self.total_cycles

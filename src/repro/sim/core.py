@@ -14,11 +14,22 @@ latency is hidden by multithreading across warps, not by intra-warp
 ILP). Memory instructions add a coalescing penalty proportional to the
 distinct 128-byte segments touched.
 
+The issue loop does per issue only the work that can change per issue.
+Each core keeps its *runnable* warps — live and not held at a barrier,
+in warp-id order — and rebuilds that list only after an event that can
+change it: block residency or retirement, a restore, a warp exiting, a
+barrier arrival or release, and any control-structure fault or stuck-at
+re-assertion. Per issue the loop then reads only ready cycles. Numpy's
+floating-point error state is set once per core step, and the SASS
+reconvergence table is computed once per program object.
+
 Subclasses implement the ISA front-end: :class:`repro.sim.sass_core.SassCore`
 (NVIDIA) and :class:`repro.sim.si_core.SiCore` (AMD).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.arch.config import GpuConfig
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
@@ -82,6 +93,10 @@ class CoreBase:
         self.footprint: BlockFootprint | None = None
         self.blocks: list[BlockState] = []
         self.warps: list = []
+        #: The issue candidates: live warps not held at a barrier, in
+        #: ``self.warps`` (warp-id) order. None whenever that set may
+        #: have changed; the issue loop rebuilds it from ``self.warps``.
+        self._runnable: list | None = None
         self._free_reg_slots: list[int] = []
         self._free_lmem_slots: list[int] = []
         self.blocks_retired = 0
@@ -135,6 +150,9 @@ class CoreBase:
                 bank = self.control.get(plan.structure)
                 if bank is not None:
                     self._fault_model.apply(bank, plan)
+                    # A control fault can finish, revive, park or
+                    # release a warp (e.g. the at-barrier latch).
+                    self._runnable = None
             self._fault_pos += 1
 
     def _reassert_control(self) -> None:
@@ -142,6 +160,7 @@ class CoreBase:
         for bank in self.control.values():
             if bank.has_overlays:
                 bank.reassert()
+        self._runnable = None
 
     @property
     def pending_faults(self) -> bool:
@@ -255,6 +274,7 @@ class CoreBase:
                 block.warps.append(self._warp_from_state(wstate, block))
             self.blocks.append(block)
             self.warps.extend(block.warps)
+        self._runnable = None
         self._faults = []
         self._fault_pos = 0
         self._fault_model = None
@@ -275,6 +295,7 @@ class CoreBase:
         self.footprint = footprint
         self.blocks = []
         self.warps = []
+        self._runnable = None
         self.time = start_time
         self.issue_free = start_time
         self.last_issued = -1
@@ -339,6 +360,7 @@ class CoreBase:
                 f"core {self.core_id} has no free warp context slots"
             )
         self.blocks.append(block)
+        self._runnable = None
         for warp in block.warps:
             # Hardware warp-context slot: backs the warp's control state
             # (SIMT stack, predicates, scheduler bookkeeping) in the
@@ -363,6 +385,7 @@ class CoreBase:
     def _retire_block(self, block: BlockState) -> None:
         self.blocks.remove(block)
         self.warps = [warp for warp in self.warps if warp.block is not block]
+        self._runnable = None
         self._free_reg_slots.append(block.reg_base_row)
         self._free_lmem_slots.append(block.lmem_base)
         for warp in block.warps:
@@ -393,47 +416,60 @@ class CoreBase:
         interleaving stays deterministic — and the dispatcher regains
         control often enough for the checkpoint subsystem's capture
         points to land close to their interval thresholds.
+
+        Each issue goes to the earliest-ready runnable warp (see the
+        module docstring); ties go to the scheduler policy in warp-id
+        order.
         """
         retired_before = self.blocks_retired
         self.resume_at = None
         limit = None
-        while self.blocks:
-            # One fused scan: the earliest issue time over the live
-            # warps not held at a barrier, and its ties in warp order.
-            t_best = None
-            ties = None
-            issue_free = self.issue_free
-            for warp in self.warps:
-                if warp.done or warp.at_barrier:
-                    continue
-                t = warp.ready_cycle
-                if t < issue_free:
-                    t = issue_free
-                if t_best is None or t < t_best:
-                    t_best = t
-                    ties = [warp]
-                elif t == t_best:
-                    ties.append(warp)
-            if t_best is None:
-                # Every live warp is at a barrier that never completed:
-                # arrival-time release should have fired, so this is a
-                # genuine deadlock (possible under injected faults).
-                raise BarrierDeadlock(
-                    f"core {self.core_id}: all warps blocked at barrier"
-                )
-            if quantum is not None:
-                if limit is None:
-                    # First issue of this step pins the slice boundary;
-                    # it always proceeds, so every step makes progress.
-                    limit = (t_best // quantum + 1) * quantum
-                elif t_best >= limit:
-                    self.resume_at = t_best
-                    return False
-            warp = ties[0] if len(ties) == 1 else self.scheduler.pick(
-                ties, self.last_issued)
-            self._issue(warp, t_best)
-            if self.blocks_retired != retired_before:
-                return True
+        # Corrupted values under fault injection legitimately overflow
+        # float arithmetic; hardware does not warn, neither do we.
+        with np.errstate(all="ignore"):
+            while self.blocks:
+                runnable = self._runnable
+                if runnable is None:
+                    runnable = self._runnable = [
+                        warp for warp in self.warps
+                        if not (warp.done or warp.at_barrier)
+                    ]
+                # One fused scan: the earliest issue time over the
+                # runnable warps, and its ties in warp order.
+                t_best = None
+                ties = None
+                issue_free = self.issue_free
+                for warp in runnable:
+                    t = warp.ready_cycle
+                    if t < issue_free:
+                        t = issue_free
+                    if t_best is None or t < t_best:
+                        t_best = t
+                        ties = [warp]
+                    elif t == t_best:
+                        ties.append(warp)
+                if t_best is None:
+                    # Every live warp is at a barrier that never
+                    # completed: arrival-time release should have
+                    # fired, so this is a genuine deadlock (possible
+                    # under injected faults).
+                    raise BarrierDeadlock(
+                        f"core {self.core_id}: all warps blocked at barrier"
+                    )
+                if quantum is not None:
+                    if limit is None:
+                        # First issue of this step pins the slice
+                        # boundary; it always proceeds, so every step
+                        # makes progress.
+                        limit = (t_best // quantum + 1) * quantum
+                    elif t_best >= limit:
+                        self.resume_at = t_best
+                        return False
+                warp = ties[0] if len(ties) == 1 else self.scheduler.pick(
+                    ties, self.last_issued)
+                self._issue(warp, t_best)
+                if self.blocks_retired != retired_before:
+                    return True
         return False
 
     def _issue(self, warp, t_issue: int) -> None:
@@ -458,6 +494,7 @@ class CoreBase:
         raise NotImplementedError
 
     def _note_warp_done(self, warp) -> None:
+        self._runnable = None
         block = warp.block
         block.unfinished -= 1
         # A warp exiting can complete a pending barrier.
@@ -469,6 +506,7 @@ class CoreBase:
     # Barriers
     # ------------------------------------------------------------------
     def _arrive_barrier(self, warp, t_issue: int) -> None:
+        self._runnable = None
         warp.at_barrier = True
         warp.barrier_arrival = t_issue
         self._maybe_release_barrier(warp.block)

@@ -23,6 +23,11 @@ from repro.sim.vector import bools_to_mask, const_bool, const_u32, mask_to_bools
 from repro.sim.warp import BlockState, SassWarp
 from repro.telemetry import profile as _profile
 
+#: id(program) -> (program, reconvergence table): computed once per
+#: program object and shared by every launch and restore of it. The
+#: entry holds the program, so its id cannot be reused by another.
+_IPDOM_TABLES: dict[int, tuple] = {}
+
 
 class SassCore(CoreBase):
     """One streaming multiprocessor executing SASS-like kernels."""
@@ -42,7 +47,11 @@ class SassCore(CoreBase):
     # CoreBase hooks
     # ------------------------------------------------------------------
     def _prepare_program(self, program) -> None:
-        self._ipdom = immediate_postdominators(program)
+        entry = _IPDOM_TABLES.get(id(program))
+        if entry is None:
+            entry = _IPDOM_TABLES[id(program)] = (
+                program, immediate_postdominators(program))
+        self._ipdom = entry[1]
         super()._prepare_program(program)
 
     def _populate_warps(self, block: BlockState) -> None:
@@ -103,10 +112,7 @@ class SassCore(CoreBase):
             warp.stack.advance(pc + 1)
             return latency
 
-        # Corrupted values under fault injection legitimately overflow
-        # float arithmetic; hardware does not warn, neither do we.
-        with np.errstate(all="ignore"):
-            effect = semantics.execute(self, inst)
+        effect = semantics.execute(self, inst)
 
         self._apply_effect(warp, pc, effect, t_issue)
         return latency + effect.extra_cycles

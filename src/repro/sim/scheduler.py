@@ -2,10 +2,13 @@
 
 The core's event loop computes, each issue slot, the set of warps that
 tie for the earliest possible issue time; the policy only breaks the
-tie. Two policies from the GPU literature (and GPGPU-Sim) are provided:
-loose round-robin (LRR) and greedy-then-oldest (GTO). The paper lists
-"execution scheduling" among the factors studied; the scheduler
-ablation benchmark flips this policy.
+tie. The candidates always arrive in warp-id order: the core keeps its
+runnable-warp list in that order (:mod:`repro.sim.core`), and both
+policies' tie-breaks rely on it. Two policies from the GPU literature
+(and GPGPU-Sim) are provided: loose round-robin (LRR) and
+greedy-then-oldest (GTO). The paper lists "execution scheduling" among
+the factors studied; the scheduler ablation benchmark flips this
+policy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ class WarpScheduler:
         """Choose one warp from ``candidates`` (non-empty, same ready time).
 
         ``last_issued`` is the warp id issued in the previous slot
-        (-1 at start). Candidates are ordered by warp id.
+        (-1 at start). Candidates are ordered by warp id, an invariant
+        the core's runnable-warp list maintains.
         """
         raise NotImplementedError
 

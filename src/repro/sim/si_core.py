@@ -117,10 +117,7 @@ class SiCore(CoreBase):
             wave.pc = pc + 1
             return latency
 
-        # Corrupted values under fault injection legitimately overflow
-        # float arithmetic; hardware does not warn, neither do we.
-        with np.errstate(all="ignore"):
-            effect = semantics.execute(self, inst)
+        effect = semantics.execute(self, inst)
         wave.scc = self.scc
 
         if effect.kind == "branch":

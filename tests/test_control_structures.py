@@ -36,7 +36,9 @@ from repro.arch.structures import (
     structure_info,
     words_per_core,
 )
-from repro.errors import ConfigError
+from repro.errors import BarrierDeadlock, ConfigError
+from repro.kernels.registry import get_workload
+from repro.kernels.workload import run_workload
 from repro.sim.faults import FaultPlan, fault_from_flat, sample_faults
 from repro.sim.gpu import Gpu
 from repro.sim.launch import LaunchConfig, pack_params
@@ -366,3 +368,52 @@ class TestFetchHardening:
         with pytest.raises(IllegalInstruction, match="pc"):
             while core.has_work:
                 core.run_until_retire()
+
+
+class TestAtBarrierFlagFaults:
+    """A ``scheduler_state`` fault on the at-barrier latch must hold the
+    warp out of issue at once, even in a kernel with no barrier: the
+    warp waits for its siblings to finish, whose exits release it.
+
+    Faulty cycles and issue counts were recorded at the commit before
+    the issue loop kept a runnable-warp list (``vectoradd``, ``tiny``,
+    core 0, fault at cycle 100; golden cycles 980 SASS, 876 SI).
+    """
+
+    @staticmethod
+    def _gpu(isa, plan, fault_model):
+        gpu = Gpu(MINI_NVIDIA if isa == "sass" else MINI_AMD)
+        gpu.set_faults([plan], fault_model=fault_model)
+        return gpu
+
+    @staticmethod
+    def _plan(slot, **kwargs):
+        return FaultPlan(SCHEDULER_STATE, 0,
+                         slot * SCHED_WORDS_PER_WARP + SCHED_FLAGS, 0, 100,
+                         **kwargs)
+
+    @pytest.mark.parametrize("isa,cycles", [("sass", 1604), ("si", 1532)])
+    def test_transient_flag_flip_parks_warp_until_siblings_finish(
+            self, isa, cycles):
+        workload = get_workload("vectoradd", "tiny")
+        golden = run_workload(
+            Gpu(MINI_NVIDIA if isa == "sass" else MINI_AMD), workload)
+        faulty = run_workload(self._gpu(isa, self._plan(0), "transient"),
+                              workload)
+        assert faulty.cycles == cycles
+        assert golden.cycles < cycles
+        for name, values in golden.outputs.items():
+            np.testing.assert_array_equal(faulty.outputs[name], values)
+
+    # Slot 0, and a slot of core 0's last block: once its siblings'
+    # exits release that warp it is the only one left to issue, and the
+    # stuck latch, re-imposed at that very issue, must park it for good.
+    @pytest.mark.parametrize("isa,slot,issued", [
+        ("sass", 0, 225), ("sass", 4, 225), ("si", 0, 136), ("si", 2, 136),
+    ])
+    def test_stuck_flag_deadlocks_once_siblings_finish(self, isa, slot,
+                                                       issued):
+        gpu = self._gpu(isa, self._plan(slot, stuck_value=1), "stuck_at")
+        with pytest.raises(BarrierDeadlock, match="core 0"):
+            run_workload(gpu, get_workload("vectoradd", "tiny"))
+        assert gpu.instructions_issued == issued

@@ -34,6 +34,25 @@ class TestResultStore:
         assert len(reloaded) == 2
         assert reloaded.counts_by_kind() == {"golden": 1, "shard": 1}
 
+    def test_records_iterate_in_append_order(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        with ResultStore(path) as store:
+            store.put("fp2", "shard", {"results": [[1, 2]]})
+            store.put("fp1", "golden", {"cycles": 123, "_snapshots": [0]})
+            store.put("fp2", "shard", {"results": []})  # already recorded
+            records = store.records()
+            store.put("fp3", "cell", {"v": 1})  # after the call: not seen
+            assert list(records) == [
+                ("fp2", "shard", {"results": [[1, 2]]}),
+                ("fp1", "golden", {"cycles": 123}),
+            ]
+        assert list(ResultStore(path).records()) == [
+            ("fp2", "shard", {"results": [[1, 2]]}),
+            ("fp1", "golden", {"cycles": 123}),
+            ("fp3", "cell", {"v": 1}),
+        ]
+        assert list(ResultStore().records()) == []
+
     def test_put_is_idempotent(self, tmp_path):
         path = tmp_path / "store.jsonl"
         with ResultStore(path) as store:

@@ -7,7 +7,7 @@ rule is pinned down independently of the simulator.
 import numpy as np
 import pytest
 
-from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
+from repro.arch.structures import CONTROL_STRUCTURES, LOCAL_MEMORY, REGISTER_FILE
 from repro.reliability.liveness import (
     AceAccumulator,
     AceMode,
@@ -242,3 +242,17 @@ class TestOccupancy:
         occ = OccupancyAccumulator(MINI_NVIDIA)
         with pytest.raises(RuntimeError):
             occ.occupancy(REGISTER_FILE)
+
+
+@pytest.mark.parametrize("structure", CONTROL_STRUCTURES)
+def test_control_structures_have_no_ace_or_occupancy_model(structure):
+    # Control-structure AVF is measured by fault injection only; asking
+    # the lifetime models for one is a caller error, not a silent 0.0.
+    ace = AceAccumulator(MINI_NVIDIA)
+    occ = OccupancyAccumulator(MINI_NVIDIA)
+    ace.on_run_end(100)
+    occ.on_run_end(100)
+    with pytest.raises(ValueError, match=structure):
+        ace.avf(structure)
+    with pytest.raises(ValueError, match=structure):
+        occ.occupancy(structure)
