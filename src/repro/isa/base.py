@@ -1,16 +1,26 @@
-"""Operand and instruction model shared by the SASS and SI front-ends.
+"""Vocabulary shared by the SASS and SI front-ends.
 
 Both assemblers lower kernel text into a :class:`Program`: a flat list of
 :class:`Instruction` objects plus label and directive metadata. The
 simulators interpret instructions directly (no encode/decode round-trip:
 faults are injected into *storage*, not into instruction words, exactly as
 in the paper, which targets the register file and local memory).
+
+Besides operands, instructions and programs, this module holds what
+both ISAs share around them: the kernel-text scan (comments,
+directives, labels) and literal parsing used by both assemblers, and
+the :class:`Effect` a semantics handler returns plus the lane views
+its float and signed arithmetic works through.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.bits import float_to_bits, u32
 from repro.errors import AssemblyError
 
 # ---------------------------------------------------------------------------
@@ -267,3 +277,90 @@ def parse_int(token: str, line: int = 0) -> int:
         return int(token, 0)
     except ValueError:
         raise AssemblyError(f"bad integer literal {token!r}", line=line) from None
+
+
+_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def scan_kernel(text: str, values: dict, labels: dict):
+    """Assembler line loop: yield ``(lineno, text)`` of every instruction
+    line, comment stripped, in source order.
+
+    ``values`` maps each directive the ISA accepts (``".kernel"``,
+    ``".regs"``, ...) to its default; the directives met are stored
+    into it, and every label into ``labels`` (label -> pc of the next
+    instruction), as the scan reaches them, so the first error in line
+    order is the one raised. Every directive takes exactly one argument:
+    a name for ``.kernel``, an integer for the others. The caller must
+    turn every yielded line into one instruction or raise.
+    """
+    pc = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment(raw)
+        if not line:
+            continue
+        if line.startswith("."):
+            fields = line.split()
+            directive = fields[0]
+            if directive not in values or len(fields) != 2:
+                raise AssemblyError(f"bad directive {line!r}", line=lineno)
+            values[directive] = (fields[1] if directive == ".kernel"
+                                 else parse_int(fields[1], lineno))
+            continue
+        match = _LABEL_RE.match(line)
+        if match:
+            label = match.group(1)
+            if label in labels:
+                raise AssemblyError(f"duplicate label {label!r}", line=lineno)
+            labels[label] = pc
+            continue
+        yield lineno, line
+        pc += 1
+
+
+def parse_literal(token: str, line: int, float_re: re.Pattern):
+    """The operand forms both ISAs share: float immediates (as the
+    ISA's ``float_re`` spells them), integer immediates, label names."""
+    if float_re.match(token):
+        return Imm(float_to_bits(float(token.rstrip("fF"))))
+    try:
+        return Imm(u32(int(token, 0)))
+    except ValueError:
+        pass
+    if _IDENT_RE.match(token):
+        return LabelRef(token)
+    raise AssemblyError(f"cannot parse operand {token!r}", line=line)
+
+
+# ---------------------------------------------------------------------------
+# Execution vocabulary shared by both semantics modules
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Effect:
+    """Control-flow outcome of one executed instruction."""
+
+    kind: str                 # "none" | "branch" | "exit" | "barrier"
+    mask: int = 0             # SASS: taken lanes (branch) / exiting lanes (exit)
+    target: int = 0           # branch target pc
+    extra_cycles: int = 0     # added latency (e.g. uncoalesced accesses)
+
+
+EFFECT_NONE = Effect("none")
+
+
+def as_f32(words: np.ndarray) -> np.ndarray:
+    """View uint32 lane words as float32 (no copy)."""
+    return words.view(np.float32)
+
+
+def as_u32(floats: np.ndarray) -> np.ndarray:
+    """View float32 lane values as their uint32 bit patterns."""
+    return np.ascontiguousarray(floats, dtype=np.float32).view(np.uint32)
+
+
+def as_i32(words: np.ndarray) -> np.ndarray:
+    """View uint32 lane words as int32 (no copy)."""
+    return words.view(np.int32)

@@ -28,25 +28,21 @@ from __future__ import annotations
 
 import re
 
-from repro.bits import float_to_bits, u32
 from repro.errors import AssemblyError
 from repro.isa.base import (
-    Imm,
     Instruction,
-    LabelRef,
     MemRef,
     Param,
     Pred,
     Program,
     Reg,
     Special,
-    parse_int,
+    parse_literal,
+    scan_kernel,
     split_operands,
-    strip_comment,
 )
 from repro.isa.sass.opcodes import SASS_OPCODES, SPECIAL_REGISTERS
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
 _REG_RE = re.compile(r"^R(\d+)$")
 _PRED_RE = re.compile(r"^(!?)P(\d+)$")
 _PARAM_RE = re.compile(r"^c\[(0x[0-9a-fA-F]+|\d+)\]$")
@@ -85,51 +81,15 @@ def _parse_operand(token: str, line: int):
             if match.group(2) == "-":
                 offset = -offset
         return MemRef(base, offset)
-    if _FLOAT_RE.match(token):
-        return Imm(float_to_bits(float(token.rstrip("fF"))))
-    try:
-        return Imm(u32(parse_int(token, line)))
-    except AssemblyError:
-        pass
-    if re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", token):
-        return LabelRef(token)
-    raise AssemblyError(f"cannot parse operand {token!r}", line=line)
+    return parse_literal(token, line, _FLOAT_RE)
 
 
 def assemble_sass(text: str) -> Program:
     """Assemble SASS-like kernel text into a :class:`Program`."""
-    name = "kernel"
-    regs = 0
-    smem = 0
-    instructions: list[Instruction] = []
+    values = {".kernel": "kernel", ".regs": 0, ".smem": 0}
     labels: dict[str, int] = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw)
-        if not line:
-            continue
-
-        if line.startswith("."):
-            fields = line.split()
-            directive = fields[0]
-            if directive == ".kernel" and len(fields) == 2:
-                name = fields[1]
-            elif directive == ".regs" and len(fields) == 2:
-                regs = parse_int(fields[1], lineno)
-            elif directive == ".smem" and len(fields) == 2:
-                smem = parse_int(fields[1], lineno)
-            else:
-                raise AssemblyError(f"bad directive {line!r}", line=lineno)
-            continue
-
-        match = _LABEL_RE.match(line)
-        if match:
-            label = match.group(1)
-            if label in labels:
-                raise AssemblyError(f"duplicate label {label!r}", line=lineno)
-            labels[label] = len(instructions)
-            continue
-
+    instructions: list[Instruction] = []
+    for lineno, line in scan_kernel(text, values, labels):
         guard = None
         match = _GUARD_RE.match(line)
         if match:
@@ -167,12 +127,12 @@ def assemble_sass(text: str) -> Program:
         )
 
     program = Program(
-        name=name,
+        name=values[".kernel"],
         isa="sass",
         instructions=instructions,
         labels=labels,
-        registers_per_thread=regs,
-        local_memory_bytes=smem,
+        registers_per_thread=values[".regs"],
+        local_memory_bytes=values[".smem"],
         source=text,
     )
     program.validate()

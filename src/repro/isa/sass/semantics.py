@@ -1,11 +1,13 @@
 """Execution semantics for the SASS-like ISA.
 
 Each handler interprets one warp-instruction, vectorised across the 32
-lanes with numpy. Handlers receive a *context* object (provided by the
-core model, :class:`repro.sim.sass_core.SassWarpContext`) exposing
-masked register/predicate/memory access, and return an :class:`Effect`
-describing any control-flow consequence; plain data instructions return
-``EFFECT_NONE``.
+lanes with numpy. Handlers receive a *context* object — the SM model,
+:class:`repro.sim.sass_core.SassCore` — exposing masked register,
+predicate and memory access, and return an
+:class:`repro.isa.base.Effect` describing any control-flow consequence;
+plain data instructions return ``EFFECT_NONE``. The core looks each
+opcode's handler up in :data:`HANDLERS` once, when it prepares a
+program.
 
 All integer state is uint32 (wrap-around semantics); float operations
 reinterpret the same words as IEEE-754 binary32 and compute in float32,
@@ -15,42 +17,14 @@ outcome classification, which compares outputs bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import IllegalInstruction
-from repro.isa.base import Instruction, LabelRef, MemRef
+from repro.isa.base import (EFFECT_NONE, Effect, LabelRef, MemRef, as_f32,
+                            as_i32, as_u32)
 
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Control-flow outcome of one executed instruction."""
-
-    kind: str                 # "none" | "branch" | "exit" | "barrier"
-    mask: int = 0             # taken lanes (branch) / exiting lanes (exit)
-    target: int = 0           # branch target pc
-    extra_cycles: int = 0     # added latency (e.g. uncoalesced accesses)
-
-
-EFFECT_NONE = Effect("none")
-
-
-def _f32(words: np.ndarray) -> np.ndarray:
-    """View uint32 lane words as float32 (no copy)."""
-    return words.view(np.float32)
-
-
-def _bits(floats: np.ndarray) -> np.ndarray:
-    """View float32 lane values as their uint32 bit patterns."""
-    return np.ascontiguousarray(floats, dtype=np.float32).view(np.uint32)
-
-
-def _signed(words: np.ndarray) -> np.ndarray:
-    return words.view(np.int32)
 
 
 def _cmp(kind: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,7 +113,7 @@ def _h_imnmx(ctx, inst):
     a = ctx.read_operand(inst.operands[1])
     b = ctx.read_operand(inst.operands[2])
     if not inst.has_mod("U32"):
-        a_c, b_c = _signed(a), _signed(b)
+        a_c, b_c = as_i32(a), as_i32(b)
     else:
         a_c, b_c = a, b
     picked = np.maximum(a_c, b_c) if inst.has_mod("MAX") else np.minimum(a_c, b_c)
@@ -158,7 +132,7 @@ def _h_shr(ctx, inst):
     a = ctx.read_operand(inst.operands[1])
     amount = ctx.read_operand(inst.operands[2]) & np.uint32(31)
     if inst.has_mod("S32"):
-        result = (_signed(a) >> amount.astype(np.int32)).view(np.uint32)
+        result = (as_i32(a) >> amount.astype(np.int32)).view(np.uint32)
     else:
         result = a >> amount
     ctx.write_reg(inst.operands[0], result)
@@ -192,37 +166,37 @@ def _h_not(ctx, inst):
 
 
 def _h_fadd(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
-    b = _f32(ctx.read_operand(inst.operands[2]))
-    ctx.write_reg(inst.operands[0], _bits(a + b))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
+    b = as_f32(ctx.read_operand(inst.operands[2]))
+    ctx.write_reg(inst.operands[0], as_u32(a + b))
     return EFFECT_NONE
 
 
 def _h_fmul(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
-    b = _f32(ctx.read_operand(inst.operands[2]))
-    ctx.write_reg(inst.operands[0], _bits(a * b))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
+    b = as_f32(ctx.read_operand(inst.operands[2]))
+    ctx.write_reg(inst.operands[0], as_u32(a * b))
     return EFFECT_NONE
 
 
 def _h_ffma(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
-    b = _f32(ctx.read_operand(inst.operands[2]))
-    c = _f32(ctx.read_operand(inst.operands[3]))
-    ctx.write_reg(inst.operands[0], _bits(a * b + c))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
+    b = as_f32(ctx.read_operand(inst.operands[2]))
+    c = as_f32(ctx.read_operand(inst.operands[3]))
+    ctx.write_reg(inst.operands[0], as_u32(a * b + c))
     return EFFECT_NONE
 
 
 def _h_fmnmx(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
-    b = _f32(ctx.read_operand(inst.operands[2]))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
+    b = as_f32(ctx.read_operand(inst.operands[2]))
     picked = np.fmax(a, b) if inst.has_mod("MAX") else np.fmin(a, b)
-    ctx.write_reg(inst.operands[0], _bits(picked))
+    ctx.write_reg(inst.operands[0], as_u32(picked))
     return EFFECT_NONE
 
 
 def _h_mufu(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
     kind = inst.mods[0] if inst.mods else ""
     with np.errstate(all="ignore"):
         if kind == "RCP":
@@ -241,12 +215,12 @@ def _h_mufu(ctx, inst):
             result = np.cos(a)
         else:
             raise IllegalInstruction(f"MUFU needs a function modifier, got {inst}")
-    ctx.write_reg(inst.operands[0], _bits(result.astype(np.float32)))
+    ctx.write_reg(inst.operands[0], as_u32(result.astype(np.float32)))
     return EFFECT_NONE
 
 
 def _h_f2i(ctx, inst):
-    a = _f32(ctx.read_operand(inst.operands[1]))
+    a = as_f32(ctx.read_operand(inst.operands[1]))
     with np.errstate(all="ignore"):
         staged = np.floor(a) if inst.has_mod("FLOOR") else np.trunc(a)
         staged = np.nan_to_num(staged, nan=0.0, posinf=_INT32_MAX, neginf=_INT32_MIN)
@@ -257,8 +231,8 @@ def _h_f2i(ctx, inst):
 
 def _h_i2f(ctx, inst):
     a = ctx.read_operand(inst.operands[1])
-    source = a.astype(np.float32) if inst.has_mod("U32") else _signed(a).astype(np.float32)
-    ctx.write_reg(inst.operands[0], _bits(source))
+    source = a.astype(np.float32) if inst.has_mod("U32") else as_i32(a).astype(np.float32)
+    ctx.write_reg(inst.operands[0], as_u32(source))
     return EFFECT_NONE
 
 
@@ -267,7 +241,7 @@ def _h_isetp(ctx, inst):
     a = ctx.read_operand(a_op)
     b = ctx.read_operand(b_op)
     if not inst.has_mod("U32"):
-        a, b = _signed(a), _signed(b)
+        a, b = as_i32(a), as_i32(b)
     kind = inst.mods[0]
     result = _cmp(kind, a, b)
     if inst.has_mod("AND") and len(inst.operands) > 3:
@@ -278,8 +252,8 @@ def _h_isetp(ctx, inst):
 
 def _h_fsetp(ctx, inst):
     pd, a_op, b_op = inst.operands[0], inst.operands[1], inst.operands[2]
-    a = _f32(ctx.read_operand(a_op))
-    b = _f32(ctx.read_operand(b_op))
+    a = as_f32(ctx.read_operand(a_op))
+    b = as_f32(ctx.read_operand(b_op))
     result = _cmp(inst.mods[0], a, b)
     if inst.has_mod("AND") and len(inst.operands) > 3:
         result = result & ctx.read_pred(inst.operands[3])
@@ -388,10 +362,3 @@ HANDLERS = {
     "NOP": _h_nop,
 }
 
-
-def execute(ctx, inst: Instruction) -> Effect:
-    """Execute one instruction against a warp context."""
-    handler = HANDLERS.get(inst.opcode)
-    if handler is None:
-        raise IllegalInstruction(f"no handler for {inst.opcode}")
-    return handler(ctx, inst)

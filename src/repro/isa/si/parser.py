@@ -29,13 +29,10 @@ from __future__ import annotations
 
 import re
 
-from repro.bits import float_to_bits, u32
 from repro.errors import AssemblyError
 from repro.isa.base import (
     EXEC,
-    Imm,
     Instruction,
-    LabelRef,
     Param,
     Program,
     SCC,
@@ -43,13 +40,12 @@ from repro.isa.base import (
     SRegPair,
     VCC,
     VReg,
-    parse_int,
+    parse_literal,
+    scan_kernel,
     split_operands,
-    strip_comment,
 )
 from repro.isa.si.opcodes import SI_OPCODES
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
 _SREG_RE = re.compile(r"^s(\d+)$")
 _VREG_RE = re.compile(r"^v(\d+)$")
 _SPAIR_RE = re.compile(r"^s\[(\d+):(\d+)\]$")
@@ -88,54 +84,15 @@ def _parse_operand(token: str, line: int):
     match = _PARAM_RE.match(token)
     if match:
         return Param(int(match.group(1), 0))
-    if _FLOAT_RE.match(token):
-        return Imm(float_to_bits(float(token.rstrip("fF"))))
-    try:
-        return Imm(u32(parse_int(token, line)))
-    except AssemblyError:
-        pass
-    if re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", token):
-        return LabelRef(token)
-    raise AssemblyError(f"cannot parse operand {token!r}", line=line)
+    return parse_literal(token, line, _FLOAT_RE)
 
 
 def assemble_si(text: str) -> Program:
     """Assemble SI-like kernel text into a :class:`Program`."""
-    name = "kernel"
-    vregs = 0
-    sregs = 16
-    lds = 0
-    instructions: list[Instruction] = []
+    values = {".kernel": "kernel", ".vregs": 0, ".sregs": 16, ".lds": 0}
     labels: dict[str, int] = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw)
-        if not line:
-            continue
-
-        if line.startswith("."):
-            fields = line.split()
-            directive = fields[0]
-            if directive == ".kernel" and len(fields) == 2:
-                name = fields[1]
-            elif directive == ".vregs" and len(fields) == 2:
-                vregs = parse_int(fields[1], lineno)
-            elif directive == ".sregs" and len(fields) == 2:
-                sregs = parse_int(fields[1], lineno)
-            elif directive == ".lds" and len(fields) == 2:
-                lds = parse_int(fields[1], lineno)
-            else:
-                raise AssemblyError(f"bad directive {line!r}", line=lineno)
-            continue
-
-        match = _LABEL_RE.match(line)
-        if match:
-            label = match.group(1)
-            if label in labels:
-                raise AssemblyError(f"duplicate label {label!r}", line=lineno)
-            labels[label] = len(instructions)
-            continue
-
+    instructions: list[Instruction] = []
+    for lineno, line in scan_kernel(text, values, labels):
         parts = line.split(None, 1)
         opcode = parts[0].lower()
         if opcode not in SI_OPCODES:
@@ -155,13 +112,13 @@ def assemble_si(text: str) -> Program:
         )
 
     program = Program(
-        name=name,
+        name=values[".kernel"],
         isa="si",
         instructions=instructions,
         labels=labels,
-        registers_per_thread=vregs,
-        scalar_registers=max(sregs, ABI_SGPRS),
-        local_memory_bytes=lds,
+        registers_per_thread=values[".vregs"],
+        scalar_registers=max(values[".sregs"], ABI_SGPRS),
+        local_memory_bytes=values[".lds"],
         source=text,
     )
     program.validate()

@@ -4,44 +4,21 @@ Scalar (``s_``) handlers run once per wavefront on Python integers
 (SGPRs, SCC, and the 64-bit VCC/EXEC masks); vector (``v_``/``ds_``/
 ``global_``) handlers are vectorised across the 64 lanes with numpy
 under EXEC masking. The context object is the CU model,
-:class:`repro.sim.si_core.SiCore`.
+:class:`repro.sim.si_core.SiCore`; handlers return an
+:class:`repro.isa.base.Effect`. The core looks each opcode's handler up
+in :data:`HANDLERS` once, when it prepares a program.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.bits import to_signed, u32
 from repro.errors import IllegalInstruction
-from repro.isa.base import EXEC, Imm, LabelRef, VCC, VReg
+from repro.isa.base import (EFFECT_NONE, EXEC, VCC, Effect, Imm, LabelRef,
+                            VReg, as_f32, as_i32, as_u32)
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class Effect:
-    """Control-flow outcome of one executed SI instruction."""
-
-    kind: str              # "none" | "branch" | "exit" | "barrier"
-    target: int = 0
-    extra_cycles: int = 0
-
-
-EFFECT_NONE = Effect("none")
-
-
-def _f32(words: np.ndarray) -> np.ndarray:
-    return words.view(np.float32)
-
-
-def _bits(floats: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(floats, dtype=np.float32).view(np.uint32)
-
-
-def _signed(words: np.ndarray) -> np.ndarray:
-    return words.view(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +188,8 @@ def _h_valu_int(ctx, inst):
 
 
 def _h_v_minmax_i32(ctx, inst):
-    a = _signed(ctx.read_vsrc(inst.operands[1]))
-    b = _signed(ctx.read_vsrc(inst.operands[2]))
+    a = as_i32(ctx.read_vsrc(inst.operands[1]))
+    b = as_i32(ctx.read_vsrc(inst.operands[2]))
     picked = np.maximum(a, b) if inst.opcode == "v_max_i32" else np.minimum(a, b)
     ctx.write_vreg(inst.operands[0], picked.view(np.uint32))
     return EFFECT_NONE
@@ -234,7 +211,7 @@ def _h_v_shift(ctx, inst):
     elif inst.opcode == "v_lshrrev_b32":
         result = value >> amount
     else:  # v_ashrrev_i32
-        result = (_signed(value) >> amount.astype(np.int32)).view(np.uint32)
+        result = (as_i32(value) >> amount.astype(np.int32)).view(np.uint32)
     ctx.write_vreg(inst.operands[0], result)
     return EFFECT_NONE
 
@@ -249,26 +226,26 @@ _VALU_F32 = {
 
 
 def _h_valu_f32(ctx, inst):
-    a = _f32(ctx.read_vsrc(inst.operands[1]))
-    b = _f32(ctx.read_vsrc(inst.operands[2]))
-    ctx.write_vreg(inst.operands[0], _bits(_VALU_F32[inst.opcode](a, b)))
+    a = as_f32(ctx.read_vsrc(inst.operands[1]))
+    b = as_f32(ctx.read_vsrc(inst.operands[2]))
+    ctx.write_vreg(inst.operands[0], as_u32(_VALU_F32[inst.opcode](a, b)))
     return EFFECT_NONE
 
 
 def _h_v_mac_f32(ctx, inst):
     dst = inst.operands[0]
-    a = _f32(ctx.read_vsrc(inst.operands[1]))
-    b = _f32(ctx.read_vsrc(inst.operands[2]))
-    acc = _f32(ctx.read_vsrc(dst))
-    ctx.write_vreg(dst, _bits(a * b + acc))
+    a = as_f32(ctx.read_vsrc(inst.operands[1]))
+    b = as_f32(ctx.read_vsrc(inst.operands[2]))
+    acc = as_f32(ctx.read_vsrc(dst))
+    ctx.write_vreg(dst, as_u32(a * b + acc))
     return EFFECT_NONE
 
 
 def _h_v_fma_f32(ctx, inst):
-    a = _f32(ctx.read_vsrc(inst.operands[1]))
-    b = _f32(ctx.read_vsrc(inst.operands[2]))
-    c = _f32(ctx.read_vsrc(inst.operands[3]))
-    ctx.write_vreg(inst.operands[0], _bits(a * b + c))
+    a = as_f32(ctx.read_vsrc(inst.operands[1]))
+    b = as_f32(ctx.read_vsrc(inst.operands[2]))
+    c = as_f32(ctx.read_vsrc(inst.operands[3]))
+    ctx.write_vreg(inst.operands[0], as_u32(a * b + c))
     return EFFECT_NONE
 
 
@@ -284,23 +261,23 @@ _VUNARY_F32 = {
 
 
 def _h_vunary_f32(ctx, inst):
-    a = _f32(ctx.read_vsrc(inst.operands[1]))
+    a = as_f32(ctx.read_vsrc(inst.operands[1]))
     with np.errstate(all="ignore"):
         result = _VUNARY_F32[inst.opcode](a).astype(np.float32)
-    ctx.write_vreg(inst.operands[0], _bits(result))
+    ctx.write_vreg(inst.operands[0], as_u32(result))
     return EFFECT_NONE
 
 
 def _h_v_cvt(ctx, inst):
     a = ctx.read_vsrc(inst.operands[1])
     if inst.opcode == "v_cvt_f32_i32":
-        result = _bits(_signed(a).astype(np.float32))
+        result = as_u32(as_i32(a).astype(np.float32))
     elif inst.opcode == "v_cvt_f32_u32":
-        result = _bits(a.astype(np.float32))
+        result = as_u32(a.astype(np.float32))
     else:  # v_cvt_i32_f32 truncates
         with np.errstate(all="ignore"):
             staged = np.nan_to_num(
-                np.trunc(_f32(a)), nan=0.0,
+                np.trunc(as_f32(a)), nan=0.0,
                 posinf=2 ** 31 - 1, neginf=-(2 ** 31),
             )
             result = np.clip(staged, -(2 ** 31), 2 ** 31 - 1) \
@@ -334,9 +311,9 @@ def _h_v_cmp(ctx, inst):
     a = ctx.read_vsrc(inst.operands[1])
     b = ctx.read_vsrc(inst.operands[2])
     if ty == "f32":
-        a, b = _f32(a), _f32(b)
+        a, b = as_f32(a), as_f32(b)
     elif ty == "i32":
-        a, b = _signed(a), _signed(b)
+        a, b = as_i32(a), as_i32(b)
     result = _VCMP[op](a, b)
     mask = ctx.bools_to_mask(result & ctx.eff_bool)
     ctx.write_mask64(inst.operands[0], mask)
@@ -455,10 +432,3 @@ for _op in ("lt", "le", "gt", "ge", "eq", "ne"):
 for _kind in ("scc0", "scc1", "vccz", "vccnz", "execz", "execnz"):
     HANDLERS[f"s_cbranch_{_kind}"] = _h_s_cbranch
 
-
-def execute(ctx, inst) -> Effect:
-    """Execute one SI instruction against a wavefront context."""
-    handler = HANDLERS.get(inst.opcode)
-    if handler is None:
-        raise IllegalInstruction(f"no handler for {inst.opcode}")
-    return handler(ctx, inst)

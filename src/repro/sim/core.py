@@ -23,17 +23,27 @@ re-assertion. Per issue the loop then reads only ready cycles. Numpy's
 floating-point error state is set once per core step, and the SASS
 reconvergence table is computed once per program object.
 
-Subclasses implement the ISA front-end: :class:`repro.sim.sass_core.SassCore`
-(NVIDIA) and :class:`repro.sim.si_core.SiCore` (AMD).
+:class:`CoreBase` is the front-end skeleton both ISAs share: fetch
+(pc-bounds check, a decode cache of ``(inst, info, latency, handler)``
+per pc, the profiler hook), the per-instruction context the semantics
+handlers read, label resolution, memory access, and warp creation and
+restore. Each ISA subclass keeps only what differs: operand grammar,
+lane masking and the control effect of an instruction —
+:class:`repro.sim.sass_core.SassCore` (NVIDIA: predicate guards, SIMT
+stack) and :class:`repro.sim.si_core.SiCore` (AMD: EXEC mask, scalar
+state, launch ABI).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.arch.config import GpuConfig
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
-from repro.errors import BarrierDeadlock, LaunchError, WatchdogTimeout
+from repro.errors import (BarrierDeadlock, IllegalInstruction, LaunchError,
+                          WatchdogTimeout)
 from repro.faultmodels.registry import get_fault_model
 from repro.sim.control import make_control_banks
 from repro.sim.faults import FaultPlan
@@ -44,7 +54,8 @@ from repro.sim.regfile import RegisterFile
 from repro.sim.scheduler import WarpScheduler
 from repro.sim.sharedmem import LocalMemory
 from repro.sim.tracing import TraceSink
-from repro.sim.warp import BlockState
+from repro.sim.warp import BlockState, WarpBase
+from repro.telemetry import profile as _profile
 
 #: Default per-run cycle budget for fault-free simulations.
 DEFAULT_WATCHDOG = 50_000_000
@@ -53,8 +64,11 @@ DEFAULT_WATCHDOG = 50_000_000
 class CoreBase:
     """One SM/CU: storage, resident blocks, issue loop."""
 
-    #: The ISA's opcode table (mnemonic -> OpInfo), set per subclass.
+    #: Set per subclass: the ISA's opcode table (mnemonic -> OpInfo),
+    #: semantics handlers (mnemonic -> handler) and warp class.
     OPCODES: dict = {}
+    HANDLERS: dict = {}
+    WARP_CLASS: type = WarpBase
 
     def __init__(self, core_id: int, config: GpuConfig, gmem: GlobalMemory,
                  scheduler: WarpScheduler, sink: TraceSink | None = None):
@@ -102,9 +116,15 @@ class CoreBase:
         self.blocks_retired = 0
         self.instructions_issued = 0
         self._warp_counter = 0
-        #: Per-pc (inst, opcode-info, latency) decode cache, built once
-        #: per launch instead of per issue.
+        #: Per-pc (inst, opcode-info, latency, handler) decode cache,
+        #: built once per launch instead of per issue.
         self._decoded: list = []
+        # Per-instruction context (the semantics handlers' ``ctx`` is
+        # the core itself); the subclass's ``_execute`` sets the masks.
+        self._warp = None
+        self.eff_bool: np.ndarray | None = None
+        self.eff_mask: int = 0
+        self._cycle: int = 0
         table = config.latency
         self._latency_table = {
             "alu": table.alu,
@@ -271,17 +291,14 @@ class CoreBase:
                                footprint)
             block.unfinished = bstate["unfinished"]
             for wstate in bstate["warps"]:
-                block.warps.append(self._warp_from_state(wstate, block))
+                block.warps.append(self.WARP_CLASS.from_state(
+                    wstate, block, self.config.warp_size))
             self.blocks.append(block)
             self.warps.extend(block.warps)
         self._runnable = None
         self._faults = []
         self._fault_pos = 0
         self._fault_model = None
-
-    def _warp_from_state(self, state: dict, block: BlockState):
-        """ISA-specific warp reconstruction (SassWarp / SiWavefront)."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Launch setup / block residency
@@ -330,7 +347,8 @@ class CoreBase:
             inst = program.at(pc)
             info = self.OPCODES[inst.opcode]
             self._decoded.append(
-                (inst, info, self.latency_of(info.latency_class)))
+                (inst, info, self.latency_of(info.latency_class),
+                 self.HANDLERS[inst.opcode]))
 
     @property
     def can_accept_block(self) -> bool:
@@ -380,7 +398,22 @@ class CoreBase:
         return block
 
     def _populate_warps(self, block: BlockState) -> None:
-        raise NotImplementedError
+        threads = self.launch.threads_per_block
+        warp_size = self.config.warp_size
+        rows_per_warp = self.footprint.reg_words_per_warp // warp_size
+        num_warps = math.ceil(threads / warp_size)
+        for slot in range(num_warps):
+            lane_offset = slot * warp_size
+            block.warps.append(self._new_warp(
+                wid=self.next_warp_id(), block=block, lane_offset=lane_offset,
+                nlanes=min(warp_size, threads - lane_offset),
+                warp_size=warp_size,
+                reg_base_row=block.reg_base_row + slot * rows_per_warp))
+        block.unfinished = num_warps
+
+    def _new_warp(self, **fields):
+        """One new warp of this core's ISA (SI extends it)."""
+        return self.WARP_CLASS(**fields)
 
     def _retire_block(self, block: BlockState) -> None:
         self.blocks.remove(block)
@@ -484,13 +517,34 @@ class CoreBase:
         self.last_issued = warp.wid
         self.instructions_issued += 1
         warp.last_issue = t_issue
-        latency = self._execute(warp, t_issue)
+        self._warp = warp
+        self._cycle = t_issue
+        pc = warp.pc
+        decoded = self._decoded
+        if not 0 <= pc < len(decoded):
+            # Only reachable under fault injection (e.g. a flipped
+            # SIMT-stack or wavefront pc); hardware raises an
+            # illegal-address exception here, which the campaign
+            # classifies as DUE.
+            raise IllegalInstruction(
+                f"pc {pc} outside program 0..{len(decoded) - 1}"
+            )
+        inst, info, latency, handler = decoded[pc]
+        # Hot-path profiling hook: one global read + branch when off.
+        prof = _profile.ACTIVE
+        if prof is not None:
+            prof.dispatch(self.config.isa, info.latency_class,
+                          bool(info.memory_space))
+        latency += self._execute(warp, pc, inst, info, handler, t_issue)
         warp.ready_cycle = t_issue + max(1, latency)
         if warp.done:
             self._note_warp_done(warp)
 
-    def _execute(self, warp, t_issue: int) -> int:
-        """ISA-specific: run one instruction, return its latency."""
+    def _execute(self, warp, pc: int, inst, info, handler,
+                 t_issue: int) -> int:
+        """ISA-specific: set the lane masks, run ``handler`` and apply
+        its effect; return the extra cycles beyond the decoded
+        latency."""
         raise NotImplementedError
 
     def _note_warp_done(self, warp) -> None:
@@ -521,6 +575,57 @@ class CoreBase:
             if not warp.done:
                 warp.at_barrier = False
                 warp.ready_cycle = max(warp.ready_cycle, release)
+
+    # ------------------------------------------------------------------
+    # Warp-context protocol shared by both ISAs' semantics handlers.
+    # Global addresses are byte addresses; values are u32 words.
+    # ------------------------------------------------------------------
+    def resolve_label(self, ref) -> int:
+        return self.program.resolve_label(ref)
+
+    def global_load(self, addresses: np.ndarray):
+        sel = self.eff_bool
+        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        selected = addresses[sel]
+        out[sel] = self.gmem.load_words(selected)
+        return out, self._coalescing_extra(selected)
+
+    def global_store(self, addresses: np.ndarray, values: np.ndarray) -> int:
+        sel = self.eff_bool
+        selected = addresses[sel]
+        self.gmem.store_words(selected, values[sel])
+        return self._coalescing_extra(selected)
+
+    def global_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
+        sel = self.eff_bool
+        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        selected = addresses[sel]
+        out[sel] = self.gmem.atomic_add(selected, values[sel])
+        return out, self._coalescing_extra(selected)
+
+    def _shared_addrs(self, addresses: np.ndarray) -> np.ndarray:
+        """Block-relative shared (LDS) byte addresses -> core-local."""
+        return addresses + self._warp.block.lmem_base
+
+    def shared_load(self, addresses: np.ndarray) -> np.ndarray:
+        sel = self.eff_bool
+        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out[sel] = self.lmem.load(self._shared_addrs(addresses)[sel], self._cycle)
+        return out
+
+    def shared_store(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        sel = self.eff_bool
+        self.lmem.store(
+            self._shared_addrs(addresses)[sel], values[sel], self._cycle
+        )
+
+    def shared_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
+        sel = self.eff_bool
+        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out[sel] = self.lmem.atomic_add(
+            self._shared_addrs(addresses)[sel], values[sel], self._cycle
+        )
+        return out
 
     # ------------------------------------------------------------------
     # Memory timing helper

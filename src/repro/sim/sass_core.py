@@ -1,18 +1,16 @@
 """NVIDIA SM model: SASS front-end on the generic core engine.
 
-Implements the warp context protocol consumed by
-:mod:`repro.isa.sass.semantics` (masked register/predicate/memory
-access) plus SIMT-stack divergence with immediate-post-dominator
-reconvergence.
+Keeps what is SASS-specific on top of :class:`repro.sim.core.CoreBase`:
+the operand grammar of :mod:`repro.isa.sass.semantics` (registers with
+RZ, predicates with PT, parameter words, special registers), predicate
+guards on the SIMT stack's active mask, and SIMT-stack divergence with
+immediate-post-dominator reconvergence.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.errors import IllegalInstruction
 from repro.isa.base import Imm, Param, Pred, Reg
 from repro.isa.sass import semantics
 from repro.isa.sass.cfg import immediate_postdominators
@@ -20,8 +18,7 @@ from repro.isa.sass.opcodes import SASS_OPCODES
 from repro.sim.core import CoreBase
 from repro.sim.simt_stack import NO_RECONV
 from repro.sim.vector import bools_to_mask, const_bool, const_u32, mask_to_bools
-from repro.sim.warp import BlockState, SassWarp
-from repro.telemetry import profile as _profile
+from repro.sim.warp import SassWarp
 
 #: id(program) -> (program, reconvergence table): computed once per
 #: program object and shared by every launch and restore of it. The
@@ -33,15 +30,12 @@ class SassCore(CoreBase):
     """One streaming multiprocessor executing SASS-like kernels."""
 
     OPCODES = SASS_OPCODES
+    HANDLERS = semantics.HANDLERS
+    WARP_CLASS = SassWarp
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._ipdom: dict[int, int] = {}
-        # Per-instruction context (the semantics handlers' `ctx` is self).
-        self._warp: SassWarp | None = None
-        self.eff_bool: np.ndarray | None = None
-        self.eff_mask: int = 0
-        self._cycle: int = 0
 
     # ------------------------------------------------------------------
     # CoreBase hooks
@@ -54,46 +48,8 @@ class SassCore(CoreBase):
         self._ipdom = entry[1]
         super()._prepare_program(program)
 
-    def _populate_warps(self, block: BlockState) -> None:
-        threads = self.launch.threads_per_block
-        warp_size = self.config.warp_size
-        rows_per_warp = self.footprint.reg_words_per_warp // warp_size
-        num_warps = math.ceil(threads / warp_size)
-        for slot in range(num_warps):
-            lane_offset = slot * warp_size
-            nlanes = min(warp_size, threads - lane_offset)
-            warp = SassWarp(
-                wid=self.next_warp_id(),
-                block=block,
-                lane_offset=lane_offset,
-                nlanes=nlanes,
-                warp_size=warp_size,
-                reg_base_row=block.reg_base_row + slot * rows_per_warp,
-            )
-            block.warps.append(warp)
-        block.unfinished = num_warps
-
-    def _warp_from_state(self, state: dict, block: BlockState) -> SassWarp:
-        return SassWarp.from_state(state, block, self.config.warp_size)
-
-    def _execute(self, warp: SassWarp, t_issue: int) -> int:
-        decoded = self._decoded
-        pc = warp.stack.pc
-        if not 0 <= pc < len(decoded):
-            # Only reachable under fault injection (e.g. a flipped
-            # SIMT-stack pc); hardware raises an illegal-address
-            # exception here, which the campaign classifies as DUE.
-            raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(decoded) - 1}"
-            )
-        inst, info, latency = decoded[pc]
-
-        # Hot-path profiling hook: one global read + branch when off.
-        prof = _profile.ACTIVE
-        if prof is not None:
-            prof.dispatch("sass", info.latency_class,
-                          bool(info.memory_space))
-
+    def _execute(self, warp: SassWarp, pc: int, inst, info, handler,
+                 t_issue: int) -> int:
         active_mask = warp.stack.active_mask
         active_bool = mask_to_bools(active_mask, self.config.warp_size)
         if inst.guard is not None:
@@ -103,19 +59,17 @@ class SassCore(CoreBase):
             eff_bool = active_bool
             eff_mask = active_mask
 
-        self._warp = warp
         self.eff_bool = eff_bool
         self.eff_mask = eff_mask
-        self._cycle = t_issue
 
         if eff_mask == 0 and not (info.is_branch or info.is_exit or info.is_barrier):
             warp.stack.advance(pc + 1)
-            return latency
+            return 0
 
-        effect = semantics.execute(self, inst)
+        effect = handler(self, inst)
 
         self._apply_effect(warp, pc, effect, t_issue)
-        return latency + effect.extra_cycles
+        return effect.extra_cycles
 
     def _apply_effect(self, warp: SassWarp, pc: int, effect,
                       t_issue: int) -> None:
@@ -136,9 +90,6 @@ class SassCore(CoreBase):
     # ------------------------------------------------------------------
     # Warp-context protocol (used by repro.isa.sass.semantics)
     # ------------------------------------------------------------------
-    def resolve_label(self, ref) -> int:
-        return self.program.resolve_label(ref)
-
     def read_reg(self, reg: Reg) -> np.ndarray:
         if reg.index < 0:  # RZ
             return const_u32(self.config.warp_size, 0)
@@ -209,49 +160,3 @@ class SassCore(CoreBase):
         if name == "SR_WARPID":
             return np.full(size, warp.lane_offset // size, dtype=np.uint32)
         raise KeyError(f"unknown special register {name}")
-
-    # ------------------------------------------------------------------
-    # Memory (global addresses are byte addresses; values are u32 words)
-    # ------------------------------------------------------------------
-    def global_load(self, addresses: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        selected = addresses[sel]
-        out[sel] = self.gmem.load_words(selected)
-        return out, self._coalescing_extra(selected)
-
-    def global_store(self, addresses: np.ndarray, values: np.ndarray) -> int:
-        sel = self.eff_bool
-        selected = addresses[sel]
-        self.gmem.store_words(selected, values[sel])
-        return self._coalescing_extra(selected)
-
-    def global_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        selected = addresses[sel]
-        out[sel] = self.gmem.atomic_add(selected, values[sel])
-        return out, self._coalescing_extra(selected)
-
-    def _shared_addrs(self, addresses: np.ndarray) -> np.ndarray:
-        return addresses + self._warp.block.lmem_base
-
-    def shared_load(self, addresses: np.ndarray) -> np.ndarray:
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        out[sel] = self.lmem.load(self._shared_addrs(addresses)[sel], self._cycle)
-        return out
-
-    def shared_store(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        sel = self.eff_bool
-        self.lmem.store(
-            self._shared_addrs(addresses)[sel], values[sel], self._cycle
-        )
-
-    def shared_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        out[sel] = self.lmem.atomic_add(
-            self._shared_addrs(addresses)[sel], values[sel], self._cycle
-        )
-        return out

@@ -1,14 +1,13 @@
 """AMD compute-unit model: Southern-Islands front-end on the core engine.
 
-Implements the wavefront context protocol consumed by
-:mod:`repro.isa.si.semantics`: SGPR/VCC/EXEC/SCC scalar state per
-wavefront, EXEC-masked vector register access against the CU's VGPR
-file (the fault-injection target), LDS and global memory access.
+Keeps what is SI-specific on top of :class:`repro.sim.core.CoreBase`:
+the operand grammar of :mod:`repro.isa.si.semantics` (SGPR/VCC/EXEC/SCC
+scalar state per wavefront, EXEC-masked vector register access against
+the CU's VGPR file), EXEC lane masking and branch/exit handling on the
+wavefront pc, and the launch ABI preloaded into each new wavefront.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from repro.sim.core import CoreBase
 from repro.sim.vector import bools_to_mask as _bools_to_mask
 from repro.sim.vector import const_u32
 from repro.sim.vector import mask_to_bools as _mask_to_bools
-from repro.sim.warp import BlockState, SiWavefront
-from repro.telemetry import profile as _profile
+from repro.sim.warp import SiWavefront
 
 _MASK64 = (1 << 64) - 1
 
@@ -30,41 +28,20 @@ class SiCore(CoreBase):
     """One compute unit executing SI-like kernels."""
 
     OPCODES = SI_OPCODES
+    HANDLERS = semantics.HANDLERS
+    WARP_CLASS = SiWavefront
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._wave: SiWavefront | None = None
-        self.eff_bool: np.ndarray | None = None
-        self.eff_mask: int = 0
-        self._cycle: int = 0
         self.scc: bool = False  # mirrors the current wavefront during execute
 
     # ------------------------------------------------------------------
     # CoreBase hooks
     # ------------------------------------------------------------------
-    def _populate_warps(self, block: BlockState) -> None:
-        threads = self.launch.threads_per_block
-        warp_size = self.config.warp_size
-        rows_per_wave = self.footprint.reg_words_per_warp // warp_size
-        num_waves = math.ceil(threads / warp_size)
-        for slot in range(num_waves):
-            lane_offset = slot * warp_size
-            nlanes = min(warp_size, threads - lane_offset)
-            wave = SiWavefront(
-                wid=self.next_warp_id(),
-                block=block,
-                lane_offset=lane_offset,
-                nlanes=nlanes,
-                warp_size=warp_size,
-                reg_base_row=block.reg_base_row + slot * rows_per_wave,
-                num_sgprs=self.program.scalar_registers,
-            )
-            self._init_abi(wave)
-            block.warps.append(wave)
-        block.unfinished = num_waves
-
-    def _init_abi(self, wave: SiWavefront) -> None:
-        """Preload the launch ABI: s0..s5 geometry, v0/v1 local ids."""
+    def _new_warp(self, **fields) -> SiWavefront:
+        """A new wavefront with the launch ABI preloaded: s0..s5
+        geometry, v0/v1 local ids."""
+        wave = SiWavefront(num_sgprs=self.program.scalar_registers, **fields)
         bx, by = self.launch.block
         gx, gy = self.launch.grid
         wave.sgprs[0] = wave.block.index[0]
@@ -85,39 +62,20 @@ class SiCore(CoreBase):
         if self.program.registers_per_thread > 1:
             self.regfile.write_row(wave.reg_base_row + 1, lid_y, valid,
                                    wave.valid_mask, self.time)
+        return wave
 
-    def _warp_from_state(self, state: dict, block: BlockState) -> SiWavefront:
-        return SiWavefront.from_state(state, block, self.config.warp_size)
-
-    def _execute(self, wave: SiWavefront, t_issue: int) -> int:
-        pc = wave.pc
-        decoded = self._decoded
-        if not 0 <= pc < len(decoded):
-            # Only reachable under fault injection (corrupted wave pc);
-            # the campaign classifies the exception as DUE.
-            raise IllegalInstruction(
-                f"pc {pc} outside program 0..{len(decoded) - 1}"
-            )
-        inst, info, latency = decoded[pc]
-
-        # Hot-path profiling hook: one global read + branch when off.
-        prof = _profile.ACTIVE
-        if prof is not None:
-            prof.dispatch("si", info.latency_class,
-                          bool(info.memory_space))
-
-        self._wave = wave
+    def _execute(self, wave: SiWavefront, pc: int, inst, info, handler,
+                 t_issue: int) -> int:
         self.scc = wave.scc
         self.eff_mask = wave.exec_mask & wave.valid_mask
         self.eff_bool = _mask_to_bools(self.eff_mask, self.config.warp_size)
-        self._cycle = t_issue
 
         if not info.is_scalar and self.eff_mask == 0:
             # Vector op with EXEC == 0: architecturally a no-op.
             wave.pc = pc + 1
-            return latency
+            return 0
 
-        effect = semantics.execute(self, inst)
+        effect = handler(self, inst)
         wave.scc = self.scc
 
         if effect.kind == "branch":
@@ -129,7 +87,7 @@ class SiCore(CoreBase):
             self._arrive_barrier(wave, t_issue)
         else:
             wave.pc = pc + 1
-        return latency + effect.extra_cycles
+        return effect.extra_cycles
 
     # ------------------------------------------------------------------
     # Mask helpers
@@ -143,15 +101,12 @@ class SiCore(CoreBase):
     # ------------------------------------------------------------------
     # Wavefront-context protocol (used by repro.isa.si.semantics)
     # ------------------------------------------------------------------
-    def resolve_label(self, ref) -> int:
-        return self.program.resolve_label(ref)
-
     def read_vreg(self, reg: VReg) -> np.ndarray:
-        row = self._wave.reg_base_row + reg.index
+        row = self._warp.reg_base_row + reg.index
         return self.regfile.read_row(row, self.eff_mask, self._cycle)
 
     def write_vreg(self, reg: VReg, values: np.ndarray) -> None:
-        row = self._wave.reg_base_row + reg.index
+        row = self._warp.reg_base_row + reg.index
         self.regfile.write_row(
             row, values, self.eff_bool, self.eff_mask, self._cycle
         )
@@ -161,7 +116,7 @@ class SiCore(CoreBase):
             return self.read_vreg(op)
         if isinstance(op, SReg):
             return np.full(
-                self.config.warp_size, self._wave.sgprs[op.index], dtype=np.uint32
+                self.config.warp_size, self._warp.sgprs[op.index], dtype=np.uint32
             )
         if isinstance(op, Imm):
             return const_u32(self.config.warp_size, op.value)
@@ -172,7 +127,7 @@ class SiCore(CoreBase):
 
     def read_scalar32(self, op) -> int:
         if isinstance(op, SReg):
-            return int(self._wave.sgprs[op.index])
+            return int(self._warp.sgprs[op.index])
         if isinstance(op, Imm):
             return op.value
         if isinstance(op, Param):
@@ -181,21 +136,21 @@ class SiCore(CoreBase):
 
     def write_scalar32(self, op, value: int) -> None:
         if isinstance(op, SReg):
-            self._wave.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
+            self._warp.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
             return
         raise IllegalInstruction(f"cannot write scalar destination {op!r}")
 
     def read_mask64(self, op) -> int:
         if isinstance(op, SpecialScalar):
             if op.name == "vcc":
-                return self._wave.vcc
+                return self._warp.vcc
             if op.name == "exec":
-                return self._wave.exec_mask
+                return self._warp.exec_mask
             if op.name == "scc":
                 return int(self.scc)
         if isinstance(op, SRegPair):
-            low = int(self._wave.sgprs[op.index])
-            high = int(self._wave.sgprs[op.index + 1])
+            low = int(self._warp.sgprs[op.index])
+            high = int(self._warp.sgprs[op.index + 1])
             return low | (high << 32)
         if isinstance(op, Imm):
             return op.value & _MASK64
@@ -205,57 +160,13 @@ class SiCore(CoreBase):
         value &= _MASK64
         if isinstance(op, SpecialScalar):
             if op.name == "vcc":
-                self._wave.vcc = value
+                self._warp.vcc = value
                 return
             if op.name == "exec":
-                self._wave.exec_mask = value
+                self._warp.exec_mask = value
                 return
         if isinstance(op, SRegPair):
-            self._wave.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
-            self._wave.sgprs[op.index + 1] = np.uint32(value >> 32)
+            self._warp.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
+            self._warp.sgprs[op.index + 1] = np.uint32(value >> 32)
             return
         raise IllegalInstruction(f"cannot write 64-bit destination {op!r}")
-
-    # ------------------------------------------------------------------
-    # Memory
-    # ------------------------------------------------------------------
-    def global_load(self, addresses: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        selected = addresses[sel]
-        out[sel] = self.gmem.load_words(selected)
-        return out, self._coalescing_extra(selected)
-
-    def global_store(self, addresses: np.ndarray, values: np.ndarray) -> int:
-        sel = self.eff_bool
-        selected = addresses[sel]
-        self.gmem.store_words(selected, values[sel])
-        return self._coalescing_extra(selected)
-
-    def global_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        selected = addresses[sel]
-        out[sel] = self.gmem.atomic_add(selected, values[sel])
-        return out, self._coalescing_extra(selected)
-
-    def _lds_addrs(self, addresses: np.ndarray) -> np.ndarray:
-        return addresses + self._wave.block.lmem_base
-
-    def shared_load(self, addresses: np.ndarray) -> np.ndarray:
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        out[sel] = self.lmem.load(self._lds_addrs(addresses)[sel], self._cycle)
-        return out
-
-    def shared_store(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        sel = self.eff_bool
-        self.lmem.store(self._lds_addrs(addresses)[sel], values[sel], self._cycle)
-
-    def shared_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
-        sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
-        out[sel] = self.lmem.atomic_add(
-            self._lds_addrs(addresses)[sel], values[sel], self._cycle
-        )
-        return out

@@ -353,18 +353,28 @@ class TestControlSnapshotRestore:
 
 
 class TestFetchHardening:
-    def test_wild_pc_is_illegal_instruction_not_crash(self):
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    @pytest.mark.parametrize("where", ["below", "past_end", "wild"])
+    def test_pc_outside_program(self, isa, where):
+        """Both ends of the shared fetch bounds check, one pc outside,
+        and a pc far outside."""
         from repro.errors import IllegalInstruction
-        gpu, core = _resident_sass()
-        core.control[SIMT_STACK]._write(0, 10 ** 6)  # pc far outside program
+        gpu, core = _resident_sass() if isa == "sass" else _resident_si()
+        pc = {"below": -1, "past_end": len(core.program),
+              "wild": 10 ** 6 if isa == "sass" else -3}[where]
+        warp = core.warps[0]
+        if isa == "sass":
+            warp.stack.top.pc = pc
+        else:
+            warp.pc = pc
         with pytest.raises(IllegalInstruction, match="pc"):
             while core.has_work:
                 core.run_until_retire()
 
-    def test_wild_pc_si(self):
+    def test_wild_pc_is_illegal_instruction_not_crash(self):
         from repro.errors import IllegalInstruction
-        gpu, core = _resident_si()
-        core.warps[0].pc = -3
+        gpu, core = _resident_sass()
+        core.control[SIMT_STACK]._write(0, 10 ** 6)  # pc far outside program
         with pytest.raises(IllegalInstruction, match="pc"):
             while core.has_work:
                 core.run_until_retire()

@@ -5,6 +5,8 @@ GUFI-style acceleration: every fault the resolver prunes as dead must,
 when actually re-simulated, produce bit-identical outputs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,44 @@ VECTORADD_ROWS = {"sass": (MINI_NVIDIA, 6, 5), "si": (MINI_AMD, 4, 3)}
 BIT = 7
 
 
+def _run_tiny(config, name, plan=None):
+    gpu = Gpu(config)
+    if plan is not None:
+        gpu.set_faults([plan])
+    return run_workload(gpu, get_workload(name, "tiny"))
+
+
+def _recorded(config, name):
+    """Every sim event of one fault-free ``tiny`` run of ``name``."""
+    recorder = EventRecorder()
+    run_workload(Gpu(config, sink=recorder), get_workload(name, "tiny"))
+    return recorder
+
+
+def _is_live(config, name, plan):
+    resolver = FaultSiteResolver(config, [plan])
+    run_workload(Gpu(config, sink=resolver), get_workload(name, "tiny"))
+    return resolver.is_live(plan)
+
+
+def _assert_exact_sdc(config, name, plan):
+    """SDC: exactly one output word, off by exactly the flipped bit."""
+    golden = _run_tiny(config, name).outputs
+    faulty = _run_tiny(config, name, plan).outputs
+    assert classify_outputs(golden, faulty) is Outcome.SDC
+    assert count_corrupted_words(golden, faulty) == 1
+    (buffer,) = golden
+    (index,) = np.flatnonzero(faulty[buffer] != golden[buffer])
+    assert faulty[buffer][index] == golden[buffer][index] ^ (1 << plan.bit)
+
+
+def _assert_masked_at_golden_cycles(config, name, plan):
+    golden = _run_tiny(config, name)
+    faulty = _run_tiny(config, name, plan)
+    assert classify_outputs(golden.outputs, faulty.outputs) is Outcome.MASKED
+    assert faulty.cycles == golden.cycles
+
+
 class TestVectoraddRegisterFaults:
     """Hand-derived ``vectoradd`` faults on lane 0 of core 0's first warp.
 
@@ -146,29 +186,12 @@ class TestVectoraddRegisterFaults:
     """
 
     @staticmethod
-    def _run(config, plan=None):
-        workload = get_workload("vectoradd", "tiny")
-        gpu = Gpu(config)
-        if plan is not None:
-            gpu.set_faults([plan])
-        return run_workload(gpu, workload)
-
-    @staticmethod
     def _events(config, row):
         """(cycle, is_write) of every access to ``row`` lane 0, core 0."""
-        recorder = EventRecorder()
-        run_workload(Gpu(config, sink=recorder),
-                     get_workload("vectoradd", "tiny"))
+        recorder = _recorded(config, "vectoradd")
         return [(cycle, is_write)
                 for cycle, core, r, mask, is_write in recorder.reg_events
                 if core == 0 and r == row and mask & 1]
-
-    @staticmethod
-    def _is_live(config, plan):
-        resolver = FaultSiteResolver(config, [plan])
-        run_workload(Gpu(config, sink=resolver),
-                     get_workload("vectoradd", "tiny"))
-        return resolver.is_live(plan)
 
     def _sum_window(self, config, sum_row):
         """(add cycle, store cycle) of the sum register's final value."""
@@ -180,23 +203,14 @@ class TestVectoraddRegisterFaults:
         assert add == add_write < store
         return add, store
 
-    def _assert_exact_sdc(self, config, plan):
-        """SDC: exactly one output word, off by exactly the flipped bit."""
-        golden = self._run(config).outputs
-        faulty = self._run(config, plan).outputs
-        assert classify_outputs(golden, faulty) is Outcome.SDC
-        assert count_corrupted_words(golden, faulty) == 1
-        (index,) = np.flatnonzero(faulty["c"] != golden["c"])
-        assert faulty["c"][index] == golden["c"][index] ^ (1 << BIT)
-
     @pytest.mark.parametrize("isa", ["sass", "si"])
     def test_fault_at_last_read_issue_cycle_corrupts(self, isa):
         config, sum_row, _ = VECTORADD_ROWS[isa]
         _, store = self._sum_window(config, sum_row)
         plan = FaultPlan(REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
                          store)
-        assert self._is_live(config, plan)
-        self._assert_exact_sdc(config, plan)
+        assert _is_live(config, "vectoradd", plan)
+        _assert_exact_sdc(config, "vectoradd", plan)
 
     @pytest.mark.parametrize("isa", ["sass", "si"])
     def test_fault_at_overwrite_issue_cycle_is_masked(self, isa):
@@ -210,21 +224,75 @@ class TestVectoraddRegisterFaults:
         assert (write, False) not in events, "the overwrite also reads"
         plan = FaultPlan(REGISTER_FILE, 0, addr_row * config.warp_size, 2,
                          write)
-        assert not self._is_live(config, plan)
-        golden = self._run(config)
-        faulty = self._run(config, plan)
-        assert classify_outputs(golden.outputs, faulty.outputs) \
-            is Outcome.MASKED
-        assert faulty.cycles == golden.cycles
+        assert not _is_live(config, "vectoradd", plan)
+        _assert_masked_at_golden_cycles(config, "vectoradd", plan)
 
     @pytest.mark.parametrize("isa", ["sass", "si"])
     def test_sum_register_flip_is_one_exact_sdc(self, isa):
         """A flip strictly between the add and the store."""
         config, sum_row, _ = VECTORADD_ROWS[isa]
         add, store = self._sum_window(config, sum_row)
-        self._assert_exact_sdc(config, FaultPlan(
+        _assert_exact_sdc(config, "vectoradd", FaultPlan(
             REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
             (add + store) // 2))
+
+
+#: Chips for the local-memory pair. Each holds two ``transpose`` blocks
+#: on core 0 at once, so the second block's tile sits at a nonzero
+#: local-memory base. MINI_AMD's register file holds one block's VGPRs;
+#: twice that makes room for the second block.
+TRANSPOSE_CHIPS = {
+    "sass": MINI_NVIDIA,
+    "si": replace(MINI_AMD, registers_per_core=2 * MINI_AMD.registers_per_core),
+}
+
+
+class TestTransposeLocalMemoryFaults:
+    """Hand-derived ``transpose`` faults on one shared-tile word.
+
+    The local-memory side of the fault-timing convention pinned for the
+    register file by :class:`TestVectoraddRegisterFaults`. Each tile
+    word is written once by the shared store and read once by the
+    shared load, which passes the value to the output unchanged. The
+    word lies in the tile of the second block resident on core 0, so
+    a shared access that ignored the block's local-memory base would
+    miss it.
+    """
+
+    @staticmethod
+    def _tile_word(config):
+        """(word, store cycle, load cycle) of core 0's highest tile word."""
+        recorder = _recorded(config, "transpose")
+        allocs = [lmem_bytes
+                  for _, core, _, lmem_bytes, kind in recorder.block_events
+                  if core == 0 and kind == "alloc"]
+        accesses = [(cycle, words, is_write)
+                    for cycle, core, words, is_write in recorder.lmem_events
+                    if core == 0]
+        word = max(w for _, words, _ in accesses for w in words)
+        assert word >= allocs[0] // 4, "not in the second block's tile"
+        events = [(cycle, is_write)
+                  for cycle, words, is_write in accesses if word in words]
+        assert [w for _, w in events] == [True, False]
+        (store, _), (load, _) = events
+        assert store < load
+        return word, store, load
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_fault_at_last_load_issue_cycle_corrupts(self, isa):
+        config = TRANSPOSE_CHIPS[isa]
+        word, _, load = self._tile_word(config)
+        plan = FaultPlan(LOCAL_MEMORY, 0, word, BIT, load)
+        assert _is_live(config, "transpose", plan)
+        _assert_exact_sdc(config, "transpose", plan)
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_fault_at_overwrite_issue_cycle_is_masked(self, isa):
+        config = TRANSPOSE_CHIPS[isa]
+        word, store, _ = self._tile_word(config)
+        plan = FaultPlan(LOCAL_MEMORY, 0, word, BIT, store)
+        assert not _is_live(config, "transpose", plan)
+        _assert_masked_at_golden_cycles(config, "transpose", plan)
 
 
 class TestPruningExactness:

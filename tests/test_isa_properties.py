@@ -8,6 +8,7 @@ microarchitecture).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,3 +162,15 @@ class TestComparisonAgreement:
         expected = int(to_signed(a) < to_signed(b))
         assert int(sass_snap["out"][0]) == expected
         assert int(si_snap["out"][0]) == expected
+
+
+@pytest.mark.parametrize("isa", ["sass", "si"])
+def test_every_opcode_has_exactly_one_handler(isa):
+    """The decode cache looks each opcode's handler up when a program
+    is prepared, so the opcode table and the handler table must name
+    the same mnemonics: an assembled opcode always has semantics, and
+    no handler is unreachable."""
+    from repro.sim.sass_core import SassCore
+    from repro.sim.si_core import SiCore
+    core = SassCore if isa == "sass" else SiCore
+    assert core.OPCODES and set(core.OPCODES) == set(core.HANDLERS)

@@ -28,6 +28,14 @@ class TestDirectives:
         with pytest.raises(AssemblyError, match="no instructions"):
             assemble_sass(".kernel t\n.regs 4\n")
 
+    @pytest.mark.parametrize("later", [".bogus 3", "L:"])
+    def test_first_error_in_line_order(self, later):
+        """A bad instruction is reported before a later directive or
+        label error (here a bad directive, or ``L`` defined twice)."""
+        with pytest.raises(AssemblyError, match="unknown opcode") as info:
+            assemble_sass(f".kernel t\nL:\nFOO R0\n{later}\nEXIT\n")
+        assert info.value.line == 3
+
 
 class TestOperands:
     def test_registers(self):
@@ -75,6 +83,12 @@ class TestOperands:
     def test_unparseable_operand(self):
         with pytest.raises(AssemblyError, match="cannot parse"):
             asm("MOV R0, @@")
+
+    def test_leading_dot_float_takes_no_exponent(self):
+        """SASS spells floats more narrowly than SI (``.5e3`` is an SI
+        float), so each assembler keeps its own float pattern."""
+        with pytest.raises(AssemblyError, match="cannot parse"):
+            asm("MOV32I R0, .5e3")
 
 
 class TestGuards:

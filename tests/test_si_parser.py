@@ -26,6 +26,14 @@ class TestDirectives:
         program = asm("s_nop", sregs=2)
         assert program.scalar_registers >= ABI_SGPRS
 
+    @pytest.mark.parametrize("later", [".bogus 3", "L:"])
+    def test_first_error_in_line_order(self, later):
+        """A bad instruction is reported before a later directive or
+        label error (here a bad directive, or ``L`` defined twice)."""
+        with pytest.raises(AssemblyError, match="unknown opcode") as info:
+            assemble_si(f".kernel t\nL:\nv_bogus v0\n{later}\ns_endpgm\n")
+        assert info.value.line == 3
+
 
 class TestOperands:
     def test_regs(self):
@@ -61,6 +69,10 @@ class TestOperands:
     def test_float_imm(self):
         program = asm("v_mov_b32 v2, 0.5")
         assert program.at(0).operands[1] == Imm(float_to_bits(0.5))
+
+    def test_float_imm_leading_dot_exponent(self):
+        program = asm("v_mov_b32 v2, .5e3")
+        assert program.at(0).operands[1] == Imm(float_to_bits(500.0))
 
     def test_int_imm_hex(self):
         program = asm("v_mov_b32 v2, 0x7f7fffff")
