@@ -120,6 +120,15 @@ MUTANTS = (
         new="            if plan.cycle >= cycle or not lane_test(plan):",
         tests=("tests/test_liveness.py::TestResolver", *_FAULT_TIMING),
     ),
+    Mutant(
+        name="ipdom-keeps-first-successor",
+        breaks="the post-dominator intersect keeps the first processed "
+               "successor instead of walking both fingers up the tree",
+        path="src/repro/isa/sass/cfg.py",
+        old="                    new = succ if new is None else _meet(succ, new, ipdom, rank)",
+        new="                    new = succ if new is None else new",
+        tests=("tests/test_cfg.py",),
+    ),
 )
 
 

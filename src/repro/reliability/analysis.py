@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 
 
@@ -91,6 +89,8 @@ def avf_occupancy_correlation(cells: list, structure: str,
     avfs, occs = zip(*pairs)
     if max(avfs) == min(avfs) or max(occs) == min(occs):
         return 0.0
+    from scipy import stats  # slow to load; campaigns never correlate
+
     r, _p = stats.pearsonr(avfs, occs)
     return float(r)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.errors import ConfigError
 
 
@@ -25,6 +23,10 @@ def z_score(confidence: float) -> float:
     """Two-sided normal quantile for a confidence level in (0, 1)."""
     if not 0 < confidence < 1:
         raise ConfigError(f"confidence {confidence} outside (0, 1)")
+    # Imported here: scipy takes about a second to load, and campaign
+    # processes never need it (only reports and analysis do).
+    from scipy import stats
+
     return float(stats.norm.ppf((1 + confidence) / 2))
 
 

@@ -46,6 +46,28 @@ class TestSamplingFormula:
         assert z_score(0.95) == pytest.approx(1.9600, abs=1e-3)
         assert z_score(0.99) == pytest.approx(2.5758, abs=1e-3)
 
+    #: confidence -> (z, margin at 2000 samples, same at N = 10**6,
+    #: samples for 2.88%, same at N = 10**5), from scipy.stats.norm.ppf.
+    #: Exact floats: stored AVF margins must stay bit for bit.
+    EXACT = {
+        0.9: (1.6448536269514722, 0.01839002261450286, 0.018371632573489113,
+              816, 809),
+        0.95: (1.959963984540054, 0.02191306351441454, 0.021891150428976068,
+               1158, 1145),
+        0.99: (2.5758293035489004, 0.028798647105856407, 0.028769848429937458,
+               2000, 1961),
+    }
+
+    @pytest.mark.parametrize("confidence", sorted(EXACT))
+    def test_exact_values(self, confidence):
+        assert (
+            z_score(confidence),
+            margin_of_error(2000, confidence=confidence),
+            margin_of_error(2000, population=10**6, confidence=confidence),
+            required_samples(0.0288, confidence=confidence),
+            required_samples(0.0288, population=10**5, confidence=confidence),
+        ) == self.EXACT[confidence]
+
     def test_bad_confidence(self):
         with pytest.raises(ConfigError):
             z_score(1.5)
