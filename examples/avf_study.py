@@ -13,7 +13,7 @@ from repro import (
     REGISTER_FILE,
     CampaignSpec,
     format_avf_figure,
-    run_matrix,
+    run_campaign,
 )
 
 GPUS = ("hd7970", "gtx480")
@@ -21,15 +21,15 @@ BENCHMARKS = ("matrixMul", "reduction", "histogram")
 
 
 def main() -> None:
-    # One declarative spec covers the whole 2x3 slice; run_matrix
-    # shares golden runs and reports cells in matrix order.
+    # One declarative spec covers the whole 2x3 slice; one campaign
+    # serves both figures and reports cells in matrix order.
     spec = CampaignSpec(gpus=GPUS, workloads=BENCHMARKS,
                         scale="small", samples=150, seed=0)
-    cells = run_matrix(
+    cells = run_campaign(
         spec,
         progress=lambda cell: print(
             f"done {cell.gpu} / {cell.workload}", flush=True),
-    )
+    ).cells
 
     print()
     print(format_avf_figure(cells, REGISTER_FILE,

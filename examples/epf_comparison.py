@@ -13,7 +13,7 @@ from repro import (
     REGISTER_FILE,
     CampaignSpec,
     format_epf_figure,
-    run_matrix,
+    run_campaign,
 )
 
 BENCHMARK = "vectoradd"
@@ -23,10 +23,10 @@ def main() -> None:
     # gpus left unset = all four scaled chips, in figure order.
     spec = CampaignSpec(workloads=(BENCHMARK,), scale="small",
                         samples=150, seed=0)
-    cells = run_matrix(
+    cells = run_campaign(
         spec,
         progress=lambda cell: print(f"done {cell.gpu}", flush=True),
-    )
+    ).cells
 
     print()
     print(format_epf_figure(cells, f"EPF on {BENCHMARK} (mini Fig. 3)"))

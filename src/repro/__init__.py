@@ -69,6 +69,7 @@ from repro.errors import (
     SimFault,
     WatchdogTimeout,
 )
+from repro.experiments.figures import run_figure
 from repro.faultmodels import (
     FAULT_MODELS,
     FaultModel,
@@ -99,7 +100,6 @@ from repro.reliability import (
     required_samples,
     run_cell,
     run_golden,
-    run_matrix,
 )
 from repro.reliability.report import (
     format_ace_vs_fi,
@@ -132,7 +132,6 @@ from repro.spec import (
     run_sweep,
 )
 from repro.telemetry import (
-    CallbackTelemetrySink,
     JsonlTelemetrySink,
     MemoryTelemetrySink,
     ProfileCollector,
@@ -179,8 +178,8 @@ __all__ = [
     "ExecutionBackend", "CoordinatorUnreachable",
     # engine telemetry (observability)
     "TelemetrySink", "MemoryTelemetrySink", "JsonlTelemetrySink",
-    "CallbackTelemetrySink", "TelemetryHub",
-    "load_telemetry", "load_telemetry_events", "telemetry_path_for_store",
+    "TelemetryHub", "load_telemetry", "load_telemetry_events",
+    "telemetry_path_for_store",
     # hot-path profiling (observability)
     "ProfileCollector", "TelemetryTail", "aggregate_profiles",
     "format_profile", "top_cost_centers",
@@ -190,7 +189,7 @@ __all__ = [
     # checkpointing
     "CheckpointRecorder", "SnapshotSet", "capture_snapshots",
     # reliability
-    "run_cell", "run_matrix", "run_golden",
+    "run_cell", "run_figure", "run_golden",
     "CellResult", "AvfEstimate", "AceMode", "Outcome",
     "compute_epf", "EpfResult", "RAW_FIT_PER_BIT",
     "margin_of_error", "required_samples",

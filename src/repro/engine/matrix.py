@@ -8,8 +8,8 @@ cell's re-simulations), caches golden runs by (gpu, workload, scale,
 scheduler, ace_mode), and records every finished job in a persistent
 :class:`~repro.engine.store.ResultStore` — making interrupted campaigns
 resumable and repeated invocations incremental. This is the one
-campaign path: ``run_cell`` and ``run_matrix`` run through it, and its
-results are bit-identical for any worker count and any shard size;
+campaign path: ``run_cell``, the figures and sweeps run through it, and
+its results are bit-identical for any worker count and any shard size;
 spec fields map one-to-one onto the job fingerprint
 parameters (:func:`cell_fingerprints`), so stores written before the
 spec API resume with zero jobs executed.
@@ -35,7 +35,6 @@ from repro.engine.store import ResultStore
 from repro.kernels.registry import get_workload
 from repro.reliability.campaign import CellResult
 from repro.errors import ConfigError
-from repro.reliability.liveness import AceMode
 from repro.arch.structures import exposed_structures
 from repro.telemetry import profile as _profile
 from repro.telemetry.profile import merge_profiles
@@ -54,15 +53,30 @@ class CampaignResult:
     stats: CampaignStats
 
 
-def _cell_jobs(config: GpuConfig, workload_name: str, scale: str,
-               samples: int, seed: int, scheduler: str, structures: tuple,
-               ace_mode: AceMode, raw_fit_per_bit: float, shard_size: int,
-               store: ResultStore | None,
-               fault_model: str,
-               checkpoint_interval=None,
-               inline: bool = True,
-               profile: bool = False,
-               suffix_memo: bool = False) -> tuple[list[JobSpec], str]:
+def _fingerprints(spec, config: GpuConfig, workload_name: str,
+                  structures: tuple) -> tuple[str, str, str]:
+    """(golden, plan, cell) fingerprints of one cell of ``spec``.
+
+    ``structures`` is the cell's exposed subset (:func:`iter_cells`).
+    """
+    golden_fp = fingerprint(
+        jobs.GOLDEN,
+        golden_params(config, workload_name, spec.resolved_scale(),
+                      spec.scheduler, spec.ace_mode))
+    plan_fp = fingerprint(
+        jobs.PLAN,
+        plan_params(golden_fp, spec.resolved_samples(), spec.seed,
+                    structures, spec.fault_model))
+    cell_fp = fingerprint(
+        jobs.CELL,
+        cell_params(plan_fp, spec.raw_fit_per_bit,
+                    checkpoint=spec.checkpoint_interval))
+    return golden_fp, plan_fp, cell_fp
+
+
+def _cell_jobs(spec, config: GpuConfig, workload_name: str,
+               structures: tuple, store: ResultStore | None, *,
+               inline: bool, profile: bool) -> tuple[list[JobSpec], str]:
     """Job chain for one cell; returns (root jobs, cell job id).
 
     ``inline`` — True when the campaign runs without a process pool.
@@ -73,17 +87,8 @@ def _cell_jobs(config: GpuConfig, workload_name: str, scale: str,
     pickles to tens of MB — shipping it per shard submission would
     cost more than the suffix-only speedup buys).
     """
-    golden_fp = fingerprint(
-        jobs.GOLDEN,
-        golden_params(config, workload_name, scale, scheduler, ace_mode),
-    )
-    plan_fp = fingerprint(
-        jobs.PLAN,
-        plan_params(golden_fp, samples, seed, structures, fault_model))
-    cell_fp = fingerprint(
-        jobs.CELL,
-        cell_params(plan_fp, raw_fit_per_bit,
-                    checkpoint=checkpoint_interval))
+    golden_fp, plan_fp, cell_fp = _fingerprints(
+        spec, config, workload_name, structures)
     if store is not None and cell_fp in store:
         # Finished cell: short-circuit the whole chain (cell
         # fingerprints ignore shard geometry, so even a different
@@ -95,6 +100,12 @@ def _cell_jobs(config: GpuConfig, workload_name: str, scale: str,
             fingerprint=cell_fp,
             reduce_fn=lambda deps: store.get(cell_fp),
         )], cell_fp
+    scale, scheduler = spec.resolved_scale(), spec.scheduler
+    samples, seed = spec.resolved_samples(), spec.seed
+    fault_model = spec.fault_model
+    checkpoint_interval = spec.checkpoint_interval
+    shard_size = spec.resolved_shard_size()
+    suffix_memo = spec.resolved_suffix_memo()
     uses_local_memory = get_workload(workload_name, scale).uses_local_memory
 
     def expand_plan(plan_payload: dict) -> list[JobSpec]:
@@ -137,7 +148,7 @@ def _cell_jobs(config: GpuConfig, workload_name: str, scale: str,
             with jobs._collecting(collector), _profile.phase("reduce"):
                 payload = jobs.reduce_cell_job(
                     config, workload_name, scale, scheduler, samples, seed,
-                    structures, raw_fit_per_bit, uses_local_memory,
+                    structures, spec.raw_fit_per_bit, uses_local_memory,
                     deps[golden_fp], deps[plan_fp],
                     [deps[shard_id] for shard_id in shard_ids],
                     fault_model=fault_model,
@@ -178,7 +189,7 @@ def _cell_jobs(config: GpuConfig, workload_name: str, scale: str,
         # Pooled golden jobs skip capture: their payload would haul
         # the snapshots back through a pickle the shards never read.
         make_args=lambda deps: (
-            config, workload_name, scale, scheduler, ace_mode.value,
+            config, workload_name, scale, scheduler, spec.ace_mode.value,
             checkpoint_interval if inline else None, profile),
         cache_in_memory=True,
     )
@@ -222,21 +233,9 @@ def cell_fingerprints(spec) -> dict:
     run of ``spec`` leaves in a store — usable to check resumability
     (every fingerprint present means a re-run executes zero jobs).
     """
-    out = {}
-    for config, name, cell_structures in iter_cells(spec):
-        golden_fp = fingerprint(
-            jobs.GOLDEN,
-            golden_params(config, name, spec.resolved_scale(),
-                          spec.scheduler, spec.ace_mode))
-        plan_fp = fingerprint(
-            jobs.PLAN,
-            plan_params(golden_fp, spec.resolved_samples(), spec.seed,
-                        cell_structures, spec.fault_model))
-        out[(config.name, name)] = fingerprint(
-            jobs.CELL,
-            cell_params(plan_fp, spec.raw_fit_per_bit,
-                        checkpoint=spec.checkpoint_interval))
-    return out
+    return {(config.name, name): _fingerprints(spec, config, name,
+                                               cell_structures)[2]
+            for config, name, cell_structures in iter_cells(spec)}
 
 
 def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
@@ -301,42 +300,22 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
     from repro.spec.campaign import require_spec
     spec = require_spec(spec, who="run_campaign")
 
-    scale = spec.resolved_scale()
-    samples = spec.resolved_samples()
-    shard_size = spec.resolved_shard_size()
-    checkpoint_interval = spec.checkpoint_interval
     own_store = isinstance(store, (str, Path))
     if own_store:
         store = ResultStore(store)
     stats = stats if stats is not None else CampaignStats()
     from repro.telemetry import resolve_telemetry
-    hub, own_hub = resolve_telemetry(
-        spec.telemetry if telemetry is None else telemetry, store)
     profile_on = bool(spec.profile if profile is None else profile)
-    if profile_on and hub is None:
-        # Profile events need a telemetry destination; default to the
-        # JSONL stream next to the store, like ``telemetry=True``.
-        try:
-            hub, own_hub = resolve_telemetry(True, store)
-        except ConfigError:
-            raise ConfigError(
-                "profiling needs somewhere to emit its events: give the "
-                "campaign a persistent store (the profile stream lands "
-                "next to it) or an explicit telemetry destination"
-            ) from None
+    hub, own_hub = resolve_telemetry(
+        spec.telemetry if telemetry is None else telemetry, store,
+        profile=profile_on)
 
     specs: list[JobSpec] = []
     cell_ids: list[str] = []
     for config, name, cell_structures in iter_cells(spec):
         roots, cell_id = _cell_jobs(
-            config, name, scale, samples, spec.seed, spec.scheduler,
-            cell_structures,
-            spec.ace_mode, spec.raw_fit_per_bit, shard_size, store,
-            spec.fault_model,
-            checkpoint_interval=checkpoint_interval,
-            inline=workers <= 1 and execution is None,
-            profile=profile_on,
-            suffix_memo=spec.resolved_suffix_memo())
+            spec, config, name, cell_structures, store,
+            inline=workers <= 1 and execution is None, profile=profile_on)
         specs.extend(roots)
         cell_ids.append(cell_id)
     if not specs:
@@ -385,7 +364,8 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
             spec=spec.describe(),
             gpus=[config.name for config in spec.resolved_gpus()],
             workloads=spec.resolved_workloads(),
-            scale=scale, samples=samples, seed=spec.seed,
+            scale=spec.resolved_scale(), samples=spec.resolved_samples(),
+            seed=spec.seed,
             fault_model=spec.fault_model,
             structures=list(spec.resolved_structures()),
             suffix_memo=spec.resolved_suffix_memo(),

@@ -459,7 +459,10 @@ class CampaignService:
                     telemetry = spec.telemetry
                     break
         from repro.telemetry import resolve_telemetry
-        self.hub, self._own_hub = resolve_telemetry(telemetry, store)
+        self.hub, self._own_hub = resolve_telemetry(
+            telemetry, store,
+            profile=profile if profile is not None
+            else any(spec.profile for spec in self.specs))
         self.profile = profile
         self.progress = progress
         self.backend = RemoteBackend(

@@ -1,14 +1,20 @@
-"""Experiment harnesses regenerating every figure of the paper.
+"""The paper's figures and the campaign command line.
 
-* :mod:`repro.experiments.fig1_regfile_avf` — Fig. 1 (register file AVF)
-* :mod:`repro.experiments.fig2_localmem_avf` — Fig. 2 (local memory AVF)
-* :mod:`repro.experiments.fig3_epf` — Fig. 3 (executions per failure)
-* :mod:`repro.experiments.fig_model_compare` — beyond the paper:
-  per-GPU AVF by fault model (transient / stuck_at / mbu)
+:mod:`repro.experiments.figures` holds the figures as data: one
+:data:`~repro.experiments.figures.FIGURES` entry each, run by
+:func:`~repro.experiments.figures.run_figure` on the one campaign path
+(:func:`repro.engine.run_campaign`):
 
-Every harness consumes one declarative
-:class:`repro.spec.CampaignSpec` (``run_fig1(spec, workers=...,
-store=...)``).
+* ``fig1`` — Fig. 1 (register file AVF)
+* ``fig2`` — Fig. 2 (local memory AVF)
+* ``fig3`` — Fig. 3 (executions per failure)
+* ``control`` — beyond the paper: per-GPU AVF of the control
+  structures (SIMT stack, predicate file, scheduler state)
+* ``models`` — beyond the paper: per-GPU AVF by fault model
+  (transient / stuck_at / mbu), one fault-model sweep
+
+Every figure consumes one declarative :class:`repro.spec.CampaignSpec`
+(``run_figure("fig1", spec, workers=..., store=...)``).
 
 CLI: ``python -m repro.experiments
 <fig1|fig2|fig3|control|models|all> [options]`` or the
@@ -32,14 +38,12 @@ useful flags:
 * ``--shard-size N`` — live fault plans per FI-shard job;
 * ``--seed`` / ``--out CSV`` — RNG seed and CSV export;
 * ``--fault-model MODEL`` — campaign fault model (``transient``,
-  ``stuck_at``, ``mbu``; ``--list-fault-models`` enumerates them).
+  ``stuck_at``, ``mbu``; ``--list-fault-models`` enumerates them);
+  for ``models`` it narrows the comparison to that one model.
 
 Each run ends with a campaign summary: jobs total / cached / executed.
 """
 
-from repro.experiments.fig1_regfile_avf import run_fig1
-from repro.experiments.fig2_localmem_avf import run_fig2
-from repro.experiments.fig3_epf import run_fig3
-from repro.experiments.fig_model_compare import run_model_compare
+from repro.experiments.figures import FIGURES, run_figure
 
-__all__ = ["run_fig1", "run_fig2", "run_fig3", "run_model_compare"]
+__all__ = ["FIGURES", "run_figure"]

@@ -1,4 +1,4 @@
-"""Command-line entry point for the experiment harnesses.
+"""Command-line entry point for the figures and spec-file campaigns.
 
 Campaigns are configured by one declarative
 :class:`repro.spec.CampaignSpec` object, and the CLI is a thin layer
@@ -6,7 +6,7 @@ of argparse *subcommands* over it, sharing one set of option groups:
 
 * the figure subcommands (``fig1`` ``fig2`` ``fig3`` ``control``
   ``models`` ``all``) build a spec from their campaign flags and run
-  the matching harness;
+  the matching :data:`repro.experiments.figures.FIGURES` entry;
 * ``run path/to/spec.toml`` executes a TOML/JSON spec file.
   ``--set key=value`` overrides individual spec fields; unknown keys
   and invalid values are registry-validated errors naming the valid
@@ -107,11 +107,7 @@ from repro.arch.presets import GPU_ALIASES, GPU_PRESETS
 from repro.arch.structures import STRUCTURE_REGISTRY, structure_info
 from repro.engine import CampaignStats, ResultStore
 from repro.errors import ConfigError
-from repro.experiments.fig1_regfile_avf import run_fig1
-from repro.experiments.fig2_localmem_avf import run_fig2
-from repro.experiments.fig3_epf import run_fig3
-from repro.experiments.fig_control_avf import run_control_avf
-from repro.experiments.fig_model_compare import run_model_compare
+from repro.experiments.figures import FIGURES, run_figure
 from repro.faultmodels.registry import FAULT_MODELS, list_fault_models
 from repro.kernels.registry import KERNEL_NAMES, get_workload
 from repro.reliability.report import format_avf_figure, write_cells_csv
@@ -124,16 +120,9 @@ from repro.spec import (
     run_sweep,
 )
 
-_EXPERIMENTS = {
-    "fig1": run_fig1,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "control": run_control_avf,
-    "models": run_model_compare,
-}
-
-#: ``all`` reproduces the paper's figures (models is opt-in).
-_FIGURES = ("fig1", "fig2", "fig3")
+#: ``all`` reproduces the paper's figures (control and models are
+#: opt-in).
+_PAPER_FIGURES = ("fig1", "fig2", "fig3")
 
 
 # ----------------------------------------------------------------------
@@ -312,18 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_list_flags(parser)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    figure_help = {
-        "fig1": "register-file AVF (paper Fig. 1)",
-        "fig2": "local-memory AVF (paper Fig. 2)",
-        "fig3": "executions-per-failure (paper Fig. 3)",
-        "control": "control-structure AVF (beyond the paper)",
-        "models": "per-GPU AVF across every fault model",
-        "all": "fig1 + fig2 + fig3 in one campaign",
-    }
-    for name in (*_EXPERIMENTS, "all"):
+    figure_help = {name: figure.help for name, figure in FIGURES.items()}
+    figure_help["all"] = "fig1 + fig2 + fig3 in one campaign"
+    for name, text in figure_help.items():
         sub.add_parser(
-            name, parents=[campaign, execution], help=figure_help[name],
-            description=f"Run the {figure_help[name]} experiment.")
+            name, parents=[campaign, execution], help=text,
+            description=f"Run the {text} experiment.")
 
     run_parser = sub.add_parser(
         "run", parents=[execution, telemetry],
@@ -712,33 +695,26 @@ def _axis_points(key: str, text: str) -> list:
 # ----------------------------------------------------------------------
 
 def _main_figures(args) -> int:
-    """The fig1/fig2/fig3/control/models/all experiment harnesses."""
+    """The figure subcommands: one :data:`FIGURES` entry, or ``all``."""
     _validate_args(args)
     spec = _spec_from_args(args)
-    names = list(_FIGURES) if args.command == "all" else [args.command]
+    names = _PAPER_FIGURES if args.command == "all" else [args.command]
     store = ResultStore(args.resume) if args.resume else None
     try:
         for name in names:
-            out_csv = args.out
-            if out_csv and args.command == "all":
-                out_csv = out_csv.replace(".csv", f"_{name}.csv")
             print(f"== running {name} ==", file=sys.stderr, flush=True)
             stats = CampaignStats()
-            extra = {}
-            if name == "models":
-                # A named model restricts the comparison; no flag
-                # compares them all.
-                extra["fault_models"] = (
-                    [args.fault_model] if args.fault_model else None)
-            _, report = _EXPERIMENTS[name](
-                spec,
-                out_csv=out_csv,
-                progress=None if args.quiet else _progress,
-                workers=args.workers,
-                store=store,
-                stats=stats,
-                **extra,
-            )
+            cells, report = run_figure(
+                name, spec,
+                # A named model narrows the models sweep to it; without
+                # --fault-model it compares them all.
+                fault_models=[args.fault_model] if args.fault_model
+                else None,
+                store=store, workers=args.workers,
+                progress=None if args.quiet else _progress, stats=stats)
+            if args.out:
+                write_cells_csv(cells, args.out if args.command != "all"
+                                else args.out.replace(".csv", f"_{name}.csv"))
             print(report)
             print()
             print(stats.summary(), file=sys.stderr, flush=True)
@@ -1007,7 +983,7 @@ def main(argv=None) -> int:
         return 0
     if args.command is None:
         print("error: an experiment "
-              f"({'|'.join((*sorted(_EXPERIMENTS), 'all'))}) or a "
+              f"({'|'.join((*sorted(FIGURES), 'all'))}) or a "
               "subcommand (run|sweep|status|profile|serve|worker|submit) "
               "is required unless "
               "--list-gpus/--list-workloads/--list-fault-models/"

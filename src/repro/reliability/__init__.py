@@ -4,7 +4,6 @@ from repro.reliability.campaign import (
     CellResult,
     average_cell,
     run_cell,
-    run_matrix,
 )
 from repro.reliability.epf import (
     RAW_FIT_PER_BIT,
@@ -30,7 +29,6 @@ from repro.spec.defaults import default_samples, default_scale
 
 __all__ = [
     "run_cell",
-    "run_matrix",
     "average_cell",
     "CellResult",
     "default_samples",

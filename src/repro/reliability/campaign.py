@@ -3,13 +3,12 @@
 One *cell* is everything the paper measures for one chip running one
 benchmark: AVF by fault injection and by ACE analysis for both target
 structures, structure occupancies, the cycle count, and the EPF. The
-figure harnesses (`repro.experiments`, `benchmarks/`) are thin loops
-over cells.
+figures (`repro.experiments.figures`, `benchmarks/`) are reports over
+cells.
 
 Campaigns are configured by one :class:`repro.spec.CampaignSpec`
-object — ``run_cell(spec)`` and ``run_matrix(spec)`` consume it
-directly, and both run on the job-graph engine
-(:func:`repro.engine.run_campaign`).
+object: :func:`repro.engine.run_campaign` runs a whole matrix on the
+job-graph engine, and ``run_cell(spec)`` one cell of it, inline.
 """
 
 from __future__ import annotations
@@ -91,31 +90,6 @@ def run_cell(spec) -> CellResult:
     spec = require_spec(spec, who="run_cell")
     spec.single()  # ConfigError unless exactly one GPU and one workload
     return run_campaign(spec).cells[0]
-
-
-def run_matrix(spec, *, progress=None, workers: int = 1,
-               store=None, stats=None, telemetry=None) -> list[CellResult]:
-    """Run the full (GPU x benchmark) matrix the figures are built from.
-
-    ``spec`` is a :class:`repro.spec.CampaignSpec`. Delegates to the
-    job-graph engine (:mod:`repro.engine.matrix`):
-    ``workers > 1`` runs whole cells concurrently on a process pool,
-    ``store`` (a path or :class:`repro.engine.ResultStore`) makes the
-    campaign resumable and incremental, and ``stats`` (a
-    :class:`repro.engine.CampaignStats`) collects the jobs
-    total/cached/executed accounting. Results are bit-identical for
-    every setting, and per cell to :func:`run_cell`. ``telemetry`` is the
-    engine observability stream (``None`` defers to the spec's
-    ``telemetry`` field — see :func:`repro.engine.run_campaign`).
-    """
-    from repro.engine.matrix import run_campaign
-    from repro.spec.campaign import require_spec
-    spec = require_spec(spec, who="run_matrix")
-    result = run_campaign(
-        spec, store=store, workers=workers, progress=progress, stats=stats,
-        telemetry=telemetry,
-    )
-    return result.cells
 
 
 def average_cell(cells: list[CellResult], gpu: str) -> dict:

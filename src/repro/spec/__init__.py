@@ -4,9 +4,10 @@ One typed, frozen, serializable :class:`CampaignSpec` object is the
 single configuration surface for every layer of the reproduction:
 
 * ``run_campaign(spec, store=..., workers=...)``, the one campaign
-  path, and its wrappers ``run_cell(spec)`` (one cell, inline) and
-  ``run_matrix(spec)``
-* the figure harnesses (``repro.experiments``)
+  path, and its wrapper ``run_cell(spec)`` (one cell, inline)
+* the figures (``run_figure(name, spec)`` over the
+  ``repro.experiments.figures.FIGURES`` table: fig1, fig2, fig3,
+  control, and models, a fault-model sweep)
 * spec files (``CampaignSpec.from_file`` / ``to_file``, TOML or JSON)
   and the ``repro-experiments run path/to/spec.toml`` CLI
 * sweeps (``spec.sweep(fault_model=[...], seed=range(3))`` /

@@ -2,7 +2,7 @@
 
 :class:`CampaignSpec` is the single configuration object every layer
 of the reproduction consumes: ``run_cell(spec)``,
-``run_campaign(spec, store=..., workers=...)``, the figure harnesses
+``run_campaign(spec, store=..., workers=...)``, the figures
 and the ``repro-experiments run`` / ``sweep`` CLI all take one frozen,
 validated, serializable spec instead of six-plus parallel kwarg lists.
 Adding a campaign axis is one field here — not a signature change in
@@ -25,7 +25,7 @@ Design rules:
   stores written before the spec API resume with zero jobs executed.
 * **``None`` means default.** Unset fields resolve at execution time
   (all chips, the full suite, env-default scale/samples, the paper's
-  datapath structure pair), so harnesses can tell "user chose X" from
+  datapath structure pair), so figures can tell "user chose X" from
   "use my figure's default".
 
 Serialization (``to_file``/``from_file`` for TOML and JSON) lives in

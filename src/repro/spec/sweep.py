@@ -130,18 +130,10 @@ def run_sweep(base: CampaignSpec, axes: dict, *, store=None, workers: int = 1,
     own_store = isinstance(store, (str, Path))
     if own_store:
         store = ResultStore(store)
-    hub, own_hub = resolve_telemetry(
-        base.telemetry if telemetry is None else telemetry, store)
     profile_on = bool(base.profile if profile is None else profile)
-    if profile_on and hub is None:
-        try:
-            hub, own_hub = resolve_telemetry(True, store)
-        except ConfigError:
-            raise ConfigError(
-                "profiling needs somewhere to emit its events: give the "
-                "sweep a persistent store (the profile stream lands next "
-                "to it) or an explicit telemetry destination"
-            ) from None
+    hub, own_hub = resolve_telemetry(
+        base.telemetry if telemetry is None else telemetry, store,
+        profile=profile_on)
     result = SweepResult(base=base, axes=dict(axes))
     if hub is not None:
         hub.record("sweep_begin", name=base.name,

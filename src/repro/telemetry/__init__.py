@@ -4,8 +4,8 @@ Structured telemetry for campaign execution: the scheduler, the
 in-process golden cache and the matrix driver emit schema-versioned
 events (job start/finish/cached, queue depth, worker occupancy, cache
 hit/miss, per-cell throughput) into a :class:`TelemetryHub` fanning
-out to pluggable sinks — an in-memory tape for tests, a JSONL file
-written next to the result store, or a streaming callback.
+out to pluggable sinks — an in-memory tape for tests, or a JSONL file
+written next to the result store.
 
 On top of the bus sits the hot-path profiling layer
 (:mod:`repro.telemetry.profile`): per-phase wall-time attribution and
@@ -31,7 +31,6 @@ from repro.telemetry.report import (
 )
 from repro.telemetry.sink import (
     TELEMETRY_SCHEMA_VERSION,
-    CallbackTelemetrySink,
     JsonlTelemetrySink,
     MemoryTelemetrySink,
     TelemetryHub,
@@ -50,7 +49,6 @@ from repro.telemetry.status import (
 __all__ = [
     "PHASES",
     "TELEMETRY_SCHEMA_VERSION",
-    "CallbackTelemetrySink",
     "CampaignStatus",
     "JsonlTelemetrySink",
     "MemoryTelemetrySink",

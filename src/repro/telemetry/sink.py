@@ -65,20 +65,6 @@ class MemoryTelemetrySink(TelemetrySink):
         return [e for e in self.events if e.get("event") == event_type]
 
 
-class CallbackTelemetrySink(TelemetrySink):
-    """Stream every event to a callable (live monitors, bridges)."""
-
-    def __init__(self, callback):
-        if not callable(callback):
-            raise ConfigError(
-                f"CallbackTelemetrySink needs a callable, got "
-                f"{type(callback).__name__}")
-        self.callback = callback
-
-    def emit(self, event: dict) -> None:
-        self.callback(event)
-
-
 class JsonlTelemetrySink(TelemetrySink):
     """Append one JSON line per event to a file.
 
@@ -107,7 +93,7 @@ class JsonlTelemetrySink(TelemetrySink):
             self._handle = None
 
 
-class TelemetryHub(TelemetrySink):
+class TelemetryHub:
     """Stamp events with the envelope and fan them out to sinks.
 
     The hub is what instrumented code holds: ``hub.record("job_start",
@@ -116,9 +102,6 @@ class TelemetryHub(TelemetrySink):
     and counted in ``dropped`` — observability must never change a
     campaign's outcome, so a failing sink cannot propagate into the
     scheduler.
-
-    A hub is itself a :class:`TelemetrySink` (``emit`` re-stamps the
-    envelope around an already-built event's fields), so hubs nest.
     """
 
     def __init__(self, *sinks: TelemetrySink):
@@ -145,11 +128,6 @@ class TelemetryHub(TelemetrySink):
             except Exception:
                 self.dropped += 1
         return event
-
-    def emit(self, event: dict) -> None:
-        fields = {k: v for k, v in event.items()
-                  if k not in ("v", "seq", "ts")}
-        self.record(fields.pop("event", "unknown"), **fields)
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -210,25 +188,38 @@ def load_telemetry(path: str | Path) -> list[dict]:
     return load_telemetry_events(path)[0]
 
 
-def resolve_telemetry(setting, store) -> tuple[TelemetryHub | None, bool]:
-    """Build the hub for one campaign's telemetry setting.
+def resolve_telemetry(setting, store, *,
+                      profile=False) -> tuple[TelemetryHub | None, bool]:
+    """Build the hub for one campaign's telemetry and profile settings.
 
     ``setting`` is the :class:`~repro.spec.CampaignSpec` ``telemetry``
     field or an entry point's ``telemetry=`` argument:
 
-    * ``None`` / ``False`` — telemetry off: ``(None, False)``;
+    * ``None`` / ``False`` — telemetry off: ``(None, False)``, unless
+      ``profile`` is on;
     * ``True`` — JSONL sink next to the persistent result store
       (requires ``store`` to have a path);
     * a path — JSONL sink at that path;
     * a :class:`TelemetrySink` — wrapped in a fresh hub;
     * a :class:`TelemetryHub` — used as-is (caller keeps ownership).
 
+    Profile events need a destination: with ``profile`` on and
+    telemetry off, the hub is the JSONL stream next to the store, as
+    for ``True``.
+
     Returns ``(hub, owned)``; the campaign closes the hub at the end
     iff ``owned`` (a caller-provided hub/sink may outlive the run —
-    sweeps share one hub across children).
+    sweeps and the campaign service share one hub across campaigns).
     """
     if setting is None or setting is False:
-        return None, False
+        if not profile:
+            return None, False
+        if getattr(store, "path", None) is None:
+            raise ConfigError(
+                "profiling needs somewhere to emit its events: give the "
+                "campaign a persistent store (the profile stream lands "
+                "next to it) or an explicit telemetry destination")
+        setting = True
     if isinstance(setting, TelemetryHub):
         return setting, False
     if isinstance(setting, TelemetrySink):

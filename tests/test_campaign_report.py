@@ -106,8 +106,8 @@ class TestReportFormatting:
 
 class TestExperimentHarnesses:
     def test_fig1_tiny(self):
-        from repro.experiments import run_fig1
-        cells, report = run_fig1(CampaignSpec(
+        from repro.experiments import run_figure
+        cells, report = run_figure("fig1", CampaignSpec(
             samples=10, scale="tiny", gpus=[MINI_NVIDIA],
             workloads=["vectoradd"], seed=0,
         ))
@@ -115,15 +115,15 @@ class TestExperimentHarnesses:
         assert "Register File AVF" in report
 
     def test_fig2_filters_to_lmem_users(self):
-        from repro.experiments.fig2_localmem_avf import local_memory_workloads
+        from repro.experiments.figures import local_memory_workloads
         subset = local_memory_workloads("tiny")
         assert "vectoradd" not in subset
         assert "matrixMul" in subset
         assert len(subset) == 7
 
     def test_fig3_tiny(self):
-        from repro.experiments import run_fig3
-        cells, report = run_fig3(CampaignSpec(
+        from repro.experiments import run_figure
+        cells, report = run_figure("fig3", CampaignSpec(
             samples=10, scale="tiny", gpus=[MINI_AMD],
             workloads=["histogram"], seed=0,
         ))

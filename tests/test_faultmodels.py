@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
-from repro.engine import clear_memory_cache
+from repro.engine import clear_memory_cache, run_campaign
 from repro.engine.fingerprint import fingerprint, plan_params
 from repro.errors import ConfigError
 from repro.faultmodels import (
@@ -26,7 +26,7 @@ from repro.faultmodels import (
 )
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
-from repro.reliability.campaign import run_cell, run_matrix
+from repro.reliability.campaign import run_cell
 from repro.reliability.fi import run_golden
 from repro.reliability.liveness import FaultSiteResolver
 from repro.sim.faults import FaultPlan
@@ -270,7 +270,7 @@ class TestEngineIntegration:
         spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=["histogram"],
                             scale="tiny", samples=24, seed=5,
                             fault_model=model)
-        cells = run_matrix(spec)
+        cells = run_campaign(spec).cells
         frozen = serial_verdict("cells.json")[f"faultmodels/{model}"]
         assert comparable(cells[0]) == frozen["row"]
         assert fi_counts(cells[0]) == frozen["counts"]
@@ -307,13 +307,13 @@ class TestEngineIntegration:
                             scale="tiny", samples=12, seed=2)
         for model in list_fault_models():
             clear_memory_cache()
-            run_matrix(spec.replace(fault_model=model), store=str(store))
+            run_campaign(spec.replace(fault_model=model), store=str(store))
         # Every model resumes fully cached from the shared store.
         for model in list_fault_models():
             clear_memory_cache()
             stats = CampaignStats()
-            cells = run_matrix(spec.replace(fault_model=model),
-                               store=str(store), stats=stats)
+            cells = run_campaign(spec.replace(fault_model=model),
+                                 store=str(store), stats=stats).cells
             assert stats.executed == 0, model
             assert cells[0].fault_model == model
 
@@ -325,8 +325,8 @@ class TestEngineIntegration:
         by_model = {}
         for model in list_fault_models():
             clear_memory_cache()
-            cells = run_matrix(spec.replace(fault_model=model),
-                               store=str(store))
+            cells = run_campaign(spec.replace(fault_model=model),
+                                 store=str(store)).cells
             by_model[model] = cells[0]
         assert len({c.fault_model for c in by_model.values()}) == 3
         # Stuck-at faults are never healed by write-back, so strictly

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import clear_memory_cache
-from repro.reliability.campaign import run_matrix
+from repro.engine import clear_memory_cache, run_campaign
 from repro.reliability.fi import run_golden
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
@@ -31,9 +30,9 @@ class TestCellParallelMatrix:
                             scale="tiny", samples=24, seed=5,
                             structures=STRUCTURES)
         clear_memory_cache()
-        serial = run_matrix(spec, workers=1)
+        serial = run_campaign(spec, workers=1).cells
         clear_memory_cache()
-        parallel = run_matrix(spec.replace(shard_size=5), workers=3)
+        parallel = run_campaign(spec.replace(shard_size=5), workers=3).cells
         assert [comparable(c) for c in serial] == \
                [comparable(c) for c in parallel]
         for left, right in zip(serial, parallel):
@@ -51,7 +50,7 @@ class TestCellParallelMatrix:
         spec = CampaignSpec(gpus=[MINI_NVIDIA], workloads=self.WORKLOADS,
                             scale="tiny", samples=24, seed=5,
                             structures=STRUCTURES)
-        cells = run_matrix(spec)
+        cells = run_campaign(spec).cells
         assert [cell.workload for cell in cells] == self.WORKLOADS
         for cell in cells:
             frozen = serial_verdict("cells.json")[
@@ -67,8 +66,8 @@ class TestCellParallelMatrix:
                             scale="tiny", samples=30, seed=7,
                             structures=STRUCTURES)
         clear_memory_cache()
-        coarse = run_matrix(spec.replace(shard_size=64))
-        fine = run_matrix(spec.replace(shard_size=1), workers=2)
+        coarse = run_campaign(spec.replace(shard_size=64)).cells
+        fine = run_campaign(spec.replace(shard_size=1), workers=2).cells
         assert [comparable(c) for c in coarse] == \
                [comparable(c) for c in fine]
 

@@ -22,13 +22,13 @@ def test_key_surfaces_are_exported():
     for name in (
         # campaign API
         "CampaignSpec", "run_campaign", "run_sweep", "run_cell",
-        "run_matrix", "ResultStore", "cell_fingerprints",
+        "run_figure", "ResultStore", "cell_fingerprints",
         # distributed campaign service
         "CampaignService", "CampaignWorker", "RemoteBackend",
         "ExecutionBackend", "CoordinatorUnreachable",
         # observability
         "TelemetrySink", "MemoryTelemetrySink", "JsonlTelemetrySink",
-        "CallbackTelemetrySink", "TelemetryHub", "load_telemetry",
+        "TelemetryHub", "load_telemetry",
         "load_telemetry_events", "telemetry_path_for_store",
         # profiling
         "ProfileCollector", "TelemetryTail", "aggregate_profiles",

@@ -32,7 +32,11 @@ from repro.engine.store import ResultStore, diff_stores
 from repro.errors import ConfigError
 from repro.spec import CampaignSpec
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
-from repro.telemetry import MemoryTelemetrySink
+from repro.telemetry import (
+    MemoryTelemetrySink,
+    load_telemetry,
+    telemetry_path_for_store,
+)
 from tests.conftest import MINI_AMD, MINI_NVIDIA
 
 #: The resume-suite campaign: small, cross-ISA, with real FI shards.
@@ -402,6 +406,32 @@ class TestDistributedCampaign:
         assert len(grants) >= 2  # at least the golden and plan jobs
         assert len(grants) == len(pushes)  # default TTL: nothing expired
         assert stats.executed > 0
+
+    @pytest.mark.parametrize("source", ["argument", "spec file"])
+    def test_profile_alone_shares_the_fleet_stream(self, tmp_path,
+                                                   monkeypatch, source):
+        """Profiling without telemetry opens one stream for everything.
+
+        The fleet events and the campaign's profile events land in the
+        same JSONL next to the store, whether profiling is asked for by
+        the service or by a served spec file.
+        """
+        monkeypatch.setattr(CampaignService, "SHUTDOWN_LINGER_S", 2.0)
+        store_path = tmp_path / "dist.jsonl"
+        if source == "argument":
+            specs, kwargs = [SMALL_SPEC], {"profile": True}
+        else:
+            spec_file = tmp_path / "profiled.toml"
+            spec_file.write_text(
+                'gpus = ["gtx480"]\nworkloads = ["histogram"]\n'
+                'scale = "tiny"\nsamples = 8\nprofile = true\n')
+            specs, kwargs = [CampaignSpec.from_file(spec_file)], {}
+        with ResultStore(store_path) as store:
+            _run_distributed(store, specs, worker_ids=("w1",), **kwargs)
+        events = {e["event"] for e in
+                  load_telemetry(telemetry_path_for_store(store_path))}
+        assert {"worker_register", "lease_grant", "job_push",
+                "cell_profile", "campaign_profile"} <= events, events
 
     def test_submit_endpoint_queues_specs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CampaignService, "SHUTDOWN_LINGER_S", 0.2)

@@ -14,17 +14,19 @@ here:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.engine.matrix import cell_fingerprints, run_campaign
 from repro.engine.scheduler import CampaignStats
 from repro.errors import ConfigError
-from repro.experiments.fig1_regfile_avf import run_fig1
-from repro.experiments.fig2_localmem_avf import run_fig2
-from repro.experiments.fig3_epf import run_fig3
-from repro.experiments.fig_control_avf import run_control_avf
-from repro.experiments.fig_model_compare import run_model_compare
-from repro.reliability.campaign import run_cell, run_matrix
+from repro.experiments.figures import (
+    FIGURES,
+    local_memory_workloads,
+    run_figure,
+)
+from repro.reliability.campaign import run_cell
 from repro.reliability.liveness import AceMode
 from repro.spec import CampaignSpec, expand_sweep, run_sweep
 from tests.conftest import MINI_AMD, MINI_NVIDIA
@@ -252,9 +254,10 @@ class TestEntryPoints:
     """Every campaign entry point takes a CampaignSpec and nothing else."""
 
     @pytest.mark.parametrize("entry_point", [
-        run_cell, run_matrix, run_campaign, run_fig1, run_fig2, run_fig3,
-        run_control_avf, run_model_compare,
-    ], ids=lambda entry_point: entry_point.__name__)
+        run_cell, run_campaign,
+        *(functools.partial(run_figure, name) for name in FIGURES),
+    ], ids=["run_cell", "run_campaign",
+            *(f"run_figure-{name}" for name in FIGURES)])
     def test_non_spec_positional_is_config_error(self, entry_point):
         for not_a_spec in ("gtx480", [MINI_NVIDIA], MINI_NVIDIA):
             with pytest.raises(ConfigError, match="CampaignSpec"):
@@ -262,26 +265,29 @@ class TestEntryPoints:
 
 
 class TestHarnessSpecPath:
-    """The fig harnesses consume specs and fill their own defaults."""
+    """The figures consume specs and fill their own defaults."""
 
     def test_fig2_defaults_local_memory_and_subset(self):
-        from repro.experiments.fig2_localmem_avf import local_memory_workloads
         spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("histogram",),
                             scale="tiny", samples=2)
-        cells, report = run_fig2(spec)
+        cells, report = run_figure("fig2", spec)
         assert [c.workload for c in cells] == ["histogram"]
         assert "Local Memory" in report
         # Unset workloads resolve to the local-memory subset.
         bare = CampaignSpec(gpus=(MINI_NVIDIA,), scale="tiny", samples=2)
-        cells, _ = run_fig2(bare.replace(workloads=None))
+        cells, _ = run_figure("fig2", bare.replace(workloads=None))
         assert {c.workload for c in cells} == \
             set(local_memory_workloads("tiny"))
+
+    def test_unknown_figure_is_config_error(self):
+        with pytest.raises(ConfigError, match="known: fig1"):
+            run_figure("fig4", CampaignSpec())
 
     def test_model_compare_spec_and_subset(self):
         spec = CampaignSpec(gpus=(MINI_NVIDIA,), workloads=("vectoradd",),
                             scale="tiny", samples=2)
-        cells, report = run_model_compare(spec,
-                                          fault_models=["stuck_at"])
+        cells, report = run_figure("models", spec,
+                                   fault_models=["stuck_at"])
         assert [c.fault_model for c in cells] == ["stuck_at"]
         assert "stuck_at" in report
         assert "models: stuck_at)" in report  # the only compared model

@@ -15,7 +15,6 @@ from repro.spec import CampaignSpec
 from repro.spec.sweep import run_sweep
 from repro.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
-    CallbackTelemetrySink,
     JsonlTelemetrySink,
     MemoryTelemetrySink,
     TelemetryHub,
@@ -54,23 +53,6 @@ class TestHub:
         hub.record("beta")
         assert hub.dropped == 2
         assert [e["event"] for e in survivor.events] == ["alpha", "beta"]
-
-    def test_hubs_nest_restamping_the_envelope(self):
-        inner = MemoryTelemetrySink()
-        outer = TelemetryHub(TelemetryHub(inner))
-        outer.record("alpha", value=7)
-        outer.record("beta")
-        assert [e["event"] for e in inner.events] == ["alpha", "beta"]
-        assert inner.events[0]["value"] == 7
-        assert [e["seq"] for e in inner.events] == [0, 1]
-
-    def test_callback_sink_streams_and_validates(self):
-        seen = []
-        hub = TelemetryHub(CallbackTelemetrySink(seen.append))
-        hub.record("alpha")
-        assert seen[0]["event"] == "alpha"
-        with pytest.raises(ConfigError):
-            CallbackTelemetrySink("not callable")
 
 
 class TestJsonl:
@@ -127,6 +109,20 @@ class TestResolve:
         caller = TelemetryHub()
         hub, owned = resolve_telemetry(caller, None)
         assert hub is caller and not owned
+
+    def test_profile_alone_opens_the_store_sibling(self, tmp_path):
+        class Store:
+            path = tmp_path / "store.jsonl"
+
+        hub, owned = resolve_telemetry(None, Store(), profile=True)
+        assert owned and isinstance(hub, TelemetryHub)
+        assert hub.sinks[0].path == tmp_path / "store.telemetry.jsonl"
+        with pytest.raises(ConfigError, match="profiling"):
+            resolve_telemetry(False, None, profile=True)
+        # An explicit destination wins over the store sibling.
+        caller = TelemetryHub()
+        assert resolve_telemetry(caller, Store(), profile=True) == \
+            (caller, False)
 
     def test_bad_setting_is_friendly(self):
         with pytest.raises(ConfigError, match="telemetry"):

@@ -2,7 +2,7 @@
 
 Checkpoints, the suffix memo, telemetry, profiling, the shard size, the
 worker count, the campaign service and the spec-file CLI are execution
-resources: each must leave a campaign's result store bit-identical
+resources, and the ``models`` figure is the fault-model sweep: each must leave a campaign's result store bit-identical
 (wall times aside) and join no job fingerprint. Every row runs a
 reference campaign and a variant that differs in one setting, and
 asserts:
@@ -74,10 +74,19 @@ CONTROL = REFERENCE.replace(structures=CONTROL_STRUCTURES)
 AUTO = REFERENCE.replace(checkpoint_interval="auto")
 FAULT_MODELS = ("transient", "stuck_at", "mbu")
 
-#: The CLI row's campaign. Paper chips need 48 samples before a
+#: The CLI rows' campaign. Paper chips need 48 samples before a
 #: register-file site survives liveness pruning.
 FIG1_ARGS = ["fig1", "--samples", "48", "--scale", "tiny",
              "--gpus", "gtx480", "hd7970", "--workloads", "histogram", "scan"]
+#: The CLI command of each CLI row; SPEC stands for ``SPEC_FILE``,
+#: written next to the row's store.
+CLI = {
+    "fig1": FIG1_ARGS,
+    "run": ["run", "SPEC"],
+    "models": ["models", *FIG1_ARGS[1:], "--structures", "register_file"],
+    "sweep": ["sweep", "SPEC", "--axis",
+              "fault_model=" + ",".join(FAULT_MODELS)],
+}
 SPEC_FILE = """\
 name = "fig1 twin"
 gpus = ["gtx480", "hd7970"]
@@ -101,7 +110,7 @@ class Run:
 
     ``how``: "inline" (one process), "workers" (a 2-process pool),
     "service" (an in-process coordinator plus one worker thread),
-    "fig1"/"run" (the CLI campaign above; ``spec`` is then None), or
+    a ``CLI`` command (the CLI campaign above; ``spec`` is then None), or
     "frozen" (never executed: the python interpreter's store of
     ``spec``, read from ``FROZEN``).
     """
@@ -156,6 +165,7 @@ def _rows() -> dict[str, Row]:
     rows["workers"] = Row(Run(AUTO), Run(AUTO, "workers"), ignore_order=True)
     rows["service"] = Row(Run(AUTO), Run(AUTO, "service"), ignore_order=True)
     rows["run-spec-vs-fig1"] = Row(Run(None, "fig1"), Run(None, "run"))
+    rows["models-vs-sweep"] = Row(Run(None, "models"), Run(None, "sweep"))
     return rows
 
 
@@ -214,11 +224,10 @@ def _execute(run: Run, store) -> tuple[dict, dict[str, int]]:
                                             worker_ids=("w1",),
                                             give_up_s=0.5)
         else:
-            argv = FIG1_ARGS
-            if run.how == "run":
-                spec_file = store.with_suffix(".toml")
-                spec_file.write_text(SPEC_FILE)
-                argv = ["run", str(spec_file)]
+            spec_file = store.with_suffix(".toml")
+            spec_file.write_text(SPEC_FILE)
+            argv = [str(spec_file) if arg == "SPEC" else arg
+                    for arg in CLI[run.how]]
             return shortcuts, _cli(argv + ["--quiet", "--resume", str(store)])
     return shortcuts, {kind: counts["executed"]
                        for kind, counts in stats.by_kind.items()}
