@@ -129,6 +129,24 @@ MUTANTS = (
         new="                    new = succ if new is None else new",
         tests=("tests/test_cfg.py",),
     ),
+    Mutant(
+        name="replay-drops-slot-frees",
+        breaks="replaying a golden access trace drops its warp-slot frees, "
+               "so occupied control sites resolve dead",
+        path="src/repro/sim/tracing.py",
+        old="                    sink.on_warp_slot_free(cycle, core, arg)",
+        new="                    pass",
+        tests=("tests/test_trace_replay.py",),
+    ),
+    Mutant(
+        name="replay-skips-lmem",
+        breaks="replaying a golden access trace skips its local-memory "
+               "accesses, so read lmem sites resolve dead",
+        path="src/repro/sim/tracing.py",
+        old="                    sink.on_lmem_access(cycle, core, words[lo:hi], is_write)",
+        new="                    pass",
+        tests=("tests/test_trace_replay.py",),
+    ),
 )
 
 

@@ -9,7 +9,8 @@ cell:
   ace_mode) — sample/seed sweeps hit the cache instead of re-running.
 * **plan** — fault sampling plus the dead-site pruning pass: one
   seeded generator draws the per-structure plan lists, each tagged
-  provably-dead or potentially-live.
+  provably-dead or potentially-live by replaying the golden run's
+  access trace (inline campaigns) or by one more fault-free run.
 * **shard** — a contiguous slice of the sorted live plans, each fully
   re-simulated and classified MASKED / SDC / DUE. Shards of *different
   cells* run concurrently on the process pool.
@@ -105,16 +106,19 @@ def run_golden_job(args: tuple) -> dict:
     receive them with the golden payload and run suffix-only. The
     persisted payload is unchanged — the store strips ephemeral keys —
     so golden fingerprints stay interval-independent and old stores
-    keep resolving.
+    keep resolving. With ``record_trace`` (the eighth element) the
+    run's access trace rides along the same way under ``_trace``, for
+    the cell's plan job.
     """
     (config, workload_name, scale, scheduler, ace_mode_value,
-     checkpoint_interval, profile) = args
+     checkpoint_interval, profile, record_trace) = args
     collector = _collector_for(profile)
     workload = get_workload(workload_name, scale)
     with _collecting(collector):
         golden = run_golden(config, workload, scheduler=scheduler,
                             ace_mode=AceMode(ace_mode_value),
-                            checkpoint_interval=checkpoint_interval)
+                            checkpoint_interval=checkpoint_interval,
+                            record_trace=record_trace)
     payload = {
         "cycles": golden.cycles,
         "launch_cycles": [int(c) for c in golden.launch_cycles],
@@ -126,6 +130,8 @@ def run_golden_job(args: tuple) -> dict:
     }
     if golden.snapshots is not None:
         payload["_snapshots"] = golden.snapshots
+    if golden.trace is not None:
+        payload["_trace"] = golden.trace
     if collector is not None:
         payload["_profile"] = collector.as_dict()
     return payload
@@ -176,9 +182,16 @@ def run_plan_job(args: tuple) -> dict:
     samples, seed, structures, model) and never on pool size or shard
     size. The retired serial loop drew the same plans; its frozen
     verdict is ``tests/fixtures/serial_campaign``.
+
+    Pruning replays the golden run's access trace (the last element,
+    a :class:`repro.sim.tracing.AccessTrace` handed over from an
+    inline golden job) through :class:`FaultSiteResolver`; the
+    verdicts equal those of a resolver attached to a live golden run.
+    Without one (a pooled, leased or store-resolved golden) the
+    resolver rides one more fault-free run, booked as ``prune``.
     """
     (config, workload_name, scale, scheduler, cycles, samples, seed,
-     structures, fault_model, profile) = args
+     structures, fault_model, profile, trace) = args
     collector = _collector_for(profile)
     model = get_fault_model(fault_model)
     start = time.perf_counter()
@@ -191,8 +204,11 @@ def run_plan_job(args: tuple) -> dict:
         all_plans = [p for plans in plans_by_structure.values()
                      for p in plans]
         resolver = FaultSiteResolver(config, all_plans, fault_model=model)
-        gpu = Gpu(config, scheduler=scheduler, sink=resolver)
-        run_workload(gpu, get_workload(workload_name, scale))
+        if trace is not None:
+            trace.replay(resolver)
+        else:
+            run_workload(Gpu(config, scheduler=scheduler, sink=resolver),
+                         get_workload(workload_name, scale))
     payload = {
         "plans": {
             structure: [

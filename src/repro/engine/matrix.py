@@ -85,7 +85,10 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
     copies); pooled, golden jobs skip capture and each shard worker
     rebuilds the set once per process (a full-scale SnapshotSet
     pickles to tens of MB — shipping it per shard submission would
-    cost more than the suffix-only speedup buys).
+    cost more than the suffix-only speedup buys). The golden run's
+    access trace follows the same rule: inline, the golden job records
+    it and the plan job replays it; pooled, the plan job prunes with
+    one more fault-free run.
     """
     golden_fp, plan_fp, cell_fp = _fingerprints(
         spec, config, workload_name, structures)
@@ -108,8 +111,13 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
     suffix_memo = spec.resolved_suffix_memo()
     uses_local_memory = get_workload(workload_name, scale).uses_local_memory
 
-    def expand_plan(plan_payload: dict) -> list[JobSpec]:
+    def expand_plan(plan_payload: dict, deps: dict) -> list[JobSpec]:
         live = jobs.live_plan_keys(plan_payload)
+        if not live:
+            # No shard will restore from this golden's snapshots: free
+            # them now instead of at the cell reduction, which inline
+            # runs only after every cell's golden and plan job.
+            deps.get(golden_fp, {}).pop("_snapshots", None)
         shard_ids = []
         specs = []
         for start in range(0, len(live), shard_size):
@@ -186,11 +194,12 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         kind=jobs.GOLDEN,
         fingerprint=golden_fp,
         worker=jobs.run_golden_job,
-        # Pooled golden jobs skip capture: their payload would haul
-        # the snapshots back through a pickle the shards never read.
+        # Pooled golden jobs skip capture and trace recording: their
+        # payload would haul both back through a pickle, and the
+        # cell's plan job may run in another process anyway.
         make_args=lambda deps: (
             config, workload_name, scale, scheduler, spec.ace_mode.value,
-            checkpoint_interval if inline else None, profile),
+            checkpoint_interval if inline else None, profile, inline),
         cache_in_memory=True,
     )
     plan_job = JobSpec(
@@ -199,10 +208,12 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         fingerprint=plan_fp,
         deps=(golden_fp,),
         worker=jobs.run_plan_job,
+        # Inline, the golden's trace rides along by reference and is
+        # popped, so it lives from golden job to plan job only.
         make_args=lambda deps: (
             config, workload_name, scale, scheduler,
             deps[golden_fp]["cycles"], samples, seed, structures,
-            fault_model, profile),
+            fault_model, profile, deps[golden_fp].pop("_trace", None)),
         expand=expand_plan,
     )
     return [golden_job, plan_job], cell_fp

@@ -138,7 +138,8 @@ class JobSpec:
     #: driver-side body: dep payloads -> payload (mutually exclusive
     #: with ``worker``)
     reduce_fn: Callable | None = None
-    #: payload -> list[JobSpec] admitted after this job completes
+    #: (payload, resolved dep payloads) -> list[JobSpec] admitted
+    #: after this job completes
     expand: Callable | None = None
     persist: bool = True
     cache_in_memory: bool = False
@@ -293,7 +294,9 @@ class _RunState:
             if job.persist and self.store is not None:
                 self.store.put(job.fingerprint, job.kind, payload)
         if job.expand is not None:
-            for child in job.expand(payload):
+            deps = {dep: self.resolved[dep] for dep in job.deps
+                    if dep in self.resolved}
+            for child in job.expand(payload, deps):
                 self.admit(child)
         if self.on_complete is not None:
             self.on_complete(job, payload, cached)

@@ -114,14 +114,19 @@ class RemoteBackend(ExecutionBackend):
 
     # -- telemetry staging (handler threads enqueue, driver drains) ----
     def _emit(self, event_type: str, **fields) -> None:
-        if self.telemetry is not None:
-            self._events.append((event_type, fields))
+        self._events.append((event_type, fields))
 
     def flush_telemetry(self) -> None:
-        """Hand staged fleet events to the hub (driver thread only)."""
+        """Hand staged fleet events to the hub (driver thread only).
+
+        Events are staged whether or not a hub is set, so a worker that
+        registers before the driver picks the hub of the campaign it
+        serves still reaches that hub; with no hub they are dropped.
+        """
         while self._events:
             event_type, fields = self._events.popleft()
-            self.telemetry.record(event_type, **fields)
+            if self.telemetry is not None:
+                self.telemetry.record(event_type, **fields)
 
     # -- ExecutionBackend ----------------------------------------------
     def submit(self, job: JobSpec, args: tuple) -> Future:
@@ -426,6 +431,12 @@ class CampaignService:
     pool jobs execute. Specs POSTed to ``/v1/submit`` while a campaign
     runs are appended to the queue and picked up when the current one
     finishes.
+
+    Telemetry given to the service, or named by its starting specs,
+    opens one hub for every campaign and the fleet. Without one, each
+    campaign resolves its own spec's telemetry and profile settings,
+    and the fleet reports to that campaign's hub while it runs — so a
+    profiled spec submitted later still gets one stream.
     """
 
     #: Seconds to keep serving after the last campaign so idle workers
@@ -463,6 +474,7 @@ class CampaignService:
             telemetry, store,
             profile=profile if profile is not None
             else any(spec.profile for spec in self.specs))
+        self.telemetry = telemetry
         self.profile = profile
         self.progress = progress
         self.backend = RemoteBackend(
@@ -489,6 +501,21 @@ class CampaignService:
             self.specs.append(spec)
         return {"ok": True, "queued": spec.name or spec.describe()}
 
+    def _campaign_hub(self, spec):
+        """(hub, owned) for one campaign: the service's, or the spec's.
+
+        Settings given to the service override the spec's, as
+        :func:`~repro.engine.matrix.run_campaign` arguments do.
+        """
+        if self.hub is not None:
+            return self.hub, False
+        from repro.telemetry import resolve_telemetry
+        return resolve_telemetry(
+            spec.telemetry if self.telemetry is None else self.telemetry,
+            self.store,
+            profile=bool(spec.profile if self.profile is None
+                         else self.profile))
+
     def run(self, on_campaign=None):
         """Serve until the spec queue drains; returns merged stats."""
         from repro.engine.matrix import run_campaign
@@ -501,17 +528,23 @@ class CampaignService:
                     if not self.specs:
                         break
                     spec = self.specs.popleft()
-                result = run_campaign(
-                    spec, store=self.store, workers=1,
-                    # False (not None) when no hub: the service already
-                    # resolved the telemetry decision for the whole
-                    # queue, so a spec field must not open a second hub
-                    # that the fleet events would miss.
-                    telemetry=self.hub if self.hub is not None else False,
-                    profile=self.profile,
-                    progress=self.progress, execution=self.backend)
+                hub, own_hub = self._campaign_hub(spec)
+                self.backend.telemetry = hub
+                try:
+                    result = run_campaign(
+                        spec, store=self.store, workers=1,
+                        # False (not None) when no hub: the telemetry
+                        # decision is made above, so run_campaign must
+                        # not open a hub the fleet events would miss.
+                        telemetry=hub if hub is not None else False,
+                        profile=self.profile,
+                        progress=self.progress, execution=self.backend)
+                finally:
+                    self.backend.flush_telemetry()
+                    self.backend.telemetry = self.hub
+                    if own_hub:
+                        hub.close()
                 stats.merge(result.stats)
-                self.backend.flush_telemetry()
                 if on_campaign is not None:
                     on_campaign(spec, result)
             self.backend.set_shutdown()

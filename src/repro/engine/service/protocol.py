@@ -33,7 +33,9 @@ from repro.engine import jobs
 
 #: Version of the coordinator/worker wire protocol. A worker refuses
 #: to register against a coordinator speaking a different version.
-PROTOCOL_VERSION = 1
+#: 2: golden jobs take a trace-recording flag and plan jobs a trace
+#: element (always False / None on the wire).
+PROTOCOL_VERSION = 2
 
 #: Marker key for an embedded GpuConfig in an encoded argument list.
 GPU_KEY = "__gpu__"

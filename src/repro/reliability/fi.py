@@ -15,11 +15,15 @@ Campaign flow per (GPU, benchmark, structure):
    the full registry (:mod:`repro.arch.structures`): the paper's
    datapath arrays plus the control structures (SIMT stacks,
    predicate/status registers, scheduler state).
-3. One more traced golden run resolves every sampled fault as
-   provably-dead (classified MASKED without re-simulation) or
-   potentially-live, honouring the model's liveness semantics
-   (stuck-at faults survive write-backs; control sites resolve on
-   hardware warp-slot occupancy).
+3. Replaying the golden run's recorded access trace
+   (:class:`repro.sim.tracing.AccessTrace`) through the fault-site
+   resolver marks every sampled fault provably-dead (classified MASKED
+   without re-simulation) or potentially-live, honouring the model's
+   liveness semantics (stuck-at faults survive write-backs; control
+   sites resolve on hardware warp-slot occupancy). Inline campaigns
+   record the trace during the golden run; otherwise (pooled or
+   leased golden, or one resolved from a store) the resolver rides
+   one more fault-free run.
 4. Every live fault is re-simulated with the model's disturbance
    applied at its cycle; the run is classified MASKED / SDC (bit-exact
    output comparison against the golden outputs) / DUE (simulator
@@ -58,7 +62,7 @@ from repro.reliability.outcomes import (
 from repro.reliability.sampling import margin_of_error
 from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu, default_watchdog_for
-from repro.sim.tracing import CompositeSink
+from repro.sim.tracing import AccessTrace, CompositeSink
 from repro.telemetry import profile as _profile
 
 
@@ -78,11 +82,15 @@ class GoldenRun:
     #: Machine snapshots captured during the run (None: checkpointing
     #: off). When present, live-fault re-simulations run suffix-only.
     snapshots: object = None
+    #: The run's access stream as fault-site pruning consumes it
+    #: (None: not recorded).
+    trace: AccessTrace | None = None
 
 
 def run_golden(config: GpuConfig, workload: Workload, scheduler: str = "rr",
                ace_mode: AceMode = AceMode.CONSERVATIVE,
-               checkpoint_interval=None) -> GoldenRun:
+               checkpoint_interval=None,
+               record_trace: bool = False) -> GoldenRun:
     """Run fault-free with ACE + occupancy tracing attached.
 
     ``checkpoint_interval`` — None (off), ``"auto"``, or a cycle count —
@@ -90,6 +98,11 @@ def run_golden(config: GpuConfig, workload: Workload, scheduler: str = "rr",
     (:mod:`repro.checkpoint`) that downstream fault injections restore
     instead of re-simulating the fault-free prefix. Capture only
     observes: the traced results are identical with or without it.
+
+    ``record_trace`` additionally records the run's access stream
+    (``trace``) for fault-site pruning to replay instead of simulating
+    again. It grows with the run's events, so record it only where a
+    plan will consume it.
     """
     monitor = None
     if checkpoint_interval is not None:
@@ -97,11 +110,17 @@ def run_golden(config: GpuConfig, workload: Workload, scheduler: str = "rr",
         monitor = CheckpointRecorder(checkpoint_interval)
     ace = AceAccumulator(config, mode=ace_mode)
     occupancy = OccupancyAccumulator(config)
-    gpu = Gpu(config, scheduler=scheduler, sink=CompositeSink(ace, occupancy))
+    trace = AccessTrace() if record_trace else None
+    sink = CompositeSink(ace, occupancy, trace)
+    gpu = Gpu(config, scheduler=scheduler, sink=sink)
     start = time.perf_counter()
     with _profile.phase("golden"):
         result = run_workload(gpu, workload, monitor=monitor)
     elapsed = time.perf_counter() - start
+    # The machine's object graph is cyclic, so it lingers until the
+    # garbage collector runs; unhook the sinks so the trace is freed
+    # as soon as its consumer drops it, not whenever that happens.
+    sink.sinks.clear()
     return GoldenRun(
         config=config,
         workload_name=workload.name,
@@ -113,6 +132,7 @@ def run_golden(config: GpuConfig, workload: Workload, scheduler: str = "rr",
         occupancy=occupancy,
         wall_time_s=elapsed,
         snapshots=monitor.snapshots() if monitor is not None else None,
+        trace=trace,
     )
 
 

@@ -1,8 +1,11 @@
 """Online trace consumers: ACE lifetimes, fault-site liveness, occupancy.
 
 All three are :class:`repro.sim.tracing.TraceSink` implementations that
-accumulate during a single fault-free ("golden") simulation — nothing
-stores the raw event stream, so memory stays O(structure size).
+accumulate online, in O(structure size) memory. ACE and occupancy ride
+the fault-free ("golden") simulation itself. The resolver is fed by
+replaying that run's recorded :class:`repro.sim.tracing.AccessTrace`
+when the campaign runs inline, so pruning needs no second simulation;
+pooled or leased campaigns attach it to one more fault-free run.
 
 * :class:`AceAccumulator` — Mukherjee-style ACE lifetime analysis. In
   the default CONSERVATIVE mode a register *row* (one architectural

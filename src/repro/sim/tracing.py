@@ -12,9 +12,15 @@ events emitted by the simulators:
 * block (CTA / work-group) allocate / release events carrying the
   resources the block occupies.
 
-Sinks accumulate *online*: nothing stores the full event stream, so a
-traced golden run costs O(structure) memory, not O(instructions). For
-debugging and tests, :class:`EventRecorder` keeps the raw events.
+The analysis sinks accumulate *online* in O(structure) memory. The one
+stored stream is :class:`AccessTrace`: an inline campaign's golden
+run records the events fault-site pruning consumes (register-row and
+local-memory accesses, warp-slot frees, the run end) as compact numpy
+columns, and the cell's plan job replays them through
+:class:`repro.reliability.liveness.FaultSiteResolver` instead of
+simulating the golden trajectory a second time. It costs O(events)
+memory and lives only until that replay. For debugging and tests,
+:class:`EventRecorder` keeps every raw event verbatim.
 """
 
 from __future__ import annotations
@@ -111,7 +117,10 @@ class CompositeSink(TraceSink):
 
 
 class EventRecorder(TraceSink):
-    """Keep every event verbatim (tests / debugging only)."""
+    """Keep every event verbatim, as Python tuples (tests / debugging).
+
+    A campaign records with the compact :class:`AccessTrace` instead.
+    """
 
     def __init__(self):
         self.reg_events: list[tuple] = []    # (cycle, core, row, mask, is_write)
@@ -142,6 +151,96 @@ class EventRecorder(TraceSink):
 
     def on_run_end(self, cycle):
         self.end_cycle = cycle
+
+
+#: Event kinds in an :class:`AccessTrace` chunk's ``kinds`` column.
+_REG, _LMEM, _SLOT_FREE = 0, 1, 2
+
+
+class AccessTrace(TraceSink):
+    """Compact record of the access stream fault-site pruning consumes.
+
+    Attached to a run, it keeps register-row accesses, local-memory
+    word accesses and warp-slot frees in emission order, plus the final
+    chip cycle; block and slot-allocation events are not kept.
+    :meth:`replay` then makes the same calls, with the same values and
+    in the same order, on any :class:`TraceSink`, so a resolver fed
+    from the trace reaches exactly the verdicts it reaches attached to
+    the run itself.
+
+    Storage is columnar: per event a kind, cycle, core, argument (the
+    register row, the warp slot, or the lmem event's index), lane mask
+    and write flag, and the lmem word lists concatenated with one
+    offset per lmem event. Events are buffered as tuples and folded
+    into a numpy chunk every ``CHUNK_EVENTS`` events, so recording
+    never holds more than one chunk of Python objects.
+    """
+
+    CHUNK_EVENTS = 1 << 12
+
+    def __init__(self):
+        self._events: list[tuple] = []
+        self._words: list[np.ndarray] = []
+        #: (kinds, cycles, cores, args, masks, writes, words, offsets)
+        self._chunks: list[tuple] = []
+        self.end_cycle: int | None = None
+
+    def on_reg_access(self, cycle, core, row, mask, is_write):
+        self._events.append((_REG, cycle, core, row, mask, is_write))
+        if len(self._events) >= self.CHUNK_EVENTS:
+            self._flush()
+
+    def on_lmem_access(self, cycle, core, words, is_write):
+        self._events.append(
+            (_LMEM, cycle, core, len(self._words), 0, is_write))
+        self._words.append(words)
+        if len(self._events) >= self.CHUNK_EVENTS:
+            self._flush()
+
+    def on_warp_slot_free(self, cycle, core, slot):
+        self._events.append((_SLOT_FREE, cycle, core, slot, 0, False))
+
+    def on_run_end(self, cycle):
+        self._flush()
+        self.end_cycle = cycle
+
+    def _flush(self) -> None:
+        if not self._events:
+            return
+        kinds, cycles, cores, args, masks, writes = zip(*self._events)
+        lengths = np.array([len(words) for words in self._words],
+                           dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        self._chunks.append((
+            np.array(kinds, dtype=np.uint8),
+            np.array(cycles, dtype=np.int64),
+            np.array(cores, dtype=np.int32),
+            np.array(args, dtype=np.int64),
+            np.array(masks, dtype=np.uint64),
+            np.array(writes, dtype=bool),
+            np.concatenate(self._words).astype(np.int64, copy=False)
+            if self._words else np.zeros(0, dtype=np.int64),
+            offsets,
+        ))
+        self._events = []
+        self._words = []
+
+    def replay(self, sink: TraceSink) -> None:
+        """Deliver the recorded stream to ``sink``, then its run end."""
+        if self.end_cycle is None:
+            raise RuntimeError("trace has not ended; nothing to replay")
+        for chunk in self._chunks:
+            words, offsets = chunk[6], chunk[7].tolist()
+            for kind, cycle, core, arg, mask, is_write in zip(
+                    *(column.tolist() for column in chunk[:6])):
+                if kind == _REG:
+                    sink.on_reg_access(cycle, core, arg, mask, is_write)
+                elif kind == _LMEM:
+                    lo, hi = offsets[arg], offsets[arg + 1]
+                    sink.on_lmem_access(cycle, core, words[lo:hi], is_write)
+                else:
+                    sink.on_warp_slot_free(cycle, core, arg)
+        sink.on_run_end(self.end_cycle)
 
 
 class JsonlTraceSink(TraceSink):

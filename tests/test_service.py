@@ -278,13 +278,18 @@ def _assert_same_results(pool_path, dist_path):
 
 
 def _run_distributed(store, specs, worker_ids=("w1", "w2"),
-                     give_up_s=15.0, **kwargs):
+                     give_up_s=15.0, submit=(), **kwargs):
     """One in-process fleet: the service plus worker threads.
+
+    ``submit`` holds spec dicts queued through the ``POST /v1/submit``
+    body handler after the service starts with ``specs``.
 
     Returns the service's stats and, per worker id, what its thread
     ended with: the worker's counters, or the exception it raised.
     """
     service = CampaignService(store, specs, port=0, **kwargs)
+    for data in submit:
+        assert service.enqueue_spec(data)["ok"]
     outcomes = {}
 
     def body(wid):
@@ -432,6 +437,29 @@ class TestDistributedCampaign:
                   load_telemetry(telemetry_path_for_store(store_path))}
         assert {"worker_register", "lease_grant", "job_push",
                 "cell_profile", "campaign_profile"} <= events, events
+
+    @pytest.mark.parametrize("first", [[], [SMALL_SPEC]],
+                             ids=["alone", "after-unprofiled"])
+    def test_submitted_profiled_spec_shares_the_fleet_stream(
+            self, tmp_path, monkeypatch, first):
+        """A spec submitted with ``profile = true`` to a service started
+        without telemetry gets one stream for its profile and the fleet
+        events of its campaign."""
+        monkeypatch.setattr(CampaignService, "SHUTDOWN_LINGER_S", 2.0)
+        store_path = tmp_path / "dist.jsonl"
+        profiled = {"gpus": ["gtx480"], "workloads": ["histogram"],
+                    "scale": "tiny", "samples": 8, "profile": True}
+        with ResultStore(store_path) as store:
+            _run_distributed(store, first, worker_ids=("w1",),
+                             submit=[profiled])
+        stream = load_telemetry(telemetry_path_for_store(store_path))
+        events = {e["event"] for e in stream}
+        assert {"lease_grant", "job_push", "cell_profile",
+                "campaign_profile"} <= events, events
+        if not first:
+            assert "worker_register" in events
+        # Only the profiled campaign reports there.
+        assert [e["event"] for e in stream].count("campaign_begin") == 1
 
     def test_submit_endpoint_queues_specs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CampaignService, "SHUTDOWN_LINGER_S", 0.2)

@@ -1,11 +1,13 @@
 """Tracing must observe, never perturb: traced and untraced runs agree.
 
-Also checks sink fan-out and the event-stream sanity properties the
+Also checks sink fan-out, the event-stream sanity properties the
 reliability analyses rely on (per-core chronological order, writes
-before reads for registers).
+before reads for registers), and that a recorded :class:`AccessTrace`
+replays the stream it recorded.
 """
 
 import numpy as np
+import pytest
 
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
@@ -13,6 +15,7 @@ from repro.reliability.liveness import AceAccumulator, OccupancyAccumulator
 from repro.sim.gpu import Gpu
 from repro.sim.tracing import (
     TRACE_SCHEMA_VERSION,
+    AccessTrace,
     CompositeSink,
     EventRecorder,
     JsonlTraceSink,
@@ -163,3 +166,63 @@ class TestJsonlTraceSink:
         assert bare.cycles == traced.cycles
         for name in bare.outputs:
             assert np.array_equal(bare.outputs[name], traced.outputs[name])
+
+
+class TestAccessTrace:
+    @staticmethod
+    def _record(config, workload_name, chunk_events=None):
+        """(online recorder, replayed recorder, trace) of one run."""
+        online, trace = EventRecorder(), AccessTrace()
+        if chunk_events is not None:
+            trace.CHUNK_EVENTS = chunk_events
+        run_workload(Gpu(config, sink=CompositeSink(online, trace)),
+                     get_workload(workload_name, "tiny"))
+        replayed = EventRecorder()
+        trace.replay(replayed)
+        return online, replayed, trace
+
+    def _assert_same_stream(self, online, replayed):
+        assert replayed.reg_events == online.reg_events
+        assert replayed.lmem_events == online.lmem_events
+        assert replayed.warp_slot_events == [
+            event for event in online.warp_slot_events
+            if event[3] == "free"]
+        assert replayed.end_cycle == online.end_cycle
+        assert replayed.block_events == []
+
+    def test_replay_repeats_the_recorded_stream(self):
+        for config, name in ((MINI_NVIDIA, "transpose"), (MINI_AMD, "scan")):
+            online, replayed, trace = self._record(config, name)
+            assert online.lmem_events and online.warp_slot_events
+            self._assert_same_stream(online, replayed)
+
+    def test_chunk_boundaries_keep_order_and_words(self):
+        online, replayed, trace = self._record(MINI_NVIDIA, "scan",
+                                               chunk_events=7)
+        assert len(trace._chunks) > 100
+        self._assert_same_stream(online, replayed)
+
+    def test_columns_are_compact(self):
+        online, replayed, trace = self._record(MINI_AMD, "scan")
+        (chunk,) = trace._chunks
+        events = (len(replayed.reg_events) + len(replayed.lmem_events)
+                  + len(replayed.warp_slot_events))
+        words = sum(len(event[2]) for event in online.lmem_events)
+        # 30 bytes per event plus 8 per lmem word and per offset: no
+        # Python objects are kept once the run has ended.
+        assert sum(column.nbytes for column in chunk) == (
+            30 * events + 8 * words + 8 * (len(online.lmem_events) + 1))
+        assert trace._events == [] and trace._words == []
+
+    def test_replay_delivers_python_scalars(self):
+        _, replayed, _ = self._record(MINI_AMD, "histogram")
+        cycle, core, row, mask, is_write = replayed.reg_events[0]
+        assert all(type(v) is int for v in (cycle, core, row, mask))
+        assert type(is_write) is bool
+        assert any(event[3] >= 1 << 63 for event in replayed.reg_events)
+
+    def test_replay_before_run_end_is_an_error(self):
+        trace = AccessTrace()
+        trace.on_reg_access(0, 0, 0, 1, True)
+        with pytest.raises(RuntimeError, match="not ended"):
+            trace.replay(TraceSink())
