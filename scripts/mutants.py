@@ -72,6 +72,26 @@ MUTANTS = (
         tests=(_FAULT_TIMING[1],),
     ),
     Mutant(
+        name="regfile-write-keeps-mark",
+        breaks="a register write leaves the used mark, so snapshots drop "
+               "the rows written past it",
+        path="src/repro/sim/regfile.py",
+        old="            self.used = stop",
+        new="            pass",
+        tests=("tests/test_snapshot_prefix.py::"
+               "test_capture_digests_match_full_array_images",),
+    ),
+    Mutant(
+        name="regfile-restore-keeps-tail",
+        breaks="restoring a register-file image leaves the words past its "
+               "prefix as the machine held them",
+        path="src/repro/sim/regfile.py",
+        old="        self.data[used:self.used] = 0",
+        new="        pass",
+        tests=("tests/test_snapshot_prefix.py::"
+               "test_restore_into_dirty_chip_clears_past_prefix",),
+    ),
+    Mutant(
         name="fetch-bound-le",
         breaks="the fetch bounds check lets pc == len(program) through",
         path="src/repro/sim/core.py",

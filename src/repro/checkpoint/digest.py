@@ -19,8 +19,9 @@ flat — one pass over the image yields a few byte strings:
   serialised with :func:`marshal.dumps` (a fraction of ``repr``'s cost
   for the same tuple);
 * the array contents as raw buffers, in skeleton order: global-memory
-  words, the live register-file and local-memory slices, and each
-  warp's predicates (SASS) or scalar registers (SI).
+  words, the live register-file and local-memory slices (zero-padded
+  where they run past the image's written prefix), and each warp's
+  predicates (SASS) or scalar registers (SI).
 
 The skeleton fixes every buffer's length, so the stream is
 unambiguous. It depends on values only, never on object identity, so
@@ -88,7 +89,7 @@ _core_fields = _fields(
     "warp_counter", "free_reg_slots", "free_lmem_slots", "free_warp_slots",
     "regfile", "live_reg", "lmem", "live_lmem", "control", "blocks",
     "instructions_issued")
-_storage_fields = _fields("storage image", "data", "forced")
+_storage_fields = _fields("storage image", "data", "num_words", "forced")
 _block_fields = _fields("block image", "linear_id", "index", "reg_base_row",
                         "lmem_base", "unfinished", "warps")
 _bank_fields = _fields("control bank image", "forced")
@@ -135,13 +136,24 @@ def _forced(overlay: dict) -> tuple:
 
 
 def _storage(storage: dict, live: list, buffers: list) -> tuple:
-    """A register file or local memory: its live slices only."""
-    data, forced = _storage_fields(storage)
+    """A register file or local memory: its live slices only.
+
+    The image holds only the storage's written prefix (the words past
+    it are zero), so a live slice running past the prefix is padded
+    with zero bytes, and the skeleton records the full word count:
+    the stream is the one the whole array would give.
+    """
+    data, num_words, forced = _storage_fields(storage)
     if not isinstance(data, np.ndarray):
         raise _unhashable(data)
     ranges = tuple((index(start), index(nwords)) for start, nwords in live)
-    buffers.extend(data[start:start + nwords] for start, nwords in ranges)
-    return data.dtype.str, data.shape, _forced(forced), ranges
+    for start, nwords in ranges:
+        stop = start + nwords
+        buffers.append(data[start:stop])
+        if stop > data.size:
+            buffers.append(bytes((stop - max(start, data.size))
+                                 * data.itemsize))
+    return data.dtype.str, (index(num_words),), _forced(forced), ranges
 
 
 def _warp(warp: dict, buffers: list) -> tuple:

@@ -83,9 +83,9 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
     Snapshot handling depends on it: inline, the golden job captures
     snapshots and the cell's shards consume them by reference (zero
     copies); pooled, golden jobs skip capture and each shard worker
-    rebuilds the set once per process (a full-scale SnapshotSet
-    pickles to tens of MB — shipping it per shard submission would
-    cost more than the suffix-only speedup buys). The golden run's
+    rebuilds the set once per process instead of receiving it with
+    every shard submission (a ``default``-scale SnapshotSet pickles to
+    up to 12 MB). The golden run's
     access trace follows the same rule: inline, the golden job records
     it and the plan job replays it; pooled, the plan job prunes with
     one more fault-free run.

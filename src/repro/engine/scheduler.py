@@ -58,9 +58,9 @@ def _memory_cache_put(fp: str, payload: dict) -> None:
     while len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
         _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
     # Like the persistent store, the cache holds the fingerprinted
-    # result only: ephemeral ``_``-keys (golden machine snapshots,
-    # tens of MB each at full scale) live exactly as long as the
-    # campaign that produced them.
+    # result only: ephemeral ``_``-keys (golden machine snapshots, up
+    # to 12 MB pickled at ``default`` scale, and access traces) live
+    # exactly as long as the campaign that produced them.
     _MEMORY_CACHE[fp] = {
         k: v for k, v in payload.items() if not k.startswith("_")
     }

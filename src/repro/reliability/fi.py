@@ -117,10 +117,6 @@ def run_golden(config: GpuConfig, workload: Workload, scheduler: str = "rr",
     with _profile.phase("golden"):
         result = run_workload(gpu, workload, monitor=monitor)
     elapsed = time.perf_counter() - start
-    # The machine's object graph is cyclic, so it lingers until the
-    # garbage collector runs; unhook the sinks so the trace is freed
-    # as soon as its consumer drops it, not whenever that happens.
-    sink.sinks.clear()
     return GoldenRun(
         config=config,
         workload_name=workload.name,

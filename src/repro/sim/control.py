@@ -33,6 +33,8 @@ Semantics that fall out of the hardware model:
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.arch.structures import (
@@ -76,7 +78,9 @@ class ControlBank:
     structure: str = ""
 
     def __init__(self, core):
-        self.core = core
+        # The core holds its banks; a weak back-reference keeps the
+        # machine acyclic, so reference counting frees a finished one.
+        self.core = weakref.proxy(core)
         self.words_per_warp = control_words_per_warp(core.config, self.structure)
         self.num_words = words_per_core(core.config, self.structure)
         # word -> (and_mask, or_mask): permanent stuck-at overlays,

@@ -7,6 +7,11 @@ architectural register for the ``warp_size`` lanes of one warp, at words
 ranges at block dispatch (the same banked layout GPGPU-Sim and Multi2Sim
 model), so a physical (word, bit) coordinate — the fault-injection
 target space — maps directly onto (row, lane, bit).
+
+Like global memory, the file keeps a high-water mark, ``used``: every
+word at or past it is zero, so a checkpoint image holds only the
+prefix below it. Small kernels write a few rows of a large file, so
+the prefix is a small fraction of the array.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ class RegisterFile:
         self.num_words = num_words
         self.num_rows = num_words // warp_size
         self.data = np.zeros(num_words, dtype=np.uint32)
+        #: Every word at or past this index is zero. Writes and faults
+        #: raise it past the words they touch; clears, which write
+        #: zeros, leave it.
+        self.used = 0
         self.sink = sink
         # word -> (and_mask, or_mask): permanent stuck-at overlays,
         # re-applied after every mutation (see _reapply_forced).
@@ -46,8 +55,11 @@ class RegisterFile:
                   mask: int, cycle: int) -> None:
         """Masked row write: lanes with ``lane_sel`` True take ``values``."""
         start = row * self.warp_size
-        view = self.data[start: start + self.warp_size]
-        np.copyto(view, values.astype(np.uint32, copy=False), where=lane_sel)
+        stop = start + self.warp_size
+        np.copyto(self.data[start:stop], values.astype(np.uint32, copy=False),
+                  where=lane_sel)
+        if stop > self.used:
+            self.used = stop
         if self._forced:
             self._reapply_forced()
         if self.sink is not None and mask:
@@ -62,6 +74,7 @@ class RegisterFile:
         if not 0 <= word < self.num_words:
             raise ConfigError(f"register word {word} out of range")
         self.data[word] ^= np.uint32(mask & 0xFFFFFFFF)
+        self.used = max(self.used, word + 1)
 
     def force_bit(self, word: int, bit: int, value: int) -> None:
         """Permanently stick one bit at ``value`` (0/1).
@@ -79,6 +92,7 @@ class RegisterFile:
         else:
             and_mask &= ~(1 << bit) & 0xFFFFFFFF
         self._forced[word] = (and_mask, or_mask)
+        self.used = max(self.used, word + 1)
         self._reapply_forced()
 
     def _reapply_forced(self) -> None:
@@ -99,21 +113,30 @@ class RegisterFile:
     # Checkpoint protocol (see repro.checkpoint)
     # ------------------------------------------------------------------
     def snapshot_state(self, copy: bool = True) -> dict:
-        """Plain-data copy of the stored words + stuck-at overlays.
+        """Plain-data image: the words below ``used`` (the rest are
+        zero), the file's full word count and the stuck-at overlays.
 
         ``copy=False`` returns views instead (for hash-and-discard
         users like the convergence digest); never retain such a state.
         """
-        data = self.data.copy() if copy else self.data
-        return {"data": data, "forced": dict(self._forced)}
+        data = self.data[:self.used]
+        return {"data": data.copy() if copy else data,
+                "num_words": self.num_words, "forced": dict(self._forced)}
 
     def restore_state(self, state: dict) -> None:
         """Overwrite contents with a snapshot (geometry must match).
 
-        The stuck-at overlay dict is restored too; golden-run snapshots
-        carry an empty overlay, and a permanent fault installed *after*
-        the restore re-arms itself through ``force_bit`` exactly as in
-        an un-checkpointed run.
+        Words past the image's prefix read zero afterwards. The stuck-at
+        overlay dict is restored too; golden-run snapshots carry an
+        empty overlay, and a permanent fault installed *after* the
+        restore re-arms itself through ``force_bit`` exactly as in an
+        un-checkpointed run.
         """
-        self.data[:] = state["data"]
+        if state["num_words"] != self.num_words:
+            raise ConfigError("register file snapshot of another geometry")
+        prefix = state["data"]
+        used = prefix.size
+        self.data[:used] = prefix
+        self.data[used:self.used] = 0
+        self.used = used
         self._forced = dict(state["forced"])

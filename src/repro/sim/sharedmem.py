@@ -3,7 +3,9 @@
 Word-addressed storage with scatter/gather access, bounds checking
 against the core's aperture, word-granular access tracing, and a
 deterministic lane-serialised atomic add (the shared-memory atomic the
-histogram benchmark uses).
+histogram benchmark uses). Like the register file, it keeps a
+high-water mark, ``used``, past which every word is zero, so a
+checkpoint image holds only the prefix below it.
 """
 
 from __future__ import annotations
@@ -25,32 +27,47 @@ class LocalMemory:
         self.nbytes = nbytes
         self.num_words = nbytes // 4
         self.data = np.zeros(self.num_words, dtype=np.uint32)
+        #: Every word at or past this index is zero. Writes and faults
+        #: raise it past the words they touch; clears, which write
+        #: zeros, leave it.
+        self.used = 0
         self.sink = sink
         # word -> (and_mask, or_mask): permanent stuck-at overlays,
         # re-applied after every mutation (see _reapply_forced).
         self._forced: dict[int, tuple[int, int]] = {}
 
-    def _word_index(self, byte_addrs: np.ndarray) -> np.ndarray:
+    def _word_index(self, byte_addrs: np.ndarray) -> tuple[np.ndarray, int]:
+        """Word indices of per-lane byte addresses, and one past the
+        highest of them (0 for no lanes).
+
+        Raises :class:`LocalMemoryFault` at the first misaligned lane,
+        else at the first lane outside the aperture.
+        """
         addrs = np.asarray(byte_addrs, dtype=np.int64)
-        if addrs.size and np.any(addrs & 3):
+        if not addrs.size:
+            return addrs, 0
+        if np.any(addrs & 3):
             bad = int(addrs[np.argmax((addrs & 3) != 0)])
             raise LocalMemoryFault(bad, self.nbytes)
-        if addrs.size and (np.any(addrs < 0) or np.any(addrs >= self.nbytes)):
+        high = int(addrs.max())
+        if addrs.min() < 0 or high >= self.nbytes:
             outside = (addrs < 0) | (addrs >= self.nbytes)
             raise LocalMemoryFault(int(addrs[np.argmax(outside)]), self.nbytes)
-        return addrs >> 2
+        return addrs >> 2, (high >> 2) + 1
 
     def load(self, byte_addrs: np.ndarray, cycle: int) -> np.ndarray:
         """Gather words at per-lane byte addresses."""
-        index = self._word_index(byte_addrs)
+        index, _ = self._word_index(byte_addrs)
         if self.sink is not None and index.size:
             self.sink.on_lmem_access(cycle, self.core_id, index, False)
         return self.data[index]
 
     def store(self, byte_addrs: np.ndarray, values: np.ndarray, cycle: int) -> None:
         """Scatter words; duplicate addresses resolve highest-lane-wins."""
-        index = self._word_index(byte_addrs)
+        index, stop = self._word_index(byte_addrs)
         self.data[index] = values.astype(np.uint32, copy=False)
+        if stop > self.used:
+            self.used = stop
         if self._forced:
             self._reapply_forced()
         if self.sink is not None and index.size:
@@ -59,10 +76,12 @@ class LocalMemory:
     def atomic_add(self, byte_addrs: np.ndarray, values: np.ndarray,
                    cycle: int) -> np.ndarray:
         """Lane-serialised atomic integer add; returns old values."""
-        index = self._word_index(byte_addrs)
+        index, stop = self._word_index(byte_addrs)
         if self.sink is not None and index.size:
             self.sink.on_lmem_access(cycle, self.core_id, index, False)
         old = scatter_add_serialized(self.data, index, values)
+        if stop > self.used:
+            self.used = stop
         if self._forced:
             self._reapply_forced()
         if self.sink is not None and index.size:
@@ -78,6 +97,7 @@ class LocalMemory:
         if not 0 <= word < self.num_words:
             raise ConfigError(f"local memory word {word} out of range")
         self.data[word] ^= np.uint32(mask & 0xFFFFFFFF)
+        self.used = max(self.used, word + 1)
 
     def force_bit(self, word: int, bit: int, value: int) -> None:
         """Permanently stick one bit at ``value`` (0/1).
@@ -94,6 +114,7 @@ class LocalMemory:
         else:
             and_mask &= ~(1 << bit) & 0xFFFFFFFF
         self._forced[word] = (and_mask, or_mask)
+        self.used = max(self.used, word + 1)
         self._reapply_forced()
 
     def _reapply_forced(self) -> None:
@@ -114,14 +135,25 @@ class LocalMemory:
     # Checkpoint protocol (see repro.checkpoint)
     # ------------------------------------------------------------------
     def snapshot_state(self, copy: bool = True) -> dict:
-        """Plain-data copy of the stored words + stuck-at overlays.
+        """Plain-data image: the words below ``used`` (the rest are
+        zero), the memory's full word count and the stuck-at overlays.
 
         ``copy=False`` returns views instead (hash-and-discard users).
         """
-        data = self.data.copy() if copy else self.data
-        return {"data": data, "forced": dict(self._forced)}
+        data = self.data[:self.used]
+        return {"data": data.copy() if copy else data,
+                "num_words": self.num_words, "forced": dict(self._forced)}
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite contents with a snapshot (geometry must match)."""
-        self.data[:] = state["data"]
+        """Overwrite contents with a snapshot (geometry must match).
+
+        Words past the image's prefix read zero afterwards.
+        """
+        if state["num_words"] != self.num_words:
+            raise ConfigError("local memory snapshot of another geometry")
+        prefix = state["data"]
+        used = prefix.size
+        self.data[:used] = prefix
+        self.data[used:self.used] = 0
+        self.used = used
         self._forced = dict(state["forced"])

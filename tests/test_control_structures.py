@@ -7,6 +7,9 @@ allocation that backs them, and the registry-driven ``FaultPlan``
 validation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -350,6 +353,24 @@ class TestControlSnapshotRestore:
         assert [w.hw_slot for w in fresh_core.warps] == \
             [w.hw_slot for w in core.warps]
         assert fresh_core._free_warp_slots == core._free_warp_slots
+
+
+class TestMachineLifetime:
+    @pytest.mark.parametrize("config", [MINI_NVIDIA, MINI_AMD],
+                             ids=["sass", "si"])
+    def test_finished_machine_is_freed_without_the_collector(self, config):
+        """Banks refer back to their core weakly, so a finished machine
+        is not cyclic garbage: its last reference frees it."""
+        gc.disable()
+        try:
+            gpu = Gpu(config)
+            run_workload(gpu, get_workload("scan", "tiny"))
+            assert gpu.cores[0].control
+            refs = [weakref.ref(part) for part in (gpu, gpu.mem, *gpu.cores)]
+            del gpu
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestFetchHardening:

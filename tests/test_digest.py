@@ -35,10 +35,11 @@ ISAS = ("sass", "si")
 @lru_cache(maxsize=None)
 def _image(isa: str):
     """(launch_index, launch_cycles, state) of a mid-launch capture
-    whose first core has a resident block and dead storage."""
+    whose first core has a resident block and dead storage inside the
+    image's stored prefix."""
     config = MINI_NVIDIA if isa == "sass" else MINI_AMD
     recorder = CheckpointRecorder("auto")
-    run_workload(Gpu(config), get_workload("matrixMul", "tiny"),
+    run_workload(Gpu(config), get_workload("histogram", "tiny"),
                  monitor=recorder)
     for point in recorder.snapshots().points:
         snapshot = point.snapshot
@@ -53,7 +54,8 @@ def _image(isa: str):
 
 
 def _dead_word(core: dict, storage: str, live: str):
-    """An index of ``core[storage]`` outside every live range, or None."""
+    """An index of the stored prefix ``core[storage]["data"]`` outside
+    every live range, or None."""
     dead = np.ones(core[storage]["data"].size, dtype=bool)
     for start, nwords in core[live]:
         dead[start:start + nwords] = False

@@ -90,6 +90,15 @@ class TestLocalMemory:
         with pytest.raises(LocalMemoryFault):
             lm.store(np.array([3]), np.array([1], dtype=np.uint32), cycle=0)
 
+    def test_fault_reports_first_offending_lane(self):
+        lm = LocalMemory(0, 1024)
+        for addrs, bad in (([0, 2048, -4, 1024], 2048),
+                           ([0, -8, 4096], -8),
+                           ([8, 4096, 6], 6)):  # misalignment checked first
+            with pytest.raises(LocalMemoryFault) as fault:
+                lm.load(np.array(addrs), cycle=0)
+            assert fault.value.address == bad
+
     def test_atomic_add(self):
         lm = LocalMemory(0, 1024)
         addrs = np.zeros(16, dtype=np.int64)
@@ -121,3 +130,56 @@ class TestLocalMemory:
         lm.atomic_add(np.array([4]), np.array([1], dtype=np.uint32), cycle=7)
         kinds = [event[3] for event in recorder.lmem_events]
         assert kinds == [False, True]
+
+
+class TestUsedMark:
+    """Every word at or past ``used`` is zero; images hold the prefix."""
+
+    def test_writes_raise_the_mark_and_reads_do_not(self):
+        rf = RegisterFile(0, 256, 32)
+        rf.write_row(2, np.ones(32), np.ones(32, dtype=bool), 1, cycle=0)
+        assert rf.used == 96
+        rf.read_row(5, 1, cycle=1)
+        rf.write_row(1, np.ones(32), np.ones(32, dtype=bool), 1, cycle=2)
+        assert rf.used == 96
+        lm = LocalMemory(0, 1024)
+        lm.load(np.array([1020]), cycle=0)
+        assert lm.used == 0
+        lm.store(np.array([40, 8]), np.ones(2, dtype=np.uint32), cycle=0)
+        assert lm.used == 11
+        lm.atomic_add(np.array([400]), np.ones(1, dtype=np.uint32), cycle=1)
+        assert lm.used == 101
+
+    @pytest.mark.parametrize("make", [lambda: RegisterFile(0, 256, 32),
+                                      lambda: LocalMemory(0, 1024)],
+                             ids=["regfile", "lmem"])
+    def test_faults_raise_and_clears_keep_the_mark(self, make):
+        storage = make()
+        storage.flip_bits(9, 0b110)
+        assert storage.used == 10
+        storage.force_bit(20, 3, 1)
+        assert storage.used == 21
+        if isinstance(storage, RegisterFile):
+            storage.clear_rows(4, 2)
+        else:
+            storage.clear_range(512, 256)
+        assert storage.used == 21
+
+    def test_image_is_the_prefix_and_restores_over_dirty_storage(self):
+        rf = RegisterFile(0, 256, 32)
+        rf.flip_bits(40, 7)
+        image = rf.snapshot_state()
+        assert image["num_words"] == 256
+        assert image["data"].tolist() == [0] * 40 + [7]
+        rf.flip_bits(200, 1)
+        rf.restore_state(image)
+        assert rf.used == 41
+        assert rf.data[40] == 7 and not rf.data[41:].any()
+
+    def test_image_of_another_geometry_is_refused(self):
+        with pytest.raises(ConfigError, match="geometry"):
+            RegisterFile(0, 512, 32).restore_state(
+                RegisterFile(0, 256, 32).snapshot_state())
+        with pytest.raises(ConfigError, match="geometry"):
+            LocalMemory(0, 2048).restore_state(
+                LocalMemory(0, 1024).snapshot_state())
