@@ -92,6 +92,15 @@ MUTANTS = (
                "test_restore_into_dirty_chip_clears_past_prefix",),
     ),
     Mutant(
+        name="number-check-allows-nonfinite",
+        breaks="a spec's number check accepts NaN and infinity, so a NaN "
+               "lease TTL never expires",
+        path="src/repro/spec/campaign.py",
+        old="    if not math.isfinite(value) or value <= 0:",
+        new="    if value <= 0:",
+        tests=("tests/test_spec_table.py::TestNonFiniteNumbers",),
+    ),
+    Mutant(
         name="fetch-bound-le",
         breaks="the fetch bounds check lets pc == len(program) through",
         path="src/repro/sim/core.py",

@@ -7,15 +7,12 @@ of argparse *subcommands* over it, sharing one set of option groups:
 * the figure subcommands (``fig1`` ``fig2`` ``fig3`` ``control``
   ``models`` ``all``) build a spec from their campaign flags and run
   the matching :data:`repro.experiments.figures.FIGURES` entry;
-* ``run path/to/spec.toml`` executes a TOML/JSON spec file.
-  ``--set key=value`` overrides individual spec fields; unknown keys
-  and invalid values are registry-validated errors naming the valid
-  choices;
+* ``run path/to/spec.toml`` executes a TOML/JSON spec file, with
+  ``--set key=value`` overrides of single spec fields;
 * ``sweep path/to/spec.toml --axis key=v1,v2 ...`` expands the spec
-  by an axis product (``--axis`` repeats; integer axes accept
-  ``0..4`` ranges, set-valued axes join names with ``+``), runs every
-  child campaign against one shared result store and golden cache,
-  and prints a per-axis summary table;
+  by an axis product (``--axis`` repeats), runs every child campaign
+  against one shared result store and golden cache, and prints a
+  per-axis summary table;
 * ``status STORE`` renders the campaign monitor for a result store —
   per-kind job counts, cache hit rates, worker occupancy, injection
   throughput and (for an in-progress campaign) an ETA — from the
@@ -46,31 +43,13 @@ executed) is printed after each run. Spec fields map onto the same
 job fingerprints that stores written before the spec API hold, so
 those resume with zero jobs executed.
 
-``run`` and ``sweep`` take ``--telemetry [PATH]`` / ``--no-telemetry``
-to record (or suppress) the engine's observability event stream —
-JSONL next to the ``--resume`` store by default, at ``PATH`` when
-given, overriding the spec's own ``telemetry`` field either way.
-Telemetry never changes results: stores are bit-identical with it on
-or off.
-
-The fault model is a first-class campaign axis: ``--fault-model``
-selects transient bit flips (the paper's model, default), permanent
-stuck-at defects, or multi-bit upsets for any experiment, and the
-``models`` experiment tabulates per-GPU AVF across all models.
-
-Campaigns checkpoint by default: golden runs capture full-machine
-snapshots so every live fault simulates only its suffix, with the
-early-exit convergence check classifying quiesced transients MASKED
-immediately (:mod:`repro.checkpoint`). ``--checkpoint-interval N``
-tunes the capture stride, ``--no-checkpoints`` restores the
-simulate-from-cycle-zero behaviour; results are bit-identical either
-way.
-
-The fault-site taxonomy is a campaign axis too: ``--structures``
-retargets any experiment at a subset of the structure registry
-(datapath: register_file, local_memory; control: simt_stack,
-predicate_file, scheduler_state), and the ``control`` experiment
-reports per-GPU control-structure AVF alongside Fig. 1/2.
+Every spec field's check, text form (``--set``, ``--axis``), help and
+figure flag is its entry in :data:`repro.spec.SPEC_TABLE`; this module
+only places those flags and reads them back. Bad values and unknown
+keys exit 2 with a message naming the flag or field and, for
+registries, the valid choices. ``run``/``sweep``/``serve`` also take
+``--telemetry [PATH]`` / ``--profile`` (and their ``--no-`` forms),
+overriding the spec's own fields; both are observability-only.
 
 Examples::
 
@@ -104,20 +83,20 @@ import time
 from pathlib import Path
 
 from repro.arch.presets import GPU_ALIASES, GPU_PRESETS
-from repro.arch.structures import STRUCTURE_REGISTRY, structure_info
+from repro.arch.structures import STRUCTURE_REGISTRY
 from repro.engine import CampaignStats, ResultStore
 from repro.errors import ConfigError
 from repro.experiments.figures import FIGURES, run_figure
-from repro.faultmodels.registry import FAULT_MODELS, list_fault_models
+from repro.faultmodels.registry import FAULT_MODELS
 from repro.kernels.registry import KERNEL_NAMES, get_workload
 from repro.reliability.report import format_avf_figure, write_cells_csv
 from repro.spec import (
-    INT_FIELDS,
     SPEC_FIELDS,
-    TUPLE_FIELDS,
+    SPEC_TABLE,
     CampaignSpec,
-    check_spec_keys,
+    SpecField,
     run_sweep,
+    spec_field,
 )
 
 #: ``all`` reproduces the paper's figures (control and models are
@@ -130,67 +109,21 @@ _PAPER_FIGURES = ("fig1", "fig2", "fig3")
 # ----------------------------------------------------------------------
 
 def _campaign_parent() -> argparse.ArgumentParser:
-    """The figure subcommands' campaign-axis flags (spec fields)."""
+    """The figure subcommands' campaign-axis flags: every spec field's
+    figure flag from :data:`repro.spec.SPEC_TABLE`."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("campaign axes")
-    group.add_argument(
-        "--structures", nargs="+", default=None, metavar="STRUCT",
-        help="retarget the campaign at these structures (space- or "
-             f"comma-separated; registry: {', '.join(STRUCTURE_REGISTRY)}; "
-             "default: each experiment's own set)",
-    )
-    group.add_argument(
-        "--fault-model", choices=list_fault_models(), default=None,
-        metavar="MODEL",
-        help="fault model for the campaign: "
-             f"{', '.join(list_fault_models())} (default: transient, "
-             "the paper's single-bit-flip model)",
-    )
-    group.add_argument(
-        "--samples", type=int, default=None,
-        help="fault injections per structure (paper: 2000; default: "
-             "REPRO_FI_SAMPLES or 150)",
-    )
-    group.add_argument(
-        "--scale", choices=("tiny", "small", "default"), default=None,
-        help="workload input scale (default: REPRO_SCALE or small)",
-    )
-    group.add_argument(
-        "--gpus", nargs="+", default=None, metavar="GPU",
-        help="chip subset by name/alias (default: all four, scaled)",
-    )
-    group.add_argument(
-        "--workloads", nargs="+", default=None, metavar="BENCH",
-        choices=list(KERNEL_NAMES), help="benchmark subset",
-    )
-    group.add_argument("--seed", type=int, default=0)
-    group.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="live fault plans per FI-shard job (default: 24; any value "
-             "gives identical results)",
-    )
-    group.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="CYCLES",
-        help="golden-run snapshot stride in cycles for suffix-only fault "
-             "injection (default: auto — self-tuning doubling schedule; "
-             "any value gives identical results)",
-    )
-    group.add_argument(
-        "--no-checkpoints", action="store_true",
-        help="disable golden-run snapshots: re-simulate every live fault "
-             "from cycle zero (bit-identical, slower)",
-    )
-    group.add_argument(
-        "--suffix-memo", action="store_true", default=None,
-        help="share classified quiescent states across the campaign's "
-             "injections (cross-sample suffix memoization; needs "
-             "checkpoints; on by default; bit-identical results)",
-    )
-    group.add_argument(
-        "--no-suffix-memo", action="store_true",
-        help="disable cross-sample suffix memoization (bit-identical; "
-             "measured campaigns ran no slower without it)",
-    )
+    for field in SPEC_TABLE:
+        flag = field.flag
+        if flag is not None and flag.on:
+            group.add_argument(
+                field.option, dest=field.name, nargs=flag.nargs,
+                metavar=flag.metavar, help=field.help,
+                choices=flag.choices() if flag.choices else None)
+        if flag is not None and flag.off:
+            switch, text, _ = flag.off
+            group.add_argument(switch, dest=f"no_{field.name}",
+                               action="store_true", help=text)
     return parent
 
 
@@ -382,10 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default: 0 = pick a free one; the chosen URL "
              "is printed on startup)")
     serve_parser.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="seconds a leased job may go without a worker heartbeat "
-             "before it is re-queued (default: the spec's lease_ttl_s, "
-             "or 30)")
+        "--lease-ttl", default=None, metavar="SECONDS",
+        help=spec_field("lease_ttl_s").help)
     _add_set_flag(
         serve_parser,
         "override one spec field on every served spec (repeatable)")
@@ -452,60 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_args(args) -> None:
-    """Range-check numeric CLI arguments with friendly messages.
-
-    argparse only guarantees the values parse as integers; without
-    this, a zero or negative value surfaces as a deep traceback from
-    numpy or the process pool instead of a usable error.
-    """
-    checks = (
-        ("--samples", args.samples, 1),
-        ("--seed", args.seed, 0),
-        ("--shard-size", args.shard_size, 1),
-        ("--checkpoint-interval", args.checkpoint_interval, 1),
-    )
-    for flag, value, minimum in checks:
-        if value is not None and value < minimum:
-            raise ConfigError(
-                f"{flag} must be >= {minimum}, got {value}"
-            )
-    if args.no_checkpoints and args.checkpoint_interval is not None:
-        raise ConfigError(
-            "--no-checkpoints and --checkpoint-interval are mutually "
-            "exclusive"
-        )
-
-
-def _parse_structures(values) -> tuple | None:
-    """Normalize --structures (accepts commas) against the registry.
-
-    Every name is validated through the registry, so a typo yields a
-    friendly error naming the valid choices instead of a traceback
-    from deep inside the sampler.
-    """
-    if values is None:
-        return None
-    names = [name for value in values for name in value.split(",") if name]
-    if not names:
-        raise ConfigError(
-            f"--structures needs at least one of: "
-            f"{', '.join(STRUCTURE_REGISTRY)}"
-        )
-    for name in names:
-        structure_info(name)  # raises ConfigError with the valid choices
-    return tuple(dict.fromkeys(names))  # dedupe, keep order
-
-
-def _checkpoint_interval(args):
-    """The campaign's checkpoint setting: None (off), 'auto', or cycles."""
-    if args.no_checkpoints:
-        return None
-    if args.checkpoint_interval is not None:
-        return args.checkpoint_interval
-    return "auto"
-
-
 def _flag_pair(args, name: str):
     """A spec setting from its ``--NAME``/``--no-NAME`` flag pair.
 
@@ -522,21 +399,36 @@ def _flag_pair(args, name: str):
     return value
 
 
+def _flag_value(field: SpecField, option: str, text: str):
+    """Flag text parsed and checked by its spec field; errors name it."""
+    try:
+        return field.check(field.parse(text))
+    except ConfigError as error:
+        raise ConfigError(f"{option}: {error}") from None
+
+
+def _figure_value(args, field: SpecField):
+    """One spec field from its figure flags (None: the spec default)."""
+    flag, text = field.flag, getattr(args, field.name, None)
+    if getattr(args, f"no_{field.name}", False):
+        switch, _, value = flag.off
+        if text is not None:
+            raise ConfigError(
+                f"{switch} and {field.option} are mutually exclusive")
+        return value
+    if text is None:
+        return flag.default
+    if isinstance(text, list):  # nargs="+": names, commas allowed too
+        text = ",".join(text)
+    return _flag_value(field, field.option, text)
+
+
 def _spec_from_args(args) -> CampaignSpec:
     """The figure subcommands' CampaignSpec (None fields = defaults)."""
-    return CampaignSpec(
-        gpus=tuple(args.gpus) if args.gpus is not None else None,
-        workloads=tuple(args.workloads) if args.workloads is not None
-        else None,
-        scale=args.scale,
-        samples=args.samples,
-        seed=args.seed,
-        structures=_parse_structures(args.structures),
-        fault_model=args.fault_model or "transient",
-        checkpoint_interval=_checkpoint_interval(args),
-        shard_size=args.shard_size,
-        suffix_memo=_flag_pair(args, "suffix_memo"),
-    )
+    values = ((field.name, _figure_value(args, field))
+              for field in SPEC_TABLE if field.flag is not None)
+    return CampaignSpec(**{name: value for name, value in values
+                           if value is not None})
 
 
 def _progress(cell):
@@ -579,10 +471,6 @@ def _list_structures() -> None:
 # Spec-field value parsing (the `run --set` / `sweep --axis` surface)
 # ----------------------------------------------------------------------
 
-# Field typing comes from the spec package (TUPLE_FIELDS/INT_FIELDS,
-# declared once next to the dataclass) so a new campaign axis needs no
-# CLI edit.
-
 def _split_assignment(text: str, *, flag: str) -> tuple[str, str]:
     key, sep, value = text.partition("=")
     if not sep or not key:
@@ -591,64 +479,12 @@ def _split_assignment(text: str, *, flag: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _scalar_value(key: str, text: str):
-    """One spec-field value from CLI text (typed per field)."""
-    if key in INT_FIELDS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"spec field {key!r}: expected an integer, got {text!r}"
-            ) from None
-    if key in ("raw_fit_per_bit", "lease_ttl_s"):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(
-                f"spec field {key!r}: expected a number, got {text!r}"
-            ) from None
-    if key == "checkpoint_interval":
-        if text in ("none", "off"):
-            return None
-        if text == "auto":
-            return "auto"
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"spec field {key!r}: expected 'auto', 'none' or a cycle "
-                f"count, got {text!r}") from None
-    if key in ("telemetry", "profile", "suffix_memo"):
-        low = text.lower()
-        if low in ("true", "on", "1", "yes"):
-            return True
-        if low in ("false", "off", "0", "no", "none"):
-            return False
-        if key == "telemetry":
-            return text  # a JSONL path
-        raise ConfigError(
-            f"spec field {key!r}: expected true/false, got {text!r}")
-    return text
-
-
-def _set_value(key: str, text: str):
-    """The value of one ``--set key=value`` override."""
-    if key in TUPLE_FIELDS:
-        names = tuple(name for name in text.split(",") if name)
-        if not names:
-            raise ConfigError(
-                f"spec field {key!r}: expected a comma-separated name list, "
-                f"got {text!r}")
-        return names
-    return _scalar_value(key, text)
-
-
 def _apply_sets(spec: CampaignSpec, sets: list | None,
                 *, flag: str = "--set") -> CampaignSpec:
     for text in sets or ():
         key, value = _split_assignment(text, flag=flag)
-        check_spec_keys([key], context=f"{flag} {key}=...")
-        spec = spec.replace(**{key: _set_value(key, value)})
+        field = spec_field(key, context=f"{flag} {key}=...")
+        spec = spec.replace(**{key: field.parse(value)})
     return spec
 
 
@@ -657,46 +493,12 @@ def _load_spec(path: str, args) -> CampaignSpec:
     return _apply_sets(CampaignSpec.from_file(path), args.set)
 
 
-def _axis_points(key: str, text: str) -> list:
-    """The value list of one ``--axis key=v1,v2`` sweep axis.
-
-    Integer axes accept inclusive ``a..b`` ranges; set-valued axes
-    (gpus, workloads, structures) join the names of one axis point
-    with ``+`` (e.g. ``structures=register_file+local_memory,simt_stack``
-    is two points: the datapath pair, then the SIMT stack alone).
-    """
-    points: list = []
-    for part in text.split(","):
-        if not part:
-            continue
-        if key in INT_FIELDS and ".." in part:
-            lo, _, hi = part.partition("..")
-            try:
-                lo, hi = int(lo), int(hi)
-            except ValueError:
-                raise ConfigError(
-                    f"sweep axis {key!r}: bad range {part!r} "
-                    f"(expected a..b)") from None
-            if hi < lo:
-                raise ConfigError(
-                    f"sweep axis {key!r}: empty range {part!r}")
-            points.extend(range(lo, hi + 1))
-        elif key in TUPLE_FIELDS:
-            points.append(tuple(name for name in part.split("+") if name))
-        else:
-            points.append(_scalar_value(key, part))
-    if not points:
-        raise ConfigError(f"sweep axis {key!r} has no values")
-    return points
-
-
 # ----------------------------------------------------------------------
 # Subcommand bodies
 # ----------------------------------------------------------------------
 
 def _main_figures(args) -> int:
     """The figure subcommands: one :data:`FIGURES` entry, or ``all``."""
-    _validate_args(args)
     spec = _spec_from_args(args)
     names = _PAPER_FIGURES if args.command == "all" else [args.command]
     store = ResultStore(args.resume) if args.resume else None
@@ -708,7 +510,7 @@ def _main_figures(args) -> int:
                 name, spec,
                 # A named model narrows the models sweep to it; without
                 # --fault-model it compares them all.
-                fault_models=[args.fault_model] if args.fault_model
+                fault_models=[spec.fault_model] if args.fault_model
                 else None,
                 store=store, workers=args.workers,
                 progress=None if args.quiet else _progress, stats=stats)
@@ -765,12 +567,12 @@ def _main_sweep(args) -> int:
     axes: dict = {}
     for text in args.axis:
         key, value = _split_assignment(text, flag="--axis")
-        check_spec_keys([key], context=f"--axis {key}=...")
+        field = spec_field(key, context=f"--axis {key}=...")
         if key in axes:
             raise ConfigError(
                 f"duplicate sweep axis {key!r}; give each --axis "
                 f"once and comma-separate its values")
-        axes[key] = _axis_points(key, value)
+        axes[key] = field.points(value)
     title = spec.name or args.spec
     total = 1
     for values in axes.values():
@@ -873,6 +675,8 @@ def _follow_status(store_path: Path, telemetry_path: Path, *,
 def _main_serve(args) -> int:
     """``serve SPEC...``: the campaign-service coordinator."""
     from repro.engine.service import CampaignService
+    lease_ttl = None if args.lease_ttl is None else _flag_value(
+        spec_field("lease_ttl_s"), "--lease-ttl", args.lease_ttl)
     specs = [_load_spec(path, args) for path in args.specs]
     store = ResultStore(args.store)
 
@@ -885,7 +689,7 @@ def _main_serve(args) -> int:
     try:
         service = CampaignService(
             store, specs, host=args.host, port=args.port,
-            lease_ttl_s=args.lease_ttl,
+            lease_ttl_s=lease_ttl,
             telemetry=_flag_pair(args, "telemetry"),
             profile=_flag_pair(args, "profile"),
             progress=None if args.quiet else _progress)

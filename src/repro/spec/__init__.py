@@ -13,17 +13,18 @@ single configuration surface for every layer of the reproduction:
 * sweeps (``spec.sweep(fault_model=[...], seed=range(3))`` /
   :func:`run_sweep`) sharing one result store and golden cache
 
-Spec fields map one-to-one onto the engine's job-fingerprint
+Each field's check, command-line text parser, help and figure flag
+is its :data:`SPEC_TABLE` entry. Spec fields map one-to-one onto the engine's job-fingerprint
 parameters, so result stores written before the spec API resume with
 zero jobs executed.
 """
 
 from repro.spec.campaign import (
-    INT_FIELDS,
     SPEC_FIELDS,
-    TUPLE_FIELDS,
+    SPEC_TABLE,
     CampaignSpec,
-    check_spec_keys,
+    SpecField,
+    spec_field,
 )
 from repro.spec.defaults import (
     ENV_SAMPLES,
@@ -36,12 +37,11 @@ from repro.spec.sweep import SweepResult, SweepRun, expand_sweep, run_sweep
 
 __all__ = [
     "CampaignSpec",
-    "INT_FIELDS",
     "SPEC_FIELDS",
-    "TUPLE_FIELDS",
+    "SPEC_TABLE",
+    "SpecField",
     "SweepResult",
     "SweepRun",
-    "check_spec_keys",
     "default_samples",
     "default_scale",
     "ENV_SAMPLES",
@@ -49,6 +49,7 @@ __all__ = [
     "expand_sweep",
     "load_spec",
     "save_spec",
+    "spec_field",
     "spec_from_dict",
     "spec_to_dict",
     "run_sweep",

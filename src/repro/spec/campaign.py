@@ -5,8 +5,8 @@ of the reproduction consumes: ``run_cell(spec)``,
 ``run_campaign(spec, store=..., workers=...)``, the figures
 and the ``repro-experiments run`` / ``sweep`` CLI all take one frozen,
 validated, serializable spec instead of six-plus parallel kwarg lists.
-Adding a campaign axis is one field here — not a signature change in
-every layer.
+Adding a campaign axis is one field here plus its :data:`SPEC_TABLE`
+entry — not a signature change in every layer.
 
 Design rules:
 
@@ -15,6 +15,9 @@ Design rules:
   schedulers), so a bad spec fails immediately with a
   :class:`~repro.errors.ConfigError` naming the offending field and
   the valid choices — never as a traceback from deep inside a worker.
+* **One table.** Each field's check, command-line text parser, help
+  and figure flag is its :data:`SPEC_TABLE` entry; construction, spec
+  files, ``--set``/``--axis`` and the figure flags all read it.
 * **What, not how.** The spec describes the campaign (which chips,
   which benchmarks, how many samples, which fault model...); execution
   resources — ``store``, ``workers``, ``progress`` — stay explicit
@@ -36,11 +39,17 @@ Serialization (``to_file``/``from_file`` for TOML and JSON) lives in
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.arch.config import GpuConfig
+from repro.arch.config import GpuConfig, LatencyModel
 from repro.arch.scaling import get_scaled_gpu, list_scaled_gpus
-from repro.arch.structures import DATAPATH_STRUCTURES, structure_info
+from repro.arch.structures import (
+    DATAPATH_STRUCTURES,
+    STRUCTURE_REGISTRY,
+    structure_info,
+)
 from repro.errors import ConfigError
 from repro.kernels.registry import KERNEL_NAMES, SCALES
 from repro.sim.scheduler import make_scheduler
@@ -53,219 +62,47 @@ from repro.reliability.epf import RAW_FIT_PER_BIT
 from repro.reliability.liveness import AceMode
 
 
-def _field_error(field: str, message: str) -> ConfigError:
-    return ConfigError(f"spec field {field!r}: {message}")
-
-
-def _as_tuple(field: str, value) -> tuple:
-    """Normalize a str / iterable field value to a tuple."""
-    if isinstance(value, str):
-        return (value,)
-    try:
-        return tuple(value)
-    except TypeError:
-        raise _field_error(
-            field, f"expected a name or a list of names, got {value!r}"
-        ) from None
-
-
-def _check_int(field: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _field_error(field, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise _field_error(field, f"must be >= {minimum}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """One validated, serializable description of a campaign.
 
     Every field is a campaign *axis*; ``None`` (where allowed) means
-    "resolve the default at execution time". Execution resources
-    (result store, worker count, progress callbacks) are deliberately
-    not part of the spec.
+    "resolve the default at execution time". Each field's meaning,
+    check, command-line text form and figure flag are its entry in
+    :data:`SPEC_TABLE`. Chips may be preset names/aliases or explicit
+    :class:`GpuConfig` objects. Execution resources (result store,
+    worker count, progress callbacks) are deliberately not part of the
+    spec; neither ``telemetry``, ``profile``, ``suffix_memo``,
+    ``coordinator``, ``lease_ttl_s`` nor ``name`` joins any job
+    fingerprint.
     """
 
-    #: Chips: preset names/aliases (resolved through the scaled
-    #: presets) or explicit :class:`GpuConfig` objects. None = all
-    #: four paper chips, scaled.
     gpus: tuple | None = None
-    #: Benchmark subset by name. None = the full ten-benchmark suite.
     workloads: tuple | None = None
-    #: Workload input scale. None = REPRO_SCALE or "small".
     scale: str | None = None
-    #: FI samples per structure. None = REPRO_FI_SAMPLES or 150.
     samples: int | None = None
-    #: RNG seed for fault sampling.
     seed: int = 0
-    #: Warp scheduling policy ("rr" or "gto").
     scheduler: str = "rr"
-    #: Fault-site structure subset (registry names). None = the
-    #: paper's datapath pair (register_file, local_memory).
     structures: tuple | None = None
-    #: Fault model registry name (transient / stuck_at / mbu).
     fault_model: str = "transient"
-    #: ACE liveness analysis mode.
     ace_mode: AceMode = AceMode.CONSERVATIVE
-    #: Golden-run snapshot stride for suffix-only FI: None (off),
-    #: "auto" (self-tuning), or a cycle count.
     checkpoint_interval: int | str | None = None
-    #: Live fault plans per FI shard job. None = engine default.
     shard_size: int | None = None
-    #: Raw soft-error FIT per storage bit (the EPF scale factor).
     raw_fit_per_bit: float = RAW_FIT_PER_BIT
-    #: Engine telemetry: None/False = off, True = JSONL event stream
-    #: next to the result store, a path = JSONL there. Strictly
-    #: observability-only — never part of any job fingerprint, and the
-    #: result store is bit-identical with it on or off.
     telemetry: bool | str | None = None
-    #: Hot-path profiling (phase timers + dispatch counters feeding
-    #: ``cell_profile``/``campaign_profile`` telemetry events and the
-    #: ``profile STORE`` report): None/False = off, True = on. Same
-    #: guarantee as ``telemetry``: never part of any job fingerprint,
-    #: result stores bit-identical with it on or off.
     profile: bool | None = None
-    #: Cross-sample suffix memoization (:mod:`repro.checkpoint.memo`):
-    #: None = on (the default), False = off. Takes effect only with
-    #: checkpointing enabled; derived state like checkpoints — results
-    #: bit-identical on or off, never part of any job fingerprint.
     suffix_memo: bool | None = None
-    #: Campaign-service coordinator URL (``http://host:port``) this
-    #: spec is meant to run against — the default target of
-    #: ``repro-experiments submit``. An execution resource like
-    #: ``suffix_memo``: never part of any job fingerprint, and a
-    #: distributed store is bit-identical to a local one.
     coordinator: str | None = None
-    #: Campaign-service lease TTL in seconds: how long a leased job may
-    #: go without a worker heartbeat before the coordinator re-queues
-    #: it. None = the service default (30s). Fingerprint-transparent.
-    lease_ttl_s: int | float | None = None
-    #: Optional human-readable label (spec files, sweep tables). Not
-    #: part of any job fingerprint.
+    lease_ttl_s: float | None = None
     name: str | None = None
 
-    # ------------------------------------------------------------------
-    # Validation (every field, friendly errors)
-    # ------------------------------------------------------------------
-
     def __post_init__(self):
-        set_ = object.__setattr__
-        if self.gpus is not None:
-            gpus = _as_tuple("gpus", self.gpus)
-            for gpu in gpus:
-                if isinstance(gpu, GpuConfig):
-                    continue
-                if not isinstance(gpu, str):
-                    raise _field_error(
-                        "gpus",
-                        f"expected a chip name or GpuConfig, got {gpu!r}")
-                try:
-                    get_scaled_gpu(gpu)
-                except ConfigError as error:
-                    raise _field_error("gpus", str(error)) from None
-            set_(self, "gpus", gpus)
-        if self.workloads is not None:
-            workloads = _as_tuple("workloads", self.workloads)
-            for workload in workloads:
-                if workload not in KERNEL_NAMES:
-                    raise _field_error(
-                        "workloads",
-                        f"unknown benchmark {workload!r}; "
-                        f"known: {', '.join(KERNEL_NAMES)}")
-            set_(self, "workloads", workloads)
-        if self.scale is not None and self.scale not in SCALES:
-            raise _field_error(
-                "scale",
-                f"unknown scale {self.scale!r}; known: {', '.join(SCALES)}")
-        if self.samples is not None:
-            _check_int("samples", self.samples, 1)
-        _check_int("seed", self.seed, 0)
-        try:
-            make_scheduler(self.scheduler)
-        except ConfigError as error:
-            raise _field_error("scheduler", str(error)) from None
-        if self.structures is not None:
-            structures = _as_tuple("structures", self.structures)
-            if not structures:
-                raise _field_error(
-                    "structures", "needs at least one structure name")
-            for structure in structures:
-                try:
-                    structure_info(structure)
-                except ConfigError as error:
-                    raise _field_error("structures", str(error)) from None
-            # Dedupe, keep first-mention order (matches the CLI flag).
-            set_(self, "structures", tuple(dict.fromkeys(structures)))
-        from repro.faultmodels.registry import fault_model_name
-        try:
-            set_(self, "fault_model", fault_model_name(self.fault_model))
-        except ConfigError as error:
-            raise _field_error("fault_model", str(error)) from None
-        if not isinstance(self.ace_mode, AceMode):
-            try:
-                set_(self, "ace_mode", AceMode(self.ace_mode))
-            except ValueError:
-                raise _field_error(
-                    "ace_mode",
-                    f"unknown mode {self.ace_mode!r}; known: "
-                    f"{', '.join(m.value for m in AceMode)}") from None
-        if self.checkpoint_interval is not None \
-                and self.checkpoint_interval != "auto":
-            _check_int("checkpoint_interval", self.checkpoint_interval, 1)
-        if self.shard_size is not None:
-            _check_int("shard_size", self.shard_size, 1)
-        if isinstance(self.raw_fit_per_bit, bool) \
-                or not isinstance(self.raw_fit_per_bit, (int, float)):
-            raise _field_error(
-                "raw_fit_per_bit",
-                f"expected a number, got {self.raw_fit_per_bit!r}")
-        set_(self, "raw_fit_per_bit", float(self.raw_fit_per_bit))
-        if self.raw_fit_per_bit <= 0:
-            raise _field_error(
-                "raw_fit_per_bit",
-                f"must be > 0, got {self.raw_fit_per_bit}")
-        if self.telemetry is not None and not isinstance(
-                self.telemetry, bool):
-            if not isinstance(self.telemetry, str):
-                raise _field_error(
-                    "telemetry",
-                    f"expected true/false or a JSONL path, "
-                    f"got {self.telemetry!r}")
-            if not self.telemetry:
-                raise _field_error(
-                    "telemetry", "path must be a non-empty string")
-        if self.profile is not None and not isinstance(self.profile, bool):
-            raise _field_error(
-                "profile",
-                f"expected true/false, got {self.profile!r}")
-        if self.suffix_memo is not None and not isinstance(
-                self.suffix_memo, bool):
-            raise _field_error(
-                "suffix_memo",
-                f"expected true/false, got {self.suffix_memo!r}")
-        if self.coordinator is not None:
-            if not isinstance(self.coordinator, str) \
-                    or not self.coordinator.startswith(("http://",
-                                                        "https://")):
-                raise _field_error(
-                    "coordinator",
-                    f"expected a coordinator URL like http://host:port, "
-                    f"got {self.coordinator!r}")
-        if self.lease_ttl_s is not None:
-            if isinstance(self.lease_ttl_s, bool) \
-                    or not isinstance(self.lease_ttl_s, (int, float)):
-                raise _field_error(
-                    "lease_ttl_s",
-                    f"expected a number of seconds, got "
-                    f"{self.lease_ttl_s!r}")
-            if self.lease_ttl_s <= 0:
-                raise _field_error(
-                    "lease_ttl_s",
-                    f"must be > 0, got {self.lease_ttl_s}")
-        if self.name is not None and not isinstance(self.name, str):
-            raise _field_error(
-                "name", f"expected a string, got {self.name!r}")
+        fields = self.__dataclass_fields__
+        for entry in SPEC_TABLE:
+            value = getattr(self, entry.name)
+            # None means "the default" wherever the default is None.
+            if value is not None or fields[entry.name].default is not None:
+                object.__setattr__(self, entry.name, entry.check(value))
 
     # ------------------------------------------------------------------
     # Resolution (None -> concrete defaults, at execution time)
@@ -319,10 +156,7 @@ class CampaignSpec:
     def replace(self, **changes) -> CampaignSpec:
         """A new spec with ``changes`` applied (and re-validated)."""
         for key in changes:
-            if key not in SPEC_FIELDS:
-                raise ConfigError(
-                    f"unknown spec key {key!r}; "
-                    f"valid keys: {', '.join(SPEC_FIELDS)}")
+            spec_field(key, context="CampaignSpec.replace()")
         return dataclasses.replace(self, **changes)
 
     def sweep(self, **axes) -> list:
@@ -377,24 +211,371 @@ SPEC_FIELDS: tuple = tuple(
     f.name for f in dataclasses.fields(CampaignSpec)
 )
 
-#: Fields holding name *sets* (a tuple value is one campaign's worth
-#: of names) — drives both sweep-axis normalization and CLI parsing,
-#: so a new tuple-typed field is declared here exactly once.
-TUPLE_FIELDS: tuple = ("gpus", "workloads", "structures")
 
-#: Integer-typed fields — drives CLI value parsing and ``a..b``
-#: range expansion for sweep axes.
-INT_FIELDS: tuple = ("samples", "seed", "shard_size")
+# ----------------------------------------------------------------------
+# The spec-field table: each field's check, text parser, help and flag
+# ----------------------------------------------------------------------
+#
+# Checks and text parsers raise ConfigError with a bare message;
+# SpecField.check / SpecField.parse prefix it with the field's name.
+
+def _as_tuple(value) -> tuple:
+    if isinstance(value, str):
+        return (value,)
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(
+            f"expected a name or a list of names, got {value!r}") from None
 
 
-def check_spec_keys(keys, *, context: str) -> None:
-    """Raise :class:`ConfigError` for any key that is not a spec field."""
-    for key in keys:
-        if key not in SPEC_FIELDS:
+def _names(check_one):
+    """Check of a name set: a name or a list, each through ``check_one``."""
+    return lambda value: tuple(check_one(item) for item in _as_tuple(value))
+
+
+def _one_of(known, what: str):
+    def check(value):
+        if value not in known:
             raise ConfigError(
-                f"unknown spec key {key!r} in {context}; "
-                f"valid keys: {', '.join(SPEC_FIELDS)}")
+                f"unknown {what} {value!r}; known: {', '.join(known)}")
+        return value
+    return check
 
+
+def _integer(minimum: int):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {value}")
+        return value
+    return check
+
+
+def _positive_number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"must be a finite number > 0, got {value}")
+    return float(value)
+
+
+def _typed(kind, expected: str):
+    def check(value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"expected {expected}, got {value!r}")
+        return value
+    return check
+
+
+#: A registry key: refuse lists and tables before they reach a lookup.
+_name = _typed(str, "a name")
+
+
+def _check_gpu(gpu):
+    if isinstance(gpu, dict):  # an embedded GpuConfig table (JSON files)
+        try:
+            params = dict(gpu)
+            latency = params.pop("latency", None)
+            if latency is not None:
+                params["latency"] = LatencyModel(**latency)
+            return GpuConfig(**params)
+        except TypeError as error:
+            raise ConfigError(
+                f"bad embedded GpuConfig table: {error}") from None
+    if isinstance(gpu, str):
+        get_scaled_gpu(gpu)  # raises naming the known chips
+    elif not isinstance(gpu, GpuConfig):
+        raise ConfigError(f"expected a chip name or GpuConfig, got {gpu!r}")
+    return gpu
+
+
+def _check_scheduler(value):
+    make_scheduler(_name(value))  # raises naming the known policies
+    return value
+
+
+def _check_structures(value):
+    structures = _as_tuple(value)
+    if not structures:
+        raise ConfigError("needs at least one structure name")
+    for structure in structures:
+        structure_info(_name(structure))  # raises naming the registry
+    return tuple(dict.fromkeys(structures))  # dedupe, keep order
+
+
+def _check_fault_model(value):
+    from repro.faultmodels.registry import fault_model_name
+    return fault_model_name(_name(value))
+
+
+def _fault_model_names():
+    from repro.faultmodels.registry import list_fault_models
+    return list_fault_models()
+
+
+def _check_ace_mode(value):
+    try:
+        return AceMode(value)
+    except ValueError:
+        raise ConfigError(
+            f"unknown mode {value!r}; known: "
+            f"{', '.join(m.value for m in AceMode)}") from None
+
+
+def _check_interval(value):
+    return value if value == "auto" else _integer(1)(value)
+
+
+def _check_telemetry(value):
+    if isinstance(value, bool):
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(
+            f"expected true/false or a JSONL path, got {value!r}")
+    if not value:
+        raise ConfigError("path must be a non-empty string")
+    return value
+
+
+def _check_coordinator(value):
+    if not isinstance(value, str) \
+            or not value.startswith(("http://", "https://")):
+        raise ConfigError(
+            f"expected a coordinator URL like http://host:port, "
+            f"got {value!r}")
+    return value
+
+
+def _text(text: str) -> str:
+    return text
+
+
+def _read_names(text: str) -> tuple:
+    """Names joined by ``,`` (by ``+`` inside one sweep-axis point)."""
+    names = tuple(name for name in text.replace("+", ",").split(",")
+                  if name)
+    if not names:
+        raise ConfigError(
+            f"expected a comma-separated name list, got {text!r}")
+    return names
+
+
+def _read_int(text: str):
+    """An integer; an inclusive ``a..b`` range is the list of its values."""
+    lo, dots, hi = text.partition("..")
+    try:
+        if not dots:
+            return int(text)
+        values = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise ConfigError(
+            f"expected an integer or an a..b range, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"empty range {text!r}")
+    return values
+
+
+def _read_number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+
+
+def _read_switch(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "on", "1", "yes"):
+        return True
+    if low in ("false", "off", "0", "no", "none"):
+        return False
+    raise ConfigError(f"expected true/false, got {text!r}")
+
+
+def _read_telemetry(text: str):
+    try:
+        return _read_switch(text)
+    except ConfigError:
+        return text  # a JSONL path
+
+
+def _read_interval(text: str):
+    if text in ("none", "off"):
+        return None
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"expected 'auto', 'none' or a cycle count, got {text!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A spec field's flag on the figure subcommands (``fig1`` ...)."""
+
+    metavar: str | None = None
+    #: ``"+"``: a name set given as several words.
+    nargs: str | None = None
+    #: Zero-argument callable listing the accepted values (registries
+    #: load only when a parser is built).
+    choices: Callable | None = None
+    #: False when the field has no ``--FIELD`` flag, only ``off``.
+    on: bool = True
+    #: ``(switch, help, value)``: a ``--no-...`` switch setting ``value``.
+    off: tuple | None = None
+    #: The value when no flag is given; None keeps the spec's default.
+    default: object = None
+
+
+@dataclass(frozen=True)
+class SpecField:
+    """One :class:`CampaignSpec` field: its check, text parser and help."""
+
+    name: str
+    #: What the field means; also its command-line help.
+    help: str
+    #: value -> normalized value; raises ConfigError.
+    normalize: Callable
+    #: Command-line text -> value (``--set``, ``--axis``, figure flags).
+    #: A list is several sweep-axis points.
+    read: Callable = _text
+    flag: Flag | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def check(self, value):
+        """``value`` normalized, or a ConfigError naming the field."""
+        try:
+            return self.normalize(value)
+        except ConfigError as error:
+            raise ConfigError(f"spec field {self.name!r}: {error}") from None
+
+    def parse(self, text: str):
+        """The value of command-line ``text`` (check it with :meth:`check`)."""
+        try:
+            return self.read(text)
+        except ConfigError as error:
+            raise ConfigError(f"spec field {self.name!r}: {error}") from None
+
+    def points(self, text: str) -> list:
+        """The values of one ``--axis FIELD=P1,P2,...`` sweep axis.
+
+        An integer point may be an inclusive ``a..b`` range; a name-set
+        point joins its names with ``+``.
+        """
+        points: list = []
+        for part in filter(None, text.split(",")):
+            value = self.parse(part)
+            points.extend(value if isinstance(value, list) else [value])
+        if not points:
+            raise ConfigError(f"sweep axis {self.name!r} has no values")
+        return points
+
+
+#: One entry per :class:`CampaignSpec` field, in declaration order.
+SPEC_TABLE: tuple = (
+    SpecField(
+        "gpus", "chip subset by name/alias (default: all four, scaled)",
+        _names(_check_gpu), _read_names, Flag(metavar="GPU", nargs="+")),
+    SpecField(
+        "workloads", "benchmark subset",
+        _names(_one_of(KERNEL_NAMES, "benchmark")), _read_names,
+        Flag(metavar="BENCH", nargs="+", choices=lambda: KERNEL_NAMES)),
+    SpecField(
+        "scale", "workload input scale (default: REPRO_SCALE or small)",
+        _one_of(SCALES, "scale"), flag=Flag(choices=lambda: SCALES)),
+    SpecField(
+        "samples", "fault injections per structure (paper: 2000; default: "
+                   "REPRO_FI_SAMPLES or 150)",
+        _integer(1), _read_int, Flag()),
+    SpecField(
+        "seed", "RNG seed for fault sampling (default: 0)",
+        _integer(0), _read_int, Flag()),
+    SpecField(
+        "scheduler", "warp scheduling policy: rr or gto (default: rr)",
+        _check_scheduler),
+    SpecField(
+        "structures",
+        "retarget the campaign at these structures (space- or "
+        f"comma-separated; registry: {', '.join(STRUCTURE_REGISTRY)}; "
+        "default: each experiment's own set)",
+        _check_structures, _read_names, Flag(metavar="STRUCT", nargs="+")),
+    SpecField(
+        "fault_model", "fault model for the campaign: %(choices)s (default: "
+                       "transient, the paper's single-bit-flip model)",
+        _check_fault_model,
+        flag=Flag(metavar="MODEL", choices=_fault_model_names)),
+    SpecField(
+        "ace_mode", "ACE liveness analysis mode: conservative or "
+                    "lane_masked (default: conservative)",
+        _check_ace_mode),
+    SpecField(
+        "checkpoint_interval",
+        "golden-run snapshot stride in cycles for suffix-only fault "
+        "injection (default: auto — self-tuning doubling schedule; any "
+        "value gives identical results)",
+        _check_interval, _read_interval,
+        Flag(metavar="CYCLES", default="auto", off=(
+            "--no-checkpoints",
+            "disable golden-run snapshots: re-simulate every live fault "
+            "from cycle zero (bit-identical, slower)", None))),
+    SpecField(
+        "shard_size", "live fault plans per FI-shard job (default: 24; any "
+                      "value gives identical results)",
+        _integer(1), _read_int, Flag(metavar="N")),
+    SpecField(
+        "raw_fit_per_bit", "raw soft-error FIT per storage bit (the EPF "
+                           "scale factor)",
+        _positive_number, _read_number),
+    SpecField(
+        "telemetry", "engine telemetry: true for a JSONL event stream next "
+                     "to the result store, or its path. Observability-only",
+        _check_telemetry, _read_telemetry),
+    SpecField(
+        "profile", "collect the hot-path profile (phase timers, dispatch "
+                   "counters) into the telemetry stream, for 'profile "
+                   "STORE'. Observability-only",
+        _typed(bool, "true/false"), _read_switch),
+    SpecField(
+        "suffix_memo", "cross-sample suffix memoization (default: on; "
+                       "engages only with checkpoints; bit-identical "
+                       "results)",
+        _typed(bool, "true/false"), _read_switch,
+        Flag(on=False, off=(
+            "--no-suffix-memo",
+            "disable cross-sample suffix memoization (bit-identical; "
+            "measured campaigns ran no slower without it)", False))),
+    SpecField(
+        "coordinator", "campaign-service coordinator URL (http://host:port), "
+                       "the default target of 'submit'",
+        _check_coordinator),
+    SpecField(
+        "lease_ttl_s", "seconds a leased job may go without a worker "
+                       "heartbeat before it is re-queued (default: the "
+                       "spec's lease_ttl_s, or 30)",
+        _positive_number, _read_number),
+    SpecField(
+        "name", "human-readable label (spec files, sweep tables)",
+        _typed(str, "a string")),
+)
+
+_BY_NAME = {entry.name: entry for entry in SPEC_TABLE}
+
+
+def spec_field(key, *, context: str = "CampaignSpec") -> SpecField:
+    """The table entry of spec field ``key``; ConfigError if unknown."""
+    try:
+        return _BY_NAME[key]
+    except KeyError:
+        raise ConfigError(
+            f"unknown spec key {key!r} in {context}; "
+            f"valid keys: {', '.join(SPEC_FIELDS)}") from None
 
 def require_spec(spec, *, who: str) -> CampaignSpec:
     """Return ``spec``, or raise :class:`ConfigError` if it is not a spec."""

@@ -5,8 +5,8 @@ they are the resolution targets for the ``None`` defaults of
 :class:`repro.spec.CampaignSpec`.
 
 This module is deliberately import-free within the package so both
-``repro.spec`` and ``repro.reliability.campaign`` (which re-exports
-the helpers for backward compatibility) can load it without cycles.
+``repro.spec`` and ``repro.reliability`` (whose package namespace also
+exports the helpers) can load it without cycles.
 """
 
 from __future__ import annotations

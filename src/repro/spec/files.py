@@ -22,51 +22,34 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from enum import Enum
 from pathlib import Path
 
-from repro.arch.config import GpuConfig, LatencyModel
+from repro.arch.config import GpuConfig
 from repro.errors import ConfigError
-from repro.spec.campaign import CampaignSpec, check_spec_keys
+from repro.spec.campaign import SPEC_TABLE, CampaignSpec, spec_field
 
 
 # ----------------------------------------------------------------------
 # dict codec
 # ----------------------------------------------------------------------
 
-def _encode_gpu(gpu) -> str | dict:
-    return dataclasses.asdict(gpu) if isinstance(gpu, GpuConfig) else gpu
-
-
-def _decode_gpu(value):
-    if isinstance(value, dict):
-        try:
-            params = dict(value)
-            latency = params.pop("latency", None)
-            if latency is not None:
-                params["latency"] = LatencyModel(**latency)
-            return GpuConfig(**params)
-        except TypeError as error:
-            raise ConfigError(
-                f"spec field 'gpus': bad embedded GpuConfig table: {error}"
-            ) from None
+def _plain(value):
+    """Plain data for a checked field value (lists, strings, tables)."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, GpuConfig):
+        return dataclasses.asdict(value)
+    if isinstance(value, Enum):
+        return value.value
     return value
 
 
 def spec_to_dict(spec: CampaignSpec) -> dict:
     """Plain-data form of a spec. ``None`` (default) fields are omitted."""
-    data: dict = {}
-    for field in dataclasses.fields(CampaignSpec):
-        value = getattr(spec, field.name)
-        if value is None:
-            continue
-        if field.name == "gpus":
-            value = [_encode_gpu(gpu) for gpu in value]
-        elif field.name == "ace_mode":
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        data[field.name] = value
-    return data
+    values = ((entry.name, getattr(spec, entry.name)) for entry in SPEC_TABLE)
+    return {name: _plain(value) for name, value in values
+            if value is not None}
 
 
 def spec_from_dict(data: dict) -> CampaignSpec:
@@ -75,16 +58,9 @@ def spec_from_dict(data: dict) -> CampaignSpec:
         raise ConfigError(
             f"a campaign spec must be a table/object of spec fields, "
             f"got {type(data).__name__}")
-    check_spec_keys(data, context="spec data")
-    kwargs = dict(data)
-    if "gpus" in kwargs and not isinstance(kwargs["gpus"], str):
-        gpus = kwargs["gpus"]
-        if not isinstance(gpus, (list, tuple)):
-            raise ConfigError(
-                f"spec field 'gpus': expected a name or a list, "
-                f"got {gpus!r}")
-        kwargs["gpus"] = [_decode_gpu(gpu) for gpu in gpus]
-    return CampaignSpec(**kwargs)
+    for key in data:
+        spec_field(key, context="spec data")
+    return CampaignSpec(**data)
 
 
 # ----------------------------------------------------------------------

@@ -366,8 +366,9 @@ class TestSpecField:
         assert CampaignSpec.from_file(path).profile is True
 
     def test_set_override_parses_booleans(self):
-        from repro.experiments.runner import _scalar_value
-        assert _scalar_value("profile", "true") is True
-        assert _scalar_value("profile", "off") is False
+        from repro.spec import spec_field
+        parse = spec_field("profile").parse
+        assert parse("true") is True
+        assert parse("off") is False
         with pytest.raises(ConfigError, match="profile"):
-            _scalar_value("profile", "maybe")
+            parse("maybe")

@@ -45,9 +45,12 @@ class TestValidation:
         ({"samples": True}, "samples"),
         ({"seed": -1}, "seed"),
         ({"scheduler": "fifo"}, "scheduler"),
+        ({"scheduler": ["rr"]}, "scheduler"),
         ({"structures": ("l2_cache",)}, "structures"),
         ({"structures": ()}, "structures"),
+        ({"structures": (["register_file"],)}, "structures"),
         ({"fault_model": "gamma_ray"}, "fault_model"),
+        ({"fault_model": ["transient"]}, "fault_model"),
         ({"ace_mode": "optimistic"}, "ace_mode"),
         ({"checkpoint_interval": 0}, "checkpoint_interval"),
         ({"checkpoint_interval": "sometimes"}, "checkpoint_interval"),
