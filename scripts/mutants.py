@@ -176,6 +176,16 @@ MUTANTS = (
         new="                    pass",
         tests=("tests/test_trace_replay.py",),
     ),
+    Mutant(
+        name="pool-drops-profile",
+        breaks="pooled jobs of a profiled campaign run unprofiled, so "
+               "their cells report only the driver-side reduction",
+        path="src/repro/engine/scheduler.py",
+        old="        return self._pool.submit(run_job, job.worker, args, profile)",
+        new="        return self._pool.submit(run_job, job.worker, args, False)",
+        tests=("tests/test_transparency.py::"
+               "test_profile_covers_the_cell_work[profile-workers]",),
+    ),
 )
 
 

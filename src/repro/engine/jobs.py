@@ -20,14 +20,16 @@ cell:
 
 All worker functions are module-level (picklable) and take one
 plain-data argument tuple; payloads are JSON-serializable dicts so the
-persistent store can replay them across processes.
+persistent store can replay them across processes. A body never knows
+whether its campaign is profiled: the scheduler's
+:func:`repro.engine.scheduler.run_job` runs it under a collector when
+it is, and the bodies only mark phases.
 """
 
 from __future__ import annotations
 
 import base64
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -46,21 +48,6 @@ from repro.sim.gpu import Gpu
 from repro.telemetry import profile as _profile
 
 GOLDEN, PLAN, SHARD, CELL = "golden", "plan", "shard", "cell"
-
-
-def _collector_for(flag) -> "_profile.ProfileCollector | None":
-    """A fresh collector when a job's trailing profile flag is truthy.
-
-    The collected data rides the ephemeral ``_profile`` payload key
-    (stripped by the store and the in-process cache, like
-    ``_snapshots``), so profiling never changes what is persisted.
-    """
-    return _profile.ProfileCollector() if flag else None
-
-
-def _collecting(collector):
-    return (nullcontext() if collector is None
-            else _profile.collecting(collector))
 
 
 # ----------------------------------------------------------------------
@@ -106,19 +93,17 @@ def run_golden_job(args: tuple) -> dict:
     receive them with the golden payload and run suffix-only. The
     persisted payload is unchanged — the store strips ephemeral keys —
     so golden fingerprints stay interval-independent and old stores
-    keep resolving. With ``record_trace`` (the eighth element) the
+    keep resolving. With ``record_trace`` (the last element) the
     run's access trace rides along the same way under ``_trace``, for
     the cell's plan job.
     """
     (config, workload_name, scale, scheduler, ace_mode_value,
-     checkpoint_interval, profile, record_trace) = args
-    collector = _collector_for(profile)
-    workload = get_workload(workload_name, scale)
-    with _collecting(collector):
-        golden = run_golden(config, workload, scheduler=scheduler,
-                            ace_mode=AceMode(ace_mode_value),
-                            checkpoint_interval=checkpoint_interval,
-                            record_trace=record_trace)
+     checkpoint_interval, record_trace) = args
+    golden = run_golden(config, get_workload(workload_name, scale),
+                        scheduler=scheduler,
+                        ace_mode=AceMode(ace_mode_value),
+                        checkpoint_interval=checkpoint_interval,
+                        record_trace=record_trace)
     payload = {
         "cycles": golden.cycles,
         "launch_cycles": [int(c) for c in golden.launch_cycles],
@@ -132,8 +117,6 @@ def run_golden_job(args: tuple) -> dict:
         payload["_snapshots"] = golden.snapshots
     if golden.trace is not None:
         payload["_trace"] = golden.trace
-    if collector is not None:
-        payload["_profile"] = collector.as_dict()
     return payload
 
 
@@ -191,11 +174,10 @@ def run_plan_job(args: tuple) -> dict:
     resolver rides one more fault-free run, booked as ``prune``.
     """
     (config, workload_name, scale, scheduler, cycles, samples, seed,
-     structures, fault_model, profile, trace) = args
-    collector = _collector_for(profile)
+     structures, fault_model, trace) = args
     model = get_fault_model(fault_model)
     start = time.perf_counter()
-    with _collecting(collector), _profile.phase("prune"):
+    with _profile.phase("prune"):
         rng = np.random.default_rng(seed)
         plans_by_structure = {
             structure: model.sample(config, structure, cycles, samples, rng)
@@ -209,7 +191,7 @@ def run_plan_job(args: tuple) -> dict:
         else:
             run_workload(Gpu(config, scheduler=scheduler, sink=resolver),
                          get_workload(workload_name, scale))
-    payload = {
+    return {
         "plans": {
             structure: [
                 encode_plan_row(p, resolver.is_live(p)) for p in plans
@@ -218,9 +200,6 @@ def run_plan_job(args: tuple) -> dict:
         },
         "wall_time_s": time.perf_counter() - start,
     }
-    if collector is not None:
-        payload["_profile"] = collector.as_dict()
-    return payload
 
 
 def live_plan_keys(plan_payload: dict) -> list[tuple]:
@@ -285,45 +264,38 @@ def run_shard_job(args: tuple) -> dict:
     same 8-element flat rows as the single-model era for default plan
     keys, with the key's width/stuck suffix inlined for extended ones.
 
-    The trailing args (snapshots, checkpoint_interval, profile flag,
-    suffix_memo flag; None/False for off) switch the re-simulations to
-    suffix-only restore with early-exit convergence, attach a
-    ``_profile`` payload, and/or share classified quiescent states
-    across the campaign's injections via the per-process suffix memo
-    (:mod:`repro.checkpoint.memo`, keyed by golden fingerprint + fault
-    model); rows are bit-identical either way, so shard fingerprints —
-    and parity between checkpointed and un-checkpointed stores — are
-    unaffected.
+    The trailing args (snapshots, checkpoint_interval, suffix_memo
+    flag; None/False for off) switch the re-simulations to suffix-only
+    restore with early-exit convergence and/or share classified
+    quiescent states across the campaign's injections via the
+    per-process suffix memo (:mod:`repro.checkpoint.memo`, keyed by
+    golden fingerprint + fault model); rows are bit-identical either
+    way, so shard fingerprints — and parity between checkpointed and
+    un-checkpointed stores — are unaffected.
     """
     (config, workload_name, scale, scheduler, cycles, golden_fp,
      outputs_encoded, plan_keys, fault_model, snapshots,
-     checkpoint_interval, profile, suffix_memo) = args
-    collector = _collector_for(profile)
+     checkpoint_interval, suffix_memo) = args
     outputs = _decoded_outputs_for(golden_fp, outputs_encoded)
     workload = get_workload(workload_name, scale)
     start = time.perf_counter()
-    with _collecting(collector):
-        snapshots = _snapshots_for(golden_fp, checkpoint_interval, snapshots,
-                                   config, workload, scheduler)
-        memo = None
-        if suffix_memo and snapshots is not None:
-            from repro.checkpoint import cached_memo
-            memo = cached_memo(("golden-fp", golden_fp, fault_model))
-        results = []
-        for key in plan_keys:
-            plan = plan_from_key(tuple(key))
-            result = resimulate_plan(config, workload, plan, outputs, cycles,
-                                     scheduler, fault_model=fault_model,
-                                     snapshots=snapshots, memo=memo)
-            results.append([
-                *key, result.outcome.value, result.detail,
-                result.corrupted_words,
-            ])
-    payload = {"results": results,
-               "wall_time_s": time.perf_counter() - start}
-    if collector is not None:
-        payload["_profile"] = collector.as_dict()
-    return payload
+    snapshots = _snapshots_for(golden_fp, checkpoint_interval, snapshots,
+                               config, workload, scheduler)
+    memo = None
+    if suffix_memo and snapshots is not None:
+        from repro.checkpoint import cached_memo
+        memo = cached_memo(("golden-fp", golden_fp, fault_model))
+    results = []
+    for key in plan_keys:
+        plan = plan_from_key(tuple(key))
+        result = resimulate_plan(config, workload, plan, outputs, cycles,
+                                 scheduler, fault_model=fault_model,
+                                 snapshots=snapshots, memo=memo)
+        results.append([
+            *key, result.outcome.value, result.detail,
+            result.corrupted_words,
+        ])
+    return {"results": results, "wall_time_s": time.perf_counter() - start}
 
 
 # ----------------------------------------------------------------------

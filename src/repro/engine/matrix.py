@@ -36,8 +36,7 @@ from repro.kernels.registry import get_workload
 from repro.reliability.campaign import CellResult
 from repro.errors import ConfigError
 from repro.arch.structures import exposed_structures
-from repro.telemetry import profile as _profile
-from repro.telemetry.profile import merge_profiles
+from repro.telemetry.profile import merge_profiles, phase
 
 #: Live fault plans per FI shard job. Small enough that a 2,000-sample
 #: campaign spreads one cell over many workers; independent of the
@@ -76,7 +75,7 @@ def _fingerprints(spec, config: GpuConfig, workload_name: str,
 
 def _cell_jobs(spec, config: GpuConfig, workload_name: str,
                structures: tuple, store: ResultStore | None, *,
-               inline: bool, profile: bool) -> tuple[list[JobSpec], str]:
+               inline: bool) -> tuple[list[JobSpec], str]:
     """Job chain for one cell; returns (root jobs, cell job id).
 
     ``inline`` — True when the campaign runs without a process pool.
@@ -146,14 +145,12 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
                     deps[golden_fp].get("_snapshots")
                     if checkpoint_interval is not None and inline else None,
                     checkpoint_interval,
-                    profile,
                     suffix_memo,
                 ),
             ))
 
         def reduce_cell(deps: dict) -> dict:
-            collector = jobs._collector_for(profile)
-            with jobs._collecting(collector), _profile.phase("reduce"):
+            with phase("reduce"):
                 payload = jobs.reduce_cell_job(
                     config, workload_name, scale, scheduler, samples, seed,
                     structures, spec.raw_fit_per_bit, uses_local_memory,
@@ -165,19 +162,6 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
             # within the campaign: free them so driver memory stays
             # bounded by the cells in flight, not the whole matrix.
             deps[golden_fp].pop("_snapshots", None)
-            if collector is not None:
-                # Fold the workers' profiles into the cell's. Popping
-                # the golden's (it is memory-cached and may feed other
-                # cells of the campaign, but the cache strips `_` keys
-                # anyway) attributes each executed golden exactly once.
-                merged = None
-                for fp in (golden_fp, plan_fp, *shard_ids):
-                    dep = deps.get(fp)
-                    if isinstance(dep, dict):
-                        merged = merge_profiles(merged,
-                                                dep.pop("_profile", None))
-                merged = merge_profiles(merged, collector.as_dict())
-                payload["_profile"] = merged
             return payload
 
         specs.append(JobSpec(
@@ -199,7 +183,7 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         # cell's plan job may run in another process anyway.
         make_args=lambda deps: (
             config, workload_name, scale, scheduler, spec.ace_mode.value,
-            checkpoint_interval if inline else None, profile, inline),
+            checkpoint_interval if inline else None, inline),
         cache_in_memory=True,
     )
     plan_job = JobSpec(
@@ -213,7 +197,7 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         make_args=lambda deps: (
             config, workload_name, scale, scheduler,
             deps[golden_fp]["cycles"], samples, seed, structures,
-            fault_model, profile, deps[golden_fp].pop("_trace", None)),
+            fault_model, deps[golden_fp].pop("_trace", None)),
         expand=expand_plan,
     )
     return [golden_job, plan_job], cell_fp
@@ -326,7 +310,7 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
     for config, name, cell_structures in iter_cells(spec):
         roots, cell_id = _cell_jobs(
             spec, config, name, cell_structures, store,
-            inline=workers <= 1 and execution is None, profile=profile_on)
+            inline=workers <= 1 and execution is None)
         specs.extend(roots)
         cell_ids.append(cell_id)
     if not specs:
@@ -336,33 +320,45 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
             f"selected GPUs"
         )
 
-    # Campaign-level profile accumulator (folded from cell_profile
-    # payloads as cells finish; profiled work time feeds the report's
+    # Campaign-level profile accumulator (folded from each cell's
+    # profile as cells finish; profiled work time feeds the report's
     # coverage line).
     campaign_prof = {"data": None, "cells": 0, "work_s": 0.0}
+    # Profiles of executed jobs whose cell has not completed yet.
+    dep_profiles: dict[str, dict] = {}
 
-    def on_complete(job: JobSpec, payload: dict, cached: bool) -> None:
-        if job.kind == jobs.CELL:
-            prof = payload.pop("_profile", None) if profile_on else None
-            if hub is not None:
-                hub.record("cell_finish", **_cell_event(payload, cached))
-                if prof is not None:
-                    hub.record(
-                        "cell_profile",
-                        gpu=payload.get("gpu"),
-                        workload=payload.get("workload"),
-                        fault_model=payload.get("fault_model"),
-                        structures=sorted(payload.get("fi", {})),
-                        profile=prof)
+    def on_complete(job: JobSpec, payload: dict, cached: bool,
+                    profile: dict | None) -> None:
+        if job.kind != jobs.CELL:
+            if profile is not None:
+                dep_profiles[job.job_id] = profile
+            return
+        # A cell's profile folds in its deps' and its own. Popping
+        # attributes a golden shared by several cells of the campaign
+        # once, to the first of them that completes.
+        prof = None
+        for dep in job.deps:
+            prof = merge_profiles(prof, dep_profiles.pop(dep, None))
+        prof = merge_profiles(prof, profile)
+        if hub is not None:
+            hub.record("cell_finish", **_cell_event(payload, cached))
             if prof is not None:
-                campaign_prof["data"] = merge_profiles(
-                    campaign_prof["data"], prof)
-                campaign_prof["cells"] += 1
-                campaign_prof["work_s"] += (
-                    payload.get("golden_time_s", 0.0)
-                    + payload.get("fi_time_s", 0.0))
-            if progress is not None:
-                progress(jobs.cell_from_payload(payload))
+                hub.record(
+                    "cell_profile",
+                    gpu=payload.get("gpu"),
+                    workload=payload.get("workload"),
+                    fault_model=payload.get("fault_model"),
+                    structures=sorted(payload.get("fi", {})),
+                    profile=prof)
+        if prof is not None:
+            campaign_prof["data"] = merge_profiles(
+                campaign_prof["data"], prof)
+            campaign_prof["cells"] += 1
+            campaign_prof["work_s"] += (
+                payload.get("golden_time_s", 0.0)
+                + payload.get("fi_time_s", 0.0))
+        if progress is not None:
+            progress(jobs.cell_from_payload(payload))
 
     begin = time.perf_counter()
     # Shared stats objects accumulate across campaigns (sweeps, `all`);
@@ -385,7 +381,8 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
             else None)
     try:
         resolved = JobScheduler(store=store, workers=workers,
-                                telemetry=hub, execution=execution).run(
+                                telemetry=hub, execution=execution,
+                                profile=profile_on).run(
             specs, on_complete=on_complete, stats=stats)
         if hub is not None and campaign_prof["data"] is not None:
             hub.record(

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.engine.store import ResultStore
+from repro.telemetry import profile as _profile
 
 #: In-process payload cache for jobs flagged ``cache_in_memory`` —
 #: golden runs, so repeated campaigns in one process (sample/seed
@@ -71,6 +72,20 @@ def clear_memory_cache() -> None:
     _MEMORY_CACHE.clear()
 
 
+def run_job(body: Callable, arg, profile: bool) -> tuple:
+    """``(body(arg), profile dict | None)``: the one profiling runner.
+
+    With ``profile`` the body runs under a fresh collector. Inline jobs,
+    driver reductions, pool processes and fleet workers all call it.
+    """
+    if not profile:
+        return body(arg), None
+    collector = _profile.ProfileCollector()
+    with _profile.collecting(collector):
+        payload = body(arg)
+    return payload, collector.as_dict()
+
+
 def _payload_work_s(payload, default: float) -> float:
     """A job's in-worker seconds for telemetry (occupancy basis).
 
@@ -89,18 +104,18 @@ def _payload_work_s(payload, default: float) -> float:
 class ExecutionBackend:
     """Where the scheduler's pool-eligible jobs execute.
 
-    A backend receives each ready pool job (``worker`` + argument
-    tuple) and returns a :class:`concurrent.futures.Future` resolving
-    to the job's payload. The scheduler never cares *where* the body
-    runs — a local process pool (:class:`ProcessPoolBackend`) and the
+    A backend receives each ready pool job (``worker``, argument tuple,
+    profile flag) and returns a :class:`concurrent.futures.Future`
+    resolving to its :func:`run_job` result ``(payload, profile)``.
+    The scheduler never cares *where* the body runs — a local process pool (:class:`ProcessPoolBackend`) and the
     campaign service's lease queue
     (:class:`repro.engine.service.RemoteBackend`) are interchangeable
     by the engine's determinism contract: every job body is a pure
     function of its fingerprinted parameters.
     """
 
-    def submit(self, job: "JobSpec", args: tuple) -> Future:
-        """Start one pool job; the Future resolves to its payload."""
+    def submit(self, job: "JobSpec", args: tuple, profile: bool) -> Future:
+        """Start one pool job; the Future resolves to (payload, profile)."""
         raise NotImplementedError
 
     def tick(self) -> None:
@@ -116,8 +131,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(self, workers: int):
         self._pool = ProcessPoolExecutor(max_workers=max(1, int(workers)))
 
-    def submit(self, job: "JobSpec", args: tuple) -> Future:
-        return self._pool.submit(job.worker, args)
+    def submit(self, job: "JobSpec", args: tuple, profile: bool) -> Future:
+        return self._pool.submit(run_job, job.worker, args, profile)
 
     def close(self) -> None:
         self._pool.shutdown()
@@ -199,10 +214,12 @@ class JobScheduler:
     """
 
     def __init__(self, store: ResultStore | None = None, workers: int = 1,
-                 telemetry=None, execution: ExecutionBackend | None = None):
+                 telemetry=None, execution: ExecutionBackend | None = None,
+                 profile: bool = False):
         self.store = store
         self.workers = max(1, int(workers))
         self.telemetry = telemetry
+        self.profile = profile
         #: caller-owned execution backend; None = inline or an owned
         #: process pool, by ``workers``.
         self.execution = execution
@@ -210,7 +227,11 @@ class JobScheduler:
     # ------------------------------------------------------------------
     def run(self, jobs: list[JobSpec], on_complete: Callable | None = None,
             stats: CampaignStats | None = None) -> dict[str, dict]:
-        """Run every job (plus expansions); returns job_id -> payload."""
+        """Run every job (plus expansions); returns job_id -> payload.
+
+        ``on_complete(job, payload, cached, profile)`` sees each job
+        resolve; ``profile`` is None unless it executed profiled.
+        """
         state = _RunState(self, on_complete,
                           stats if stats is not None else CampaignStats())
         for job in jobs:
@@ -242,6 +263,7 @@ class _RunState:
         self.stats = stats
         self.telemetry = scheduler.telemetry
         self.workers = scheduler.workers
+        self.profile = scheduler.profile
         self.running = 0
         self.resolved: dict[str, dict] = {}
         self.pending: dict[str, JobSpec] = {}
@@ -285,7 +307,8 @@ class _RunState:
         else:
             self.pending[job.job_id] = job
 
-    def finish(self, job: JobSpec, payload: dict, cached: bool) -> None:
+    def finish(self, job: JobSpec, payload: dict, cached: bool,
+               profile: dict | None = None) -> None:
         self.resolved[job.job_id] = payload
         self.stats.count(job.kind, cached)
         if not cached:
@@ -299,7 +322,7 @@ class _RunState:
             for child in job.expand(payload, deps):
                 self.admit(child)
         if self.on_complete is not None:
-            self.on_complete(job, payload, cached)
+            self.on_complete(job, payload, cached, profile)
 
     def dep_payloads(self, job: JobSpec) -> dict[str, dict]:
         return {dep: self.resolved[dep] for dep in job.deps}
@@ -312,15 +335,14 @@ class _RunState:
         self.running += 1
         self.emit("job_start", job)
         start = time.perf_counter()
-        if job.worker is not None:
-            payload = job.worker(job.make_args(deps))
-        else:
-            payload = job.reduce_fn(deps)
+        body, arg = ((job.worker, job.make_args(deps))
+                     if job.worker is not None else (job.reduce_fn, deps))
+        payload, profile = run_job(body, arg, self.profile)
         wall_s = time.perf_counter() - start
         self.running -= 1
         self.emit("job_finish", job, wall_s=wall_s,
                   work_s=_payload_work_s(payload, wall_s))
-        self.finish(job, payload, cached=False)
+        self.finish(job, payload, cached=False, profile=profile)
 
     # ------------------------------------------------------------------
     def run_inline(self) -> None:
@@ -355,7 +377,7 @@ class _RunState:
                         self.execute_inline(job)
                     else:
                         args = job.make_args(self.dep_payloads(job))
-                        future = backend.submit(job, args)
+                        future = backend.submit(job, args, self.profile)
                         self.running = len(futures) + 1
                         self.emit("job_start", job)
                         futures[future] = (job, time.perf_counter())
@@ -371,7 +393,7 @@ class _RunState:
             backend.tick()
             for future in done:
                 job, submitted = futures.pop(future)
-                payload = future.result()
+                payload, profile = future.result()
                 # wall_s spans submit -> completion (including any
                 # wait for a free worker); work_s is the body's own
                 # in-worker measurement, the occupancy basis.
@@ -379,5 +401,5 @@ class _RunState:
                 self.running = len(futures)
                 self.emit("job_finish", job, wall_s=wall_s,
                           work_s=_payload_work_s(payload, wall_s))
-                self.finish(job, payload, cached=False)
+                self.finish(job, payload, cached=False, profile=profile)
             submit_ready()

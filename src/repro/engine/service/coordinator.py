@@ -60,11 +60,12 @@ MAX_REQUEUES = 5
 class _RemoteJob:
     """One pool job waiting to execute somewhere in the fleet."""
 
-    __slots__ = ("job", "encoded_args", "future", "attempts")
+    __slots__ = ("job", "encoded_args", "profile", "future", "attempts")
 
-    def __init__(self, job: JobSpec, encoded_args: list):
+    def __init__(self, job: JobSpec, encoded_args: list, profile: bool):
         self.job = job
         self.encoded_args = encoded_args
+        self.profile = profile
         self.future: Future = Future()
         self.attempts = 0
 
@@ -93,8 +94,9 @@ class RemoteBackend(ExecutionBackend):
 
     def __init__(self, telemetry=None, lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
                  clock=time.monotonic, max_requeues: int = MAX_REQUEUES):
+        from repro.spec import spec_field
         self.telemetry = telemetry
-        self.lease_ttl_s = float(lease_ttl_s)
+        self.lease_ttl_s = spec_field("lease_ttl_s").check(lease_ttl_s)
         self.clock = clock
         self.max_requeues = max_requeues
         self._lock = threading.Lock()
@@ -129,14 +131,14 @@ class RemoteBackend(ExecutionBackend):
                 self.telemetry.record(event_type, **fields)
 
     # -- ExecutionBackend ----------------------------------------------
-    def submit(self, job: JobSpec, args: tuple) -> Future:
+    def submit(self, job: JobSpec, args: tuple, profile: bool) -> Future:
         encoded = protocol.encode_args(job.kind, args)
         if job.kind == "shard":
             # Publish the golden blob once; every shard of the cell
             # ships a fingerprint-sized marker instead (workers fetch
             # and cache via GET /v1/golden/<fp>).
             self._golden_blobs.setdefault(encoded[5], args[6])
-        remote = _RemoteJob(job, encoded)
+        remote = _RemoteJob(job, encoded, profile)
         with self._lock:
             self._jobs[job.job_id] = remote
             self._ready.append(job.job_id)
@@ -215,11 +217,13 @@ class RemoteBackend(ExecutionBackend):
                 return {"ok": True, "lease_id": lease_id,
                         "job": {"kind": remote.job.kind,
                                 "fingerprint": remote.job.fingerprint,
-                                "args": remote.encoded_args}}
+                                "args": remote.encoded_args,
+                                "profile": remote.profile}}
             return {"ok": True, "job": None, "shutdown": False}
 
     def push(self, worker_id: str, fingerprint, kind, payload,
-             lease_id=None) -> dict:
+             lease_id=None, profile=None) -> dict:
+        """Complete a pending job: its Future gets (payload, profile)."""
         def reject(reason: str) -> dict:
             self.counters["pushes_rejected"] += 1
             self._emit("job_push", worker=worker_id, ok=False,
@@ -259,7 +263,7 @@ class RemoteBackend(ExecutionBackend):
                        fp=fingerprint, kind=kind, duplicate=False)
         # Outside the lock: completes the scheduler's Future, which
         # runs finish() callbacks on the driver thread's next wait().
-        remote.future.set_result(payload)
+        remote.future.set_result((payload, profile))
         return {"ok": True, "duplicate": False}
 
     def heartbeat(self, worker_id: str, lease_ids=()) -> dict:
@@ -396,7 +400,8 @@ class CoordinatorServer:
                 elif self.path == protocol.PUSH_PATH:
                     result = backend.push(
                         worker, data.get("fingerprint"), data.get("kind"),
-                        data.get("payload"), lease_id=data.get("lease_id"))
+                        data.get("payload"), lease_id=data.get("lease_id"),
+                        profile=data.get("profile"))
                     self._reply(result, code=200 if result["ok"] else 409)
                 elif self.path == protocol.HEARTBEAT_PATH:
                     self._reply(backend.heartbeat(

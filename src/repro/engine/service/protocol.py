@@ -35,7 +35,9 @@ from repro.engine import jobs
 #: to register against a coordinator speaking a different version.
 #: 2: golden jobs take a trace-recording flag and plan jobs a trace
 #: element (always False / None on the wire).
-PROTOCOL_VERSION = 2
+#: 3: no profile element in argument tuples; leases carry a
+#: ``profile`` flag and pushes a ``profile`` beside the payload.
+PROTOCOL_VERSION = 3
 
 #: Marker key for an embedded GpuConfig in an encoded argument list.
 GPU_KEY = "__gpu__"

@@ -3,9 +3,9 @@
 A worker is a plain process anywhere that can reach the coordinator
 over HTTP. It registers, then loops: pull a lease, decode the argument
 list (fetching + caching golden output blobs by fingerprint), run the
-job through the *same* worker functions the process pool uses
-(:mod:`repro.engine.jobs` — per-process snapshot rebuild and suffix
-memo intact), and push the payload back. A
+job through the *same* runner and worker functions the process pool
+uses (:mod:`repro.engine.jobs` — per-process snapshot rebuild and suffix
+memo intact), and push the payload back, its profile beside it. A
 background heartbeat renews held leases at a third of the TTL, so a
 live worker grinding through a long shard never expires, while a
 killed one silently does — the coordinator re-queues its lease and the
@@ -31,6 +31,7 @@ import urllib.parse
 from http.client import HTTPConnection, HTTPException
 
 from repro.engine import jobs
+from repro.engine.scheduler import run_job
 from repro.engine.service import protocol
 from repro.errors import ConfigError
 
@@ -204,22 +205,23 @@ class CampaignWorker:
         with self._leases_lock:
             self._held_leases.add(lease_id)
         try:
-            payload = WORKER_FUNCTIONS[kind](args)
+            # Looked up per call: tracers repoint the table's entries.
+            payload, profile = run_job(WORKER_FUNCTIONS[kind], args,
+                                       job["profile"])
         finally:
             with self._leases_lock:
                 self._held_leases.discard(lease_id)
         self.counters["executed"] += 1
         # Ephemeral keys are process-local extras (snapshots are not
         # JSON-safe); the store would strip them anyway — don't ship.
-        payload = {k: v for k, v in payload.items()
-                   if not k.startswith("_") or k == "_profile"}
+        payload = {k: v for k, v in payload.items() if not k.startswith("_")}
         if self.segment_store is not None:
             self.segment_store.put(fingerprint, kind, payload)
         response = self._with_retries(lambda: self.client.post(
             protocol.PUSH_PATH, {
                 "worker_id": self.worker_id, "lease_id": lease_id,
                 "fingerprint": fingerprint, "kind": kind,
-                "payload": payload}))
+                "payload": payload, "profile": profile}))
         if response.get("ok"):
             self.counters["pushed"] += 1
             if response.get("duplicate"):

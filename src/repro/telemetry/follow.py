@@ -13,8 +13,9 @@ the file is truncated or not yet created.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from repro.telemetry.sink import decode_telemetry_lines
 
 
 class TelemetryTail:
@@ -54,17 +55,6 @@ class TelemetryTail:
         data = self._partial + chunk
         lines = data.split(b"\n")
         self._partial = lines.pop()
-        events = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self.skipped += 1
-                continue
-            if isinstance(event, dict) and "event" in event:
-                events.append(event)
-            else:
-                self.skipped += 1
+        events, skipped = decode_telemetry_lines(lines)
+        self.skipped += skipped
         return events

@@ -19,21 +19,23 @@ Design constraints, in order:
   :func:`phase`, which returns a shared no-op context manager when no
   collector is active.
 * **Strictly observability-only.** Profiling joins no job
-  fingerprint; collected data travels between workers and the driver
-  under the ephemeral ``_profile`` payload key, which the result
-  store and the in-process golden cache strip — so stores produced
-  with profiling on and off are bit-identical (the same guarantee as
-  the telemetry setting itself, checked by tests/test_transparency.py).
+  fingerprint and never touches a payload: a job's collected data
+  travels beside its payload, from the worker process or fleet worker
+  back to the scheduler — so stores produced with profiling on and off
+  are bit-identical (the same guarantee as the telemetry setting
+  itself, checked by tests/test_transparency.py).
 * **Phase times are exclusive.** Phases nest (a digest check happens
   inside a suffix simulation, a snapshot capture inside a golden
   run); entering a nested phase suspends the parent's clock, so the
   per-phase seconds partition the instrumented wall time and the
   report's shares sum to ~100% of cell work.
 
-Activation is per-thread-of-work, not global configuration: a job
-body builds a local collector and runs under
-``with collecting(collector): ...``; the module-global :data:`ACTIVE`
-is what the hot paths consult.
+Activation is per job, not global configuration: the scheduler's
+:func:`repro.engine.scheduler.run_job` runs each job body of a
+profiled campaign under ``with collecting(collector): ...`` with a
+fresh collector, and ``run_campaign`` folds a cell's job profiles
+into its ``cell_profile`` event. Job bodies only mark phases; the
+module-global :data:`ACTIVE` is what the hot paths consult.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class ProfileCollector:
     # Serialization + merging
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """JSON-safe snapshot (the ``_profile`` payload format)."""
+        """JSON-safe snapshot (the format jobs and events carry)."""
         return {
             "phases": dict(self.phases),
             "phase_calls": dict(self.phase_calls),

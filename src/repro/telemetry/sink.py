@@ -149,32 +149,37 @@ def telemetry_path_for_store(store_path: str | Path) -> Path:
     return store_path.with_name(store_path.stem + ".telemetry.jsonl")
 
 
-def load_telemetry_events(path: str | Path) -> tuple[list[dict], int]:
-    """``(events, skipped)`` of one telemetry JSONL file, in file order.
+def decode_telemetry_lines(lines) -> tuple[list[dict], int]:
+    """``(events, skipped)`` of raw JSONL lines (bytes), in order.
 
-    Torn trailing lines (a campaign killed — or still writing — mid-
-    line) are skipped, not raised, including a line torn inside a
-    multi-byte UTF-8 sequence: the file is read as bytes and each line
-    decoded independently, so one bad line never poisons the rest.
-    ``skipped`` counts the non-empty lines that failed to parse into a
-    telemetry event, letting callers surface an in-flight write.
+    Each line is decoded independently, so one bad line — torn JSON,
+    a line torn inside a multi-byte UTF-8 sequence, or a JSON value
+    that is no telemetry event — never poisons the rest: it is counted
+    in ``skipped``, not raised. Blank lines are neither.
     """
-    path = Path(path)
     events = []
     skipped = 0
-    for line in path.read_bytes().split(b"\n"):
+    for line in lines:
         if not line.strip():
             continue
         try:
             event = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            skipped += 1
-            continue
+            event = None
         if isinstance(event, dict) and "event" in event:
             events.append(event)
         else:
             skipped += 1
     return events, skipped
+
+
+def load_telemetry_events(path: str | Path) -> tuple[list[dict], int]:
+    """``(events, skipped)`` of one telemetry JSONL file, in file order.
+
+    Torn trailing lines (a campaign killed — or still writing — mid-
+    line) count as skipped, so callers can surface an in-flight write.
+    """
+    return decode_telemetry_lines(Path(path).read_bytes().split(b"\n"))
 
 
 def load_telemetry(path: str | Path) -> list[dict]:

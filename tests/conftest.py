@@ -155,8 +155,7 @@ def sample_results(config, workload_name, golden, samples, seed, *,
     """
     plan_payload = jobs.run_plan_job((
         config, workload_name, scale, golden.scheduler, golden.cycles,
-        samples, seed, tuple(structures), fault_model, False,
-        golden.trace))
+        samples, seed, tuple(structures), fault_model, golden.trace))
     workload = get_workload(workload_name, scale)
     live = {
         key: resimulate_plan(config, workload, jobs.plan_from_key(key),

@@ -84,8 +84,8 @@ class TestLeaseStateMachine:
     def test_expired_lease_requeues_at_front(self):
         backend, clock = self._backend()
         first, second = _plan_job("a"), _plan_job("b")
-        backend.submit(first, ())
-        backend.submit(second, ())
+        backend.submit(first, (), False)
+        backend.submit(second, (), False)
         granted = backend.lease("w1")
         assert granted["job"]["fingerprint"] == first.fingerprint
         clock.advance(11.0)
@@ -100,7 +100,7 @@ class TestLeaseStateMachine:
 
     def test_heartbeat_renews_lease(self):
         backend, clock = self._backend()
-        backend.submit(_plan_job("a"), ())
+        backend.submit(_plan_job("a"), (), False)
         lease_id = backend.lease("w1")["lease_id"]
         clock.advance(6.0)
         assert backend.heartbeat("w1", [lease_id])["renewed"] == 1
@@ -114,7 +114,7 @@ class TestLeaseStateMachine:
     def test_requeue_cap_fails_the_job_loudly(self):
         backend, clock = self._backend(max_requeues=2)
         job = _plan_job("a")
-        future = backend.submit(job, ())
+        future = backend.submit(job, (), False)
         for _ in range(3):  # attempts 1..3; 3 > max_requeues on expiry
             assert backend.lease("w1")["job"] is not None
             clock.advance(11.0)
@@ -127,21 +127,21 @@ class TestLeaseStateMachine:
         """A worker that finished after its lease expired still wins."""
         backend, clock = self._backend()
         job = _plan_job("a")
-        future = backend.submit(job, ())
+        future = backend.submit(job, (), False)
         lease_id = backend.lease("w1")["lease_id"]
         clock.advance(11.0)
         backend.tick()  # expired: job re-queued
         response = backend.push("w1", job.fingerprint, "plan",
                                 dict(PLAN_PAYLOAD), lease_id=lease_id)
         assert response == {"ok": True, "duplicate": False}
-        assert future.result(timeout=1.0)["plans"] == []
+        assert future.result(timeout=1.0)[0]["plans"] == []
         # The re-queued copy is skipped, not handed out again.
         assert backend.lease("w2")["job"] is None
 
     def test_duplicate_push_is_idempotent(self):
         backend, _ = self._backend()
         job = _plan_job("a")
-        backend.submit(job, ())
+        backend.submit(job, (), False)
         lease = backend.lease("w1")
         first = backend.push("w1", job.fingerprint, "plan",
                              dict(PLAN_PAYLOAD),
@@ -164,12 +164,22 @@ class TestLeaseStateMachine:
                                      reason):
         backend, _ = self._backend()
         job = JobSpec(job_id="pending", kind="plan", fingerprint="pending")
-        future = backend.submit(job, ())
+        future = backend.submit(job, (), False)
         response = backend.push("w1", fingerprint, kind, payload)
         assert response["ok"] is False
         assert reason in response["error"]
         assert backend.counters["pushes_rejected"] == 1
         assert not future.done()  # the pending job is untouched
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0, -1])
+    def test_lease_ttl_must_be_finite_and_positive(self, ttl, tmp_path):
+        """A NaN deadline never expires: a dead worker's lease would
+        never be re-queued."""
+        with pytest.raises(ConfigError, match="spec field 'lease_ttl_s'"):
+            RemoteBackend(lease_ttl_s=ttl)
+        with pytest.raises(ConfigError, match="spec field 'lease_ttl_s'"):
+            CampaignService(ResultStore(tmp_path / "s.jsonl"), [],
+                            lease_ttl_s=ttl)
 
     def test_register_refuses_protocol_mismatch(self):
         backend, _ = self._backend()
@@ -186,7 +196,7 @@ class TestProtocolCodec:
     def test_shard_args_ship_a_golden_marker(self):
         args = ("cfg", "histogram", "tiny", "rr", 100, "goldfp",
                 {"big": "blob"}, [1, 2], "transient", {"snap": 1},
-                None, False, True)
+                None, True)
         encoded = protocol.encode_args("shard", args)
         assert encoded[6] == {protocol.GOLDEN_OUTPUTS_KEY: "goldfp"}
         assert encoded[9] is None  # snapshots rebuilt worker-side
@@ -255,7 +265,7 @@ class TestHttpLayer:
     def test_segment_replay_is_at_least_once_not_more(self, server,
                                                       tmp_path):
         job = JobSpec(job_id="seg", kind="plan", fingerprint="seg")
-        future = server.backend.submit(job, ())
+        future = server.backend.submit(job, (), False)
         segment = ResultStore(tmp_path / "segment.jsonl")
         segment.put("seg", "plan", dict(PLAN_PAYLOAD))
         worker = CampaignWorker(server.url, worker_id="replayer",
@@ -263,7 +273,7 @@ class TestHttpLayer:
         worker.register()
         worker.replay_segment()
         assert worker.counters["replayed"] == 1
-        assert future.result(timeout=1.0)["plans"] == []
+        assert future.result(timeout=1.0)[0]["plans"] == []
         worker.replay_segment()  # a second replay appends nothing
         assert server.backend.counters["pushes_ok"] == 1
         assert server.backend.counters["pushes_duplicate"] == 1

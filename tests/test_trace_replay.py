@@ -105,13 +105,13 @@ def test_the_comparison_sees_live_sites():
 
 
 def _golden_args(config, kernel, record_trace=True):
-    return (config, kernel, "tiny", "rr", "conservative", "auto", False,
+    return (config, kernel, "tiny", "rr", "conservative", "auto",
             record_trace)
 
 
 def _plan_args(config, kernel, cycles, trace, model="transient"):
     return (config, kernel, "tiny", "rr", cycles, 40, 3,
-            exposed_structures(config, ALL_STRUCTURES), model, False, trace)
+            exposed_structures(config, ALL_STRUCTURES), model, trace)
 
 
 class _LaunchCounter:
@@ -208,6 +208,5 @@ def test_pooled_golden_jobs_record_no_trace():
     [config, workload, structures] = next(matrix.iter_cells(spec))
     for inline in (True, False):
         golden_job = matrix._cell_jobs(spec, config, workload, structures,
-                                       None, inline=inline,
-                                       profile=False)[0][0]
+                                       None, inline=inline)[0][0]
         assert golden_job.make_args({})[-1] is inline

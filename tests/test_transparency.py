@@ -27,6 +27,11 @@ wrote (``tests/fixtures/python_backend``) for the datapath and control
 structures under every fault model, checkpoints off, and the variant
 is the same campaign run today.
 
+The ``profile-*`` rows profile a campaign on the process pool and
+through the service: each job's profile must travel back from another
+process or thread, and ``test_profile_covers_the_cell_work`` checks it
+arrived.
+
 Each distinct campaign runs once per module and is shared by the rows
 that compare against it.
 """
@@ -159,11 +164,16 @@ def _rows() -> dict[str, Row]:
         rows[f"suffix_memo-{model}"] = Row(
             Run(auto.replace(suffix_memo=False)), Run(auto))
     rows["telemetry"] = Row(Run(AUTO), Run(AUTO.replace(telemetry=True)))
-    rows["profile"] = Row(Run(AUTO), Run(AUTO.replace(profile=True)))
+    profiled = AUTO.replace(profile=True)
+    rows["profile"] = Row(Run(AUTO), Run(profiled))
     rows["shard_size"] = Row(Run(AUTO), Run(AUTO.replace(shard_size=1)),
                              reshards=True)
     rows["workers"] = Row(Run(AUTO), Run(AUTO, "workers"), ignore_order=True)
     rows["service"] = Row(Run(AUTO), Run(AUTO, "service"), ignore_order=True)
+    rows["profile-workers"] = Row(Run(AUTO), Run(profiled, "workers"),
+                                  ignore_order=True)
+    rows["profile-service"] = Row(Run(AUTO), Run(profiled, "service"),
+                                  ignore_order=True)
     rows["run-spec-vs-fig1"] = Row(Run(None, "fig1"), Run(None, "run"))
     rows["models-vs-sweep"] = Row(Run(None, "models"), Run(None, "sweep"))
     return rows
@@ -345,8 +355,11 @@ def test_telemetry_stream_is_well_formed(campaigns):
         assert line in out.getvalue()
 
 
-def test_profile_covers_the_cell_work(campaigns):
-    store, _ = campaigns.fresh[ROWS["profile"].variant]
+@pytest.mark.parametrize("row_id",
+                         ["profile", "profile-workers", "profile-service"])
+def test_profile_covers_the_cell_work(campaigns, row_id):
+    """Every job's profile reaches its cell's event, wherever it ran."""
+    store, _ = campaigns.fresh[ROWS[row_id].variant]
     events = load_telemetry(telemetry_path_for_store(store))
     cells = [e for e in events if e["event"] == "cell_profile"]
     (summary,) = [e for e in events if e["event"] == "campaign_profile"]
@@ -356,10 +369,10 @@ def test_profile_covers_the_cell_work(campaigns):
         assert set(profile["phases"]) <= set(PHASES)
         assert profile["counters"]["warp_issues"] > 0
         assert profile["dispatch"]
-    assert {"suffix_sim", "restore", "digest"} <= set(
+    assert {"golden", "prune", "suffix_sim", "restore", "digest"} <= set(
         summary["profile"]["phases"])
     attributed = sum(summary["profile"]["phases"].values())
-    assert 0.5 < attributed / summary["work_s"] < 1.5
+    assert 0.85 < attributed / summary["work_s"] < 1.15
     for argv, lines in ((["profile", str(store)],
                          ("phase breakdown", "opcode-class dispatch mix",
                           "top cost centers", "100.0%")),
