@@ -181,10 +181,20 @@ MUTANTS = (
         breaks="pooled jobs of a profiled campaign run unprofiled, so "
                "their cells report only the driver-side reduction",
         path="src/repro/engine/scheduler.py",
-        old="        return self._pool.submit(run_job, job.worker, args, profile)",
-        new="        return self._pool.submit(run_job, job.worker, args, False)",
+        old="        return self._pool.submit(run_resident, job.worker, args, profile,",
+        new="        return self._pool.submit(run_resident, job.worker, args, False,",
         tests=("tests/test_transparency.py::"
                "test_profile_covers_the_cell_work[profile-workers]",),
+    ),
+    Mutant(
+        name="plan-skips-resident-trace",
+        breaks="a plan job ignores the golden trace resident in its "
+               "process and simulates the golden again",
+        path="src/repro/engine/jobs.py",
+        old='        trace = _golden_artifact("_trace", golden_fp, golden_args)',
+        new='        trace = _simulate_golden(golden_fp, *golden_args)["_trace"]',
+        tests=("tests/test_transparency.py::"
+               "test_service_simulates_each_golden_once",),
     ),
 )
 

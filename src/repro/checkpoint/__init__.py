@@ -34,7 +34,6 @@ from repro.checkpoint.capture import (
     AUTO_INTERVAL,
     MAX_SNAPSHOTS,
     CheckpointRecorder,
-    cached_snapshots,
     capture_snapshots,
     resolve_interval,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SnapshotSet",
     "SuffixMemo",
     "cached_memo",
-    "cached_snapshots",
     "capture_snapshots",
     "digest_machine",
     "digest_machine_pair",

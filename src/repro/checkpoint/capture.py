@@ -112,46 +112,19 @@ class CheckpointRecorder:
 def capture_snapshots(config, workload, scheduler: str = "rr",
                       interval="auto",
                       max_snapshots: int = MAX_SNAPSHOTS) -> SnapshotSet:
-    """Re-derive a golden run's snapshot set with a bare (untraced) run.
+    """A golden run's snapshot set from a bare (untraced) run.
 
-    Used by the engine's pooled and remote FI shard workers — snapshots
-    are ephemeral (never written to JSONL, never pickled through the
-    pool), so a worker process rebuilds them once per cell and caches
-    them in-process (:func:`cached_snapshots`). The machine trajectory is
-    sink-independent, so the rebuilt set is identical to the one the
-    golden run produced.
+    The engine captures inside its golden runs instead
+    (:func:`repro.reliability.fi.run_golden`); this standalone form is
+    for library use. The machine trajectory is sink-independent, so
+    the set is identical to the one a traced golden run captures.
     """
     from repro.kernels.workload import run_workload
     from repro.sim.gpu import Gpu
     recorder = CheckpointRecorder(interval, max_snapshots=max_snapshots)
-    # The rebuild is a golden-prefix re-run, so it profiles as `golden`
-    # (with its captures nested under `snapshot_capture` as usual).
+    # A fault-free run, so it profiles as `golden` (with its captures
+    # nested under `snapshot_capture` as usual).
     with _profile.phase("golden"):
         run_workload(Gpu(config, scheduler=scheduler), workload,
                      monitor=recorder)
     return recorder.snapshots()
-
-
-#: Per-process rebuilt snapshot sets, bounded FIFO. Shared by every
-#: FI shard a pooled or remote engine worker runs: one golden-prefix
-#: run per (cell, process) buys suffix-only simulation for all the
-#: faults of that cell the process handles.
-_REBUILD_CACHE: dict = {}
-_REBUILD_CACHE_MAX = 4
-
-
-def cached_snapshots(key: tuple, config, workload, scheduler: str,
-                     interval) -> SnapshotSet:
-    """The snapshot set for ``key``, rebuilding it on first use.
-
-    ``key`` is the caller's capture identity (it must determine
-    config/workload/scheduler/interval); callers namespace their keys
-    with a leading tag so different derivations never collide.
-    """
-    cached = _REBUILD_CACHE.get(key)
-    if cached is None:
-        while len(_REBUILD_CACHE) >= _REBUILD_CACHE_MAX:
-            _REBUILD_CACHE.pop(next(iter(_REBUILD_CACHE)))
-        cached = _REBUILD_CACHE[key] = capture_snapshots(
-            config, workload, scheduler, interval)
-    return cached

@@ -173,8 +173,9 @@ class SuffixMemo:
 
 
 #: Per-process memo tables, bounded FIFO — the same sharing pattern as
-#: :data:`repro.checkpoint.capture._REBUILD_CACHE`: every fault of a
-#: cell a process handles feeds (and profits from) one shared table.
+#: the resident golden artifacts (:data:`repro.engine.scheduler._RESIDENT`):
+#: every fault of a cell a process handles feeds (and profits from) one
+#: shared table.
 _MEMO_CACHE: dict = {}
 _MEMO_CACHE_MAX = 4
 

@@ -16,11 +16,11 @@ hash, and a point no faulty run ever reaches is never hashed.
 
 A :class:`SnapshotSet` is everything one golden run captured. Within
 an inline campaign the engine hands it to a cell's FI shard jobs by
-reference; pooled workers re-derive an identical set once per process
-instead (:func:`repro.checkpoint.capture.cached_snapshots`), one
-golden-prefix run per process rather than one pickle per shard: at
-``default`` scale a set pickles to 0.8-11.7 MB (the 20 goldens of the
-two scaled paper chips, 98 MB in all). Sets stay that small because
+reference; a pool process or fleet worker keeps the sets of the
+goldens it ran resident (:func:`repro.engine.scheduler.keep_resident`)
+and never pickles one: at ``default`` scale a set pickles to
+0.8-11.7 MB (the 20 goldens of the two scaled paper chips, 98 MB in
+all). Sets stay that small because
 every storage array is imaged only up to its written prefix (global
 memory to its bump pointer, register files and local memories to
 their ``used`` marks); full arrays would make them 5.8-64.6 MB.

@@ -10,13 +10,24 @@ cell:
 * **plan** — fault sampling plus the dead-site pruning pass: one
   seeded generator draws the per-structure plan lists, each tagged
   provably-dead or potentially-live by replaying the golden run's
-  access trace (inline campaigns) or by one more fault-free run.
+  access trace.
 * **shard** — a contiguous slice of the sorted live plans, each fully
   re-simulated and classified MASKED / SDC / DUE. Shards of *different
   cells* run concurrently on the process pool.
 * **cell** — pure reduction of the above into a
   :class:`repro.reliability.campaign.CellResult`; cheap, runs in the
   driver process.
+
+Every golden job records its access trace and, with checkpoints on,
+captures its snapshot set, on every backend. Both are ephemeral
+``_``-keys of its payload. Inline they reach the cell's plan and
+shards by reference; a pool process or fleet worker keeps them
+resident under the golden fingerprint
+(:func:`repro.engine.scheduler.keep_resident`), where the cell's jobs
+that land in the same process find them. A plan or shard job that
+finds neither (its golden came from the store, or ran in another
+process) simulates the golden once and leaves the artifacts resident
+for the jobs after it.
 
 All worker functions are module-level (picklable) and take one
 plain-data argument tuple; payloads are JSON-serializable dicts so the
@@ -36,15 +47,14 @@ import numpy as np
 from repro.arch.config import GpuConfig
 from repro.faultmodels.registry import get_fault_model
 from repro.kernels.registry import get_workload
-from repro.kernels.workload import run_workload
 from repro.reliability.campaign import CellResult
 from repro.reliability.epf import EpfResult, compute_epf
 from repro.reliability.fi import AvfEstimate, resimulate_plan, run_golden
 from repro.reliability.liveness import AceMode, FaultSiteResolver
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES
+from repro.engine.scheduler import deposit, resident
 from repro.sim.faults import FaultPlan
-from repro.sim.gpu import Gpu
 from repro.telemetry import profile as _profile
 
 GOLDEN, PLAN, SHARD, CELL = "golden", "plan", "shard", "cell"
@@ -87,23 +97,21 @@ def run_golden_job(args: tuple) -> dict:
     ACE AVFs and occupancies are recorded for *all* structures so one
     golden payload serves campaigns targeting any structure subset.
 
-    With a checkpoint interval (the sixth element; None for off), the
-    run additionally captures machine snapshots, attached under the
-    ephemeral ``_snapshots`` key: FI shard jobs of the same cell
-    receive them with the golden payload and run suffix-only. The
-    persisted payload is unchanged — the store strips ephemeral keys —
-    so golden fingerprints stay interval-independent and old stores
-    keep resolving. With ``record_trace`` (the last element) the
-    run's access trace rides along the same way under ``_trace``, for
-    the cell's plan job.
+    The run's access trace rides along under the ephemeral ``_trace``
+    key, for the cell's plan job. With a checkpoint interval (the last
+    element; None for off) the run also captures machine snapshots,
+    under ``_snapshots``, for the cell's FI shards to run suffix-only.
+    The persisted payload is unchanged — the store strips ephemeral
+    keys — so golden fingerprints stay interval-independent and old
+    stores keep resolving.
     """
     (config, workload_name, scale, scheduler, ace_mode_value,
-     checkpoint_interval, record_trace) = args
+     checkpoint_interval) = args
     golden = run_golden(config, get_workload(workload_name, scale),
                         scheduler=scheduler,
                         ace_mode=AceMode(ace_mode_value),
                         checkpoint_interval=checkpoint_interval,
-                        record_trace=record_trace)
+                        record_trace=True)
     payload = {
         "cycles": golden.cycles,
         "launch_cycles": [int(c) for c in golden.launch_cycles],
@@ -115,9 +123,39 @@ def run_golden_job(args: tuple) -> dict:
     }
     if golden.snapshots is not None:
         payload["_snapshots"] = golden.snapshots
-    if golden.trace is not None:
-        payload["_trace"] = golden.trace
+    payload["_trace"] = golden.trace
     return payload
+
+
+def _simulate_golden(golden_fp: str, config: GpuConfig, workload,
+                     scheduler: str, checkpoint_interval) -> dict:
+    """Simulate a golden this process does not hold; keep it resident.
+
+    One fault-free run records the trace and captures the snapshot set
+    together, so whichever of the cell's plan and shards lands here
+    first pays for the golden once, for all of them.
+    """
+    golden = run_golden(config, workload, scheduler=scheduler,
+                        checkpoint_interval=checkpoint_interval,
+                        record_trace=True)
+    artifacts = {"_trace": golden.trace}
+    if golden.snapshots is not None:
+        artifacts["_snapshots"] = golden.snapshots
+    deposit(golden_fp, artifacts)
+    return artifacts
+
+
+def _golden_artifact(key: str, golden_fp: str, golden_args: tuple):
+    """Ephemeral golden artifact ``key``: resident, or simulated here.
+
+    ``golden_args`` are (config, workload, scheduler, checkpoint
+    interval). A resident snapshot set may come from another interval;
+    any set is correct, it only changes wall time.
+    """
+    artifact = resident(golden_fp).get(key)
+    if artifact is None:
+        artifact = _simulate_golden(golden_fp, *golden_args)[key]
+    return artifact
 
 
 # ----------------------------------------------------------------------
@@ -166,17 +204,23 @@ def run_plan_job(args: tuple) -> dict:
     size. The retired serial loop drew the same plans; its frozen
     verdict is ``tests/fixtures/serial_campaign``.
 
-    Pruning replays the golden run's access trace (the last element,
-    a :class:`repro.sim.tracing.AccessTrace` handed over from an
-    inline golden job) through :class:`FaultSiteResolver`; the
-    verdicts equal those of a resolver attached to a live golden run.
-    Without one (a pooled, leased or store-resolved golden) the
-    resolver rides one more fault-free run, booked as ``prune``.
+    Pruning replays the golden run's access trace through
+    :class:`FaultSiteResolver`; the verdicts equal those of a resolver
+    attached to a live golden run. The trace is the last element when
+    an inline golden job hands it over by reference; otherwise it is
+    looked up in this process under the golden fingerprint, and on a
+    miss one fault-free run records it and captures the snapshot set
+    (at the checkpoint interval, the element before the trace) for the
+    cell's shards.
     """
     (config, workload_name, scale, scheduler, cycles, samples, seed,
-     structures, fault_model, trace) = args
+     structures, fault_model, golden_fp, checkpoint_interval, trace) = args
     model = get_fault_model(fault_model)
     start = time.perf_counter()
+    golden_args = (config, get_workload(workload_name, scale), scheduler,
+                   checkpoint_interval)
+    if trace is None:
+        trace = _golden_artifact("_trace", golden_fp, golden_args)
     with _profile.phase("prune"):
         rng = np.random.default_rng(seed)
         plans_by_structure = {
@@ -186,11 +230,7 @@ def run_plan_job(args: tuple) -> dict:
         all_plans = [p for plans in plans_by_structure.values()
                      for p in plans]
         resolver = FaultSiteResolver(config, all_plans, fault_model=model)
-        if trace is not None:
-            trace.replay(resolver)
-        else:
-            run_workload(Gpu(config, scheduler=scheduler, sink=resolver),
-                         get_workload(workload_name, scale))
+        trace.replay(resolver)
     return {
         "plans": {
             structure: [
@@ -239,22 +279,21 @@ def _decoded_outputs_for(golden_fp: str, outputs_encoded: dict) -> dict:
 
 def _snapshots_for(golden_fp: str, checkpoint_interval, snapshots,
                    config, workload, scheduler: str):
-    """This shard's snapshot set: shipped inline, rebuilt when pooled.
+    """This shard's snapshot set: by reference, resident, or simulated.
 
-    Inline campaigns pass the golden job's set by reference; pooled
-    shard jobs (and store resumes, where snapshots were stripped as
-    ephemeral) get None and re-derive the set once per worker process
-    through the shared :func:`repro.checkpoint.cached_snapshots`
-    cache, keyed by the golden fingerprint.
+    Inline campaigns pass the golden job's set by reference. Otherwise
+    it is the set resident in this process under the golden
+    fingerprint — left by the golden job or by an earlier plan or
+    shard job of the cell — or, on a miss, one fault-free run
+    captures it and leaves it resident (:func:`_golden_artifact`).
     """
     if checkpoint_interval is None:
         return None
     if snapshots is not None:
         return snapshots
-    from repro.checkpoint import cached_snapshots
-    return cached_snapshots(("golden-fp", golden_fp, checkpoint_interval),
-                            config, workload, scheduler,
-                            checkpoint_interval)
+    return _golden_artifact("_snapshots", golden_fp,
+                            (config, workload, scheduler,
+                             checkpoint_interval))
 
 
 def run_shard_job(args: tuple) -> dict:

@@ -74,20 +74,16 @@ def _fingerprints(spec, config: GpuConfig, workload_name: str,
 
 
 def _cell_jobs(spec, config: GpuConfig, workload_name: str,
-               structures: tuple, store: ResultStore | None, *,
-               inline: bool) -> tuple[list[JobSpec], str]:
+               structures: tuple,
+               store: ResultStore | None) -> tuple[list[JobSpec], str]:
     """Job chain for one cell; returns (root jobs, cell job id).
 
-    ``inline`` — True when the campaign runs without a process pool.
-    Snapshot handling depends on it: inline, the golden job captures
-    snapshots and the cell's shards consume them by reference (zero
-    copies); pooled, golden jobs skip capture and each shard worker
-    rebuilds the set once per process instead of receiving it with
-    every shard submission (a ``default``-scale SnapshotSet pickles to
-    up to 12 MB). The golden run's
-    access trace follows the same rule: inline, the golden job records
-    it and the plan job replays it; pooled, the plan job prunes with
-    one more fault-free run.
+    The golden job records its access trace and captures its snapshot
+    set on every backend. Inline, the plan job and the shards take
+    them from the golden payload by reference (zero copies); a golden
+    that ran in another process arrives without its ephemeral keys,
+    and the plan and shards find them resident in the process they run
+    in (:mod:`repro.engine.jobs`).
     """
     golden_fp, plan_fp, cell_fp = _fingerprints(
         spec, config, workload_name, structures)
@@ -133,17 +129,13 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
                 worker=jobs.run_shard_job,
                 # Inline, snapshots ride along from the golden payload
                 # by reference. They are ephemeral: a golden loaded
-                # from a store (or produced by a pooled golden job)
-                # has none, and the shard worker then rebuilds the set
-                # once per process; a memory-cached golden may carry a
-                # set captured at another interval — any set is
-                # correct, it only changes wall time.
+                # from a store or run in another process has none, and
+                # the shard looks the set up where it runs.
                 make_args=lambda deps, chunk=chunk: (
                     config, workload_name, scale, scheduler,
                     deps[golden_fp]["cycles"], golden_fp,
                     deps[golden_fp]["outputs"], chunk, fault_model,
-                    deps[golden_fp].get("_snapshots")
-                    if checkpoint_interval is not None and inline else None,
+                    deps[golden_fp].get("_snapshots"),
                     checkpoint_interval,
                     suffix_memo,
                 ),
@@ -178,12 +170,9 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         kind=jobs.GOLDEN,
         fingerprint=golden_fp,
         worker=jobs.run_golden_job,
-        # Pooled golden jobs skip capture and trace recording: their
-        # payload would haul both back through a pickle, and the
-        # cell's plan job may run in another process anyway.
         make_args=lambda deps: (
             config, workload_name, scale, scheduler, spec.ace_mode.value,
-            checkpoint_interval if inline else None, inline),
+            checkpoint_interval),
         cache_in_memory=True,
     )
     plan_job = JobSpec(
@@ -197,7 +186,8 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         make_args=lambda deps: (
             config, workload_name, scale, scheduler,
             deps[golden_fp]["cycles"], samples, seed, structures,
-            fault_model, deps[golden_fp].pop("_trace", None)),
+            fault_model, golden_fp, checkpoint_interval,
+            deps[golden_fp].pop("_trace", None)),
         expand=expand_plan,
     )
     return [golden_job, plan_job], cell_fp
@@ -309,8 +299,7 @@ def run_campaign(spec, *, store: ResultStore | str | Path | None = None,
     cell_ids: list[str] = []
     for config, name, cell_structures in iter_cells(spec):
         roots, cell_id = _cell_jobs(
-            spec, config, name, cell_structures, store,
-            inline=workers <= 1 and execution is None)
+            spec, config, name, cell_structures, store)
         specs.extend(roots)
         cell_ids.append(cell_id)
     if not specs:

@@ -11,6 +11,9 @@ The scheduler drives an arbitrary DAG of :class:`JobSpec`\\ s:
   them to a fleet of HTTP workers; with ``workers <= 1`` and no
   backend everything runs inline in deterministic admission order
   instead;
+* a payload leaving another process drops its ephemeral ``_``-keys
+  (a golden run's snapshot set and access trace), which stay resident
+  in the process that made them (:func:`keep_resident`);
 * driver jobs (``reduce_fn``) run in the scheduling process the moment
   they are ready (they are cheap reductions);
 * a completed job may *expand* into further jobs (the FI shards and the
@@ -68,8 +71,53 @@ def _memory_cache_put(fp: str, payload: dict) -> None:
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process golden-run cache (benchmarks use this)."""
+    """Drop the in-process golden-run cache and resident artifacts
+    (benchmarks and tests use this)."""
     _MEMORY_CACHE.clear()
+    _RESIDENT.clear()
+
+
+#: Ephemeral artifacts kept in the process that made them: the
+#: ``_``-keys of payloads (a golden run's snapshot set and access
+#: trace) that never cross a process boundary, keyed by the producing
+#: job's fingerprint. LRU-bounded: a ``small``-scale golden's artifacts
+#: take a few MB, a ``default``-scale one's up to about 15 MB.
+_RESIDENT: dict[str, dict] = {}
+_RESIDENT_MAX = 4
+
+
+def resident(fingerprint: str) -> dict:
+    """The artifacts this process holds for ``fingerprint`` ({} if none)."""
+    artifacts = _RESIDENT.pop(fingerprint, None)
+    if artifacts is None:
+        return {}
+    _RESIDENT[fingerprint] = artifacts  # mark most-recent
+    return artifacts
+
+
+def deposit(fingerprint: str, artifacts: dict) -> None:
+    """Keep ``artifacts`` resident under ``fingerprint`` (merged)."""
+    merged = {**_RESIDENT.pop(fingerprint, {}), **artifacts}
+    while len(_RESIDENT) >= _RESIDENT_MAX:
+        _RESIDENT.pop(next(iter(_RESIDENT)))
+    _RESIDENT[fingerprint] = merged
+
+
+def keep_resident(fingerprint: str, payload: dict) -> dict:
+    """``payload`` fit to cross a process boundary.
+
+    Its ephemeral ``_``-keys stay behind in this process's registry
+    under the producing job's ``fingerprint``: a later job here finds
+    them through :func:`resident` instead of re-simulating. The
+    process pool's runner and the fleet worker's push both pass
+    through this one rule; inline runs cross no boundary and keep
+    passing the artifacts by reference.
+    """
+    artifacts = {k: v for k, v in payload.items() if k.startswith("_")}
+    if not artifacts:
+        return payload
+    deposit(fingerprint, artifacts)
+    return {k: v for k, v in payload.items() if not k.startswith("_")}
 
 
 def run_job(body: Callable, arg, profile: bool) -> tuple:
@@ -84,6 +132,14 @@ def run_job(body: Callable, arg, profile: bool) -> tuple:
     with _profile.collecting(collector):
         payload = body(arg)
     return payload, collector.as_dict()
+
+
+def run_resident(body: Callable, arg, profile: bool,
+                 fingerprint: str) -> tuple:
+    """:func:`run_job` in another process: the payload leaves it
+    through :func:`keep_resident`."""
+    payload, prof = run_job(body, arg, profile)
+    return keep_resident(fingerprint, payload), prof
 
 
 def _payload_work_s(payload, default: float) -> float:
@@ -112,7 +168,15 @@ class ExecutionBackend:
     (:class:`repro.engine.service.RemoteBackend`) are interchangeable
     by the engine's determinism contract: every job body is a pure
     function of its fingerprinted parameters.
+
+    ``capacity`` bounds the jobs the scheduler keeps submitted at once
+    (None: no bound). The scheduler fills free slots newest job first,
+    so with a bound a finished golden's plan and shards start before
+    older queued work, in the process that just went idle — the one
+    holding that golden's resident artifacts.
     """
+
+    capacity: int | None = None
 
     def submit(self, job: "JobSpec", args: tuple, profile: bool) -> Future:
         """Start one pool job; the Future resolves to (payload, profile)."""
@@ -129,10 +193,12 @@ class ProcessPoolBackend(ExecutionBackend):
     """The classic local backend: one ``ProcessPoolExecutor``."""
 
     def __init__(self, workers: int):
-        self._pool = ProcessPoolExecutor(max_workers=max(1, int(workers)))
+        self.capacity = max(1, int(workers))
+        self._pool = ProcessPoolExecutor(max_workers=self.capacity)
 
     def submit(self, job: "JobSpec", args: tuple, profile: bool) -> Future:
-        return self._pool.submit(run_job, job.worker, args, profile)
+        return self._pool.submit(run_resident, job.worker, args, profile,
+                                 job.fingerprint)
 
     def close(self) -> None:
         self._pool.shutdown()
@@ -362,14 +428,19 @@ class _RunState:
         """Concurrent execution: pool jobs on the backend, reductions
         and expansions in the driver as soon as they are ready."""
         futures: dict = {}
+        capacity = backend.capacity
 
         def submit_ready() -> None:
             progressed = True
             while progressed:
                 progressed = False
-                for job_id in list(self.pending):
+                # Newest admission first (see ExecutionBackend).
+                for job_id in reversed(list(self.pending)):
                     job = self.pending.get(job_id)
                     if job is None or not self.ready(job):
+                        continue
+                    if job.worker is not None and capacity is not None \
+                            and len(futures) >= capacity:
                         continue
                     del self.pending[job_id]
                     progressed = True

@@ -60,14 +60,18 @@ MAX_REQUEUES = 5
 class _RemoteJob:
     """One pool job waiting to execute somewhere in the fleet."""
 
-    __slots__ = ("job", "encoded_args", "profile", "future", "attempts")
+    __slots__ = ("job", "encoded_args", "profile", "future", "attempts",
+                 "golden_fp")
 
-    def __init__(self, job: JobSpec, encoded_args: list, profile: bool):
+    def __init__(self, job: JobSpec, encoded_args: list, profile: bool,
+                 golden_fp: str | None = None):
         self.job = job
         self.encoded_args = encoded_args
         self.profile = profile
         self.future: Future = Future()
         self.attempts = 0
+        #: A shard's golden, whose output blob it may still fetch.
+        self.golden_fp = golden_fp
 
 
 class _Lease:
@@ -104,7 +108,8 @@ class RemoteBackend(ExecutionBackend):
         self._ready: deque[str] = deque()
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, dict] = {}
-        self._golden_blobs: dict[str, dict] = {}
+        #: golden fp -> [output blob, shards pending or leased]
+        self._golden_blobs: dict[str, list] = {}
         self._done: set[str] = set()
         self._events: deque[tuple[str, dict]] = deque()
         self._shutdown = False
@@ -133,16 +138,27 @@ class RemoteBackend(ExecutionBackend):
     # -- ExecutionBackend ----------------------------------------------
     def submit(self, job: JobSpec, args: tuple, profile: bool) -> Future:
         encoded = protocol.encode_args(job.kind, args)
-        if job.kind == "shard":
-            # Publish the golden blob once; every shard of the cell
-            # ships a fingerprint-sized marker instead (workers fetch
-            # and cache via GET /v1/golden/<fp>).
-            self._golden_blobs.setdefault(encoded[5], args[6])
-        remote = _RemoteJob(job, encoded, profile)
+        golden_fp = encoded[5] if job.kind == "shard" else None
+        remote = _RemoteJob(job, encoded, profile, golden_fp)
         with self._lock:
+            if golden_fp is not None:
+                # Publish the golden blob once; every shard of the cell
+                # ships a fingerprint-sized marker instead (workers
+                # fetch and cache via GET /v1/golden/<fp>). The blob is
+                # dropped once no shard of it is pending or leased.
+                self._golden_blobs.setdefault(golden_fp, [args[6], 0])[1] += 1
             self._jobs[job.job_id] = remote
             self._ready.append(job.job_id)
         return remote.future
+
+    def _retire(self, remote: _RemoteJob) -> None:
+        """Forget a finished or failed job (lock held)."""
+        del self._jobs[remote.job.job_id]
+        if remote.golden_fp is not None:
+            blob = self._golden_blobs[remote.golden_fp]
+            blob[1] -= 1
+            if not blob[1]:
+                del self._golden_blobs[remote.golden_fp]
 
     def tick(self) -> None:
         now = self.clock()
@@ -160,7 +176,7 @@ class RemoteBackend(ExecutionBackend):
                            worker=lease.worker_id,
                            attempts=remote.attempts)
                 if remote.attempts > self.max_requeues:
-                    del self._jobs[lease.job_id]
+                    self._retire(remote)
                     failed.append(remote)
                 else:
                     # Front of the queue: recovery work preempts fresh
@@ -254,7 +270,7 @@ class RemoteBackend(ExecutionBackend):
             problem = protocol.check_payload(remote.job.kind, payload)
             if problem is not None:
                 return reject(problem)
-            del self._jobs[fingerprint]
+            self._retire(remote)
             self._done.add(fingerprint)
             if lease_id is not None:
                 self._leases.pop(lease_id, None)
@@ -283,7 +299,9 @@ class RemoteBackend(ExecutionBackend):
                     "shutdown": self._shutdown}
 
     def golden_blob(self, fingerprint: str) -> dict | None:
-        return self._golden_blobs.get(fingerprint)
+        with self._lock:
+            blob = self._golden_blobs.get(fingerprint)
+        return blob[0] if blob is not None else None
 
     def status(self) -> dict:
         with self._lock:
@@ -328,6 +346,7 @@ class CoordinatorServer:
         self.httpd.daemon_threads = True
         self.host, self.port = self.httpd.server_address[:2]
         self._thread: threading.Thread | None = None
+        self.stopped = False
 
     @property
     def url(self) -> str:
@@ -340,6 +359,7 @@ class CoordinatorServer:
         self._thread.start()
 
     def stop(self) -> None:
+        self.stopped = True
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:
@@ -350,9 +370,21 @@ class CoordinatorServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Keep-alive clients wait on each reply: with Nagle's
+            # algorithm the body, written after the headers, would sit
+            # out the client's delayed ACK (about 40 ms per request).
+            disable_nagle_algorithm = True
 
             def log_message(self, *args):  # keep campaign stderr clean
                 pass
+
+            def parse_request(self):
+                # A stopped coordinator answers nothing, not even on a
+                # connection kept alive from before the stop.
+                if server.stopped:
+                    self.close_connection = True
+                    return False
+                return super().parse_request()
 
             def _reply(self, obj: dict, code: int = 200) -> None:
                 body = json.dumps(obj).encode("utf-8")

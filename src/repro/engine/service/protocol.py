@@ -37,7 +37,9 @@ from repro.engine import jobs
 #: element (always False / None on the wire).
 #: 3: no profile element in argument tuples; leases carry a
 #: ``profile`` flag and pushes a ``profile`` beside the payload.
-PROTOCOL_VERSION = 3
+#: 4: golden jobs always record their trace (no flag element); plan
+#: jobs take the golden fingerprint and the checkpoint interval.
+PROTOCOL_VERSION = 4
 
 #: Marker key for an embedded GpuConfig in an encoded argument list.
 GPU_KEY = "__gpu__"
@@ -84,9 +86,12 @@ def encode_args(kind: str, args: tuple) -> list:
     GpuConfigs become marker dicts; a shard job's golden outputs
     (element 6, with the owning golden fingerprint at element 5) become
     a fetch-by-fingerprint marker, and its snapshots element (9) is
-    forced to ``None`` — remote shard workers rebuild snapshot sets
-    from the golden fingerprint exactly like pooled ones do, which is
-    bit-identical by the checkpoint layer's contract.
+    forced to ``None``: a snapshot set never crosses a process
+    boundary. The worker finds the set resident under the golden
+    fingerprint (it ran the golden, or an earlier job of the cell), or
+    simulates the golden once — bit-identical by the checkpoint
+    layer's contract. A plan job's trace element is ``None`` on the
+    wire for the same reason.
     """
     encoded = [encode_gpu(a) if isinstance(a, GpuConfig) else a
                for a in args]

@@ -4,8 +4,12 @@ A worker is a plain process anywhere that can reach the coordinator
 over HTTP. It registers, then loops: pull a lease, decode the argument
 list (fetching + caching golden output blobs by fingerprint), run the
 job through the *same* runner and worker functions the process pool
-uses (:mod:`repro.engine.jobs` — per-process snapshot rebuild and suffix
-memo intact), and push the payload back, its profile beside it. A
+uses (:mod:`repro.engine.jobs`), and push the payload back, its
+profile beside it. Like a pool process, the worker keeps a golden's
+snapshot set and access trace resident
+(:func:`repro.engine.scheduler.keep_resident`), so the plan and shards
+of a golden it ran simulate nothing more; its suffix memo is
+per-process too. A
 background heartbeat renews held leases at a third of the TTL, so a
 live worker grinding through a long shard never expires, while a
 killed one silently does — the coordinator re-queues its lease and the
@@ -31,7 +35,7 @@ import urllib.parse
 from http.client import HTTPConnection, HTTPException
 
 from repro.engine import jobs
-from repro.engine.scheduler import run_job
+from repro.engine.scheduler import run_resident
 from repro.engine.service import protocol
 from repro.errors import ConfigError
 
@@ -53,10 +57,13 @@ class CoordinatorUnreachable(ConnectionError):
 class CoordinatorClient:
     """Minimal JSON-over-HTTP client for the coordinator endpoints.
 
-    One fresh connection per request: the client is talking to a
-    threading server about jobs that take seconds to minutes, so
-    connection reuse buys nothing and stale-socket handling costs
-    plenty.
+    Each thread keeps one keep-alive connection: a worker's lease, push
+    and golden-fetch round trips then skip the TCP handshake, which on
+    loopback halves them. A reused connection the coordinator has
+    meanwhile closed fails its request before any answer; the client
+    then reconnects once and resends. A fresh connection that fails is
+    :class:`CoordinatorUnreachable` — the worker's retry loop owns the
+    give-up policy.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
@@ -68,23 +75,35 @@ class CoordinatorClient:
         self.host = parsed.hostname
         self.port = parsed.port or 80
         self.timeout = timeout
+        self._local = threading.local()
+
+    def _exchange(self, conn: HTTPConnection, method: str, path: str,
+                  payload) -> bytes:
+        headers = {"Content-Type": "application/json"} if payload else {}
+        conn.request(method, path, body=payload, headers=headers)
+        return conn.getresponse().read()
 
     def _request(self, method: str, path: str, body=None) -> dict:
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        payload = (json.dumps(body).encode("utf-8")
+                   if body is not None else None)
+        conn = getattr(self._local, "conn", None)
         try:
-            payload = (json.dumps(body).encode("utf-8")
-                       if body is not None else None)
-            headers = {"Content-Type": "application/json"} if payload \
-                else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = response.read()
+            if conn is not None:
+                try:
+                    data = self._exchange(conn, method, path, payload)
+                except (OSError, HTTPException):
+                    conn.close()  # closed by the coordinator: reconnect
+                    conn = None
+            if conn is None:
+                conn = self._local.conn = HTTPConnection(
+                    self.host, self.port, timeout=self.timeout)
+                data = self._exchange(conn, method, path, payload)
         except (OSError, HTTPException) as error:
+            conn.close()
+            self._local.conn = None
             raise CoordinatorUnreachable(
                 f"coordinator at {self.host}:{self.port} unreachable: "
                 f"{error}") from error
-        finally:
-            conn.close()
         try:
             return json.loads(data)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -97,6 +116,13 @@ class CoordinatorClient:
 
     def get(self, path: str) -> dict:
         return self._request("GET", path)
+
+    def close(self) -> None:
+        """Close the calling thread's connection, if it has one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+            self._local.conn = None
 
 
 class CampaignWorker:
@@ -186,16 +212,19 @@ class CampaignWorker:
 
     def _heartbeat_loop(self) -> None:
         interval = max(0.05, self.lease_ttl_s / 3.0)
-        while not self._stop.wait(interval):
-            with self._leases_lock:
-                leases = list(self._held_leases)
-            try:
-                response = self.client.post(protocol.HEARTBEAT_PATH, {
-                    "worker_id": self.worker_id, "lease_ids": leases})
-            except CoordinatorUnreachable:
-                continue  # the main loop owns give-up policy
-            if response.get("shutdown"):
-                self._stop.set()
+        try:
+            while not self._stop.wait(interval):
+                with self._leases_lock:
+                    leases = list(self._held_leases)
+                try:
+                    response = self.client.post(protocol.HEARTBEAT_PATH, {
+                        "worker_id": self.worker_id, "lease_ids": leases})
+                except CoordinatorUnreachable:
+                    continue  # the main loop owns give-up policy
+                if response.get("shutdown"):
+                    self._stop.set()
+        finally:
+            self.client.close()
 
     # ------------------------------------------------------------------
     def _execute(self, lease_id: str, job: dict) -> None:
@@ -206,15 +235,14 @@ class CampaignWorker:
             self._held_leases.add(lease_id)
         try:
             # Looked up per call: tracers repoint the table's entries.
-            payload, profile = run_job(WORKER_FUNCTIONS[kind], args,
-                                       job["profile"])
+            # Ephemeral keys stay resident here (snapshots are not
+            # JSON-safe, and this worker's next jobs may need them).
+            payload, profile = run_resident(WORKER_FUNCTIONS[kind], args,
+                                            job["profile"], fingerprint)
         finally:
             with self._leases_lock:
                 self._held_leases.discard(lease_id)
         self.counters["executed"] += 1
-        # Ephemeral keys are process-local extras (snapshots are not
-        # JSON-safe); the store would strip them anyway — don't ship.
-        payload = {k: v for k, v in payload.items() if not k.startswith("_")}
         if self.segment_store is not None:
             self.segment_store.put(fingerprint, kind, payload)
         response = self._with_retries(lambda: self.client.post(
@@ -258,4 +286,5 @@ class CampaignWorker:
         finally:
             self._stop.set()
             heartbeat.join(timeout=2.0)
+            self.client.close()
         return dict(self.counters)

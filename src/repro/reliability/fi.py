@@ -20,10 +20,10 @@ Campaign flow per (GPU, benchmark, structure):
    resolver marks every sampled fault provably-dead (classified MASKED
    without re-simulation) or potentially-live, honouring the model's
    liveness semantics (stuck-at faults survive write-backs; control
-   sites resolve on hardware warp-slot occupancy). Inline campaigns
-   record the trace during the golden run; otherwise (pooled or
-   leased golden, or one resolved from a store) the resolver rides
-   one more fault-free run.
+   sites resolve on hardware warp-slot occupancy). Every golden job
+   records the trace; a plan job in a process that does not hold it
+   (its golden came from the store or ran elsewhere) records it with
+   one fault-free run that also captures the cell's snapshots.
 4. Every live fault is re-simulated with the model's disturbance
    applied at its cycle; the run is classified MASKED / SDC (bit-exact
    output comparison against the golden outputs) / DUE (simulator

@@ -4,8 +4,9 @@ All three are :class:`repro.sim.tracing.TraceSink` implementations that
 accumulate online, in O(structure size) memory. ACE and occupancy ride
 the fault-free ("golden") simulation itself. The resolver is fed by
 replaying that run's recorded :class:`repro.sim.tracing.AccessTrace`
-when the campaign runs inline, so pruning needs no second simulation;
-pooled or leased campaigns attach it to one more fault-free run.
+on every backend, so pruning needs no second simulation: the golden
+job records the trace, and the plan job finds it by reference (inline)
+or resident in its process (:mod:`repro.engine.jobs`).
 
 * :class:`AceAccumulator` — Mukherjee-style ACE lifetime analysis. In
   the default CONSERVATIVE mode a register *row* (one architectural

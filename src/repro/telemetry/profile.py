@@ -44,8 +44,9 @@ from contextlib import contextmanager
 from time import perf_counter
 
 #: Canonical phase names, in report order. ``golden`` also covers the
-#: golden-prefix re-runs pooled shard workers use to rebuild snapshot
-#: sets (the same simulation, re-derived). ``digest`` is the hashing of
+#: fault-free run a plan or shard job makes for a golden that ran in
+#: another process or came from the store (the same simulation,
+#: re-derived). ``digest`` is the hashing of
 #: faulty-run states only: building the image it hashes, and a golden
 #: point's lazy digest on its first comparison, count as ``suffix_sim``.
 PHASES = (

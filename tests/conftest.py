@@ -3,6 +3,7 @@ and the campaign helpers the parity tests share."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from pathlib import Path
@@ -13,10 +14,12 @@ import pytest
 from repro.arch.config import GpuConfig, LatencyModel
 from repro.arch.structures import DATAPATH_STRUCTURES
 from repro.engine import jobs
+from repro.engine.fingerprint import fingerprint, golden_params
 from repro.isa.sass.parser import assemble_sass
 from repro.isa.si.parser import assemble_si
 from repro.kernels.registry import get_workload
 from repro.reliability.fi import resimulate_plan
+from repro.reliability.liveness import AceMode
 from repro.reliability.outcomes import FaultResult, Outcome
 from repro.sim.gpu import Gpu
 from repro.sim.launch import LaunchConfig, pack_params
@@ -153,9 +156,12 @@ def sample_results(config, workload_name, golden, samples, seed, *,
     is given); dead sites are MASKED without re-simulation. Counting
     stays the engine's: cells come from ``run_campaign``.
     """
+    golden_fp = fingerprint(jobs.GOLDEN, golden_params(
+        config, workload_name, scale, golden.scheduler, AceMode.CONSERVATIVE))
     plan_payload = jobs.run_plan_job((
         config, workload_name, scale, golden.scheduler, golden.cycles,
-        samples, seed, tuple(structures), fault_model, golden.trace))
+        samples, seed, tuple(structures), fault_model, golden_fp, None,
+        golden.trace))
     workload = get_workload(workload_name, scale)
     live = {
         key: resimulate_plan(config, workload, jobs.plan_from_key(key),
@@ -172,3 +178,28 @@ def sample_results(config, workload_name, golden, samples, seed, *,
                 jobs.plan_from_key(key), Outcome.MASKED, False,
                 detail="dead-site"))
     return results
+
+
+@contextlib.contextmanager
+def counting_fault_free_runs():
+    """Count the fault-free simulations this process finishes.
+
+    A run is fault-free when its machine finishes with no fault plan
+    installed: golden runs, and any run a job makes to re-derive a
+    golden's trace or snapshots. Yields ``{"runs": n}``.
+    """
+    counts = {"runs": 0}
+    finish, set_faults = Gpu.finish, Gpu.set_faults
+
+    def counted_finish(gpu):
+        counts["runs"] += not getattr(gpu, "_counted_faulty", False)
+        return finish(gpu)
+
+    def marked_set_faults(gpu, *args, **kwargs):
+        gpu._counted_faulty = True
+        return set_faults(gpu, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Gpu, "finish", counted_finish)
+        patch.setattr(Gpu, "set_faults", marked_set_faults)
+        yield counts

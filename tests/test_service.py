@@ -7,11 +7,14 @@ The acceptance contract for the coordinator/worker subsystem:
 * a store written before the service existed resumes under the
   coordinator with zero jobs executed;
 * a worker killed mid-campaign is recovered via lease expiry — the
-  campaign completes without losing or duplicating a single job.
+  campaign completes without losing or duplicating a single job;
+* the coordinator holds a golden's output blob only while a shard of
+  it is pending or leased, and workers keep their connection alive.
 """
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -186,6 +189,30 @@ class TestLeaseStateMachine:
         response = backend.register("w2", version=99)
         assert response["ok"] is False and "version" in response["error"]
 
+    def test_golden_blob_lives_until_its_last_shard_finishes(self):
+        backend, clock = self._backend()
+        blob = {"out": {"dtype": "uint32", "shape": [1], "data": "AAAAAA=="}}
+        shards = [JobSpec(job_id=tag * 64, kind="shard", fingerprint=tag * 64)
+                  for tag in "ab"]
+        for job in shards:
+            backend.submit(job, ("cfg", "histogram", "tiny", "rr", 100,
+                                 "goldfp", blob, [], "transient", None,
+                                 None, False), False)
+        first = backend.lease("w1")
+        clock.advance(11.0)
+        backend.tick()  # expired: re-queued, still pending
+        assert backend.counters["leases_expired"] == 1
+        again = backend.lease("w1")
+        assert again["job"]["fingerprint"] == first["job"]["fingerprint"]
+        assert backend.golden_blob("goldfp") == blob
+        results = {"results": [], "wall_time_s": 0.0}
+        backend.push("w1", shards[0].fingerprint, "shard", results,
+                     lease_id=again["lease_id"])
+        assert backend.golden_blob("goldfp") == blob  # shard b pending
+        backend.push("w1", shards[1].fingerprint, "shard", results)
+        assert backend.golden_blob("goldfp") is None
+        assert backend._golden_blobs == {}
+
 
 class TestProtocolCodec:
     def test_gpu_round_trip_is_exact(self):
@@ -261,6 +288,46 @@ class TestHttpLayer:
     def test_client_rejects_non_http_urls(self):
         with pytest.raises(ConfigError, match="http://host:port"):
             CoordinatorClient("ftp://example:1")
+
+    def test_client_reuses_its_connection_and_reconnects_once(
+            self, server, monkeypatch):
+        connects = []
+        connect = http.client.HTTPConnection.connect
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            lambda conn: connects.append(conn)
+                            or connect(conn))
+        # The server closes a connection idle for this long.
+        monkeypatch.setattr(server.httpd.RequestHandlerClass, "timeout",
+                            0.2)
+        client = CoordinatorClient(server.url)
+        assert client.get(protocol.STATUS_PATH)["ok"]
+        assert client.get(protocol.STATUS_PATH)["ok"]
+        assert len(connects) == 1
+        time.sleep(0.6)
+        assert client.get(protocol.STATUS_PATH)["ok"]
+        assert len(connects) == 2
+        client.close()
+
+    def test_unreachable_coordinator_raises_after_give_up(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        worker = CampaignWorker(f"http://127.0.0.1:{port}", poll_s=0.05,
+                                give_up_s=0.3)
+        start = time.monotonic()
+        with pytest.raises(CoordinatorUnreachable):
+            worker.register()
+        assert 0.3 <= time.monotonic() - start < 5.0
+
+    def test_client_of_a_stopped_coordinator_raises(self):
+        backend = RemoteBackend(lease_ttl_s=30.0)
+        server = CoordinatorServer(backend, port=0)
+        server.start()
+        client = CoordinatorClient(server.url, timeout=2.0)
+        assert client.get(protocol.STATUS_PATH)["ok"]
+        server.stop()
+        with pytest.raises(CoordinatorUnreachable):
+            client.get(protocol.STATUS_PATH)
 
     def test_segment_replay_is_at_least_once_not_more(self, server,
                                                       tmp_path):
@@ -338,6 +405,19 @@ class TestDistributedCampaign:
         executed = sum(c["executed"] for c in counters.values())
         assert executed == sum(c["pushed"] for c in counters.values())
         assert all(c["rejected"] == 0 for c in counters.values())
+
+    def test_golden_blobs_are_dropped_after_the_campaign(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(CampaignService, "SHUTDOWN_LINGER_S", 2.0)
+        services = []
+        run = CampaignService.run
+        monkeypatch.setattr(CampaignService, "run",
+                            lambda service: services.append(service)
+                            or run(service))
+        stats, _ = _run_distributed(ResultStore(tmp_path / "dist.jsonl"),
+                                    [SPEC], worker_ids=("w1",))
+        assert stats.by_kind["shard"]["executed"] > 0
+        assert services[0].backend._golden_blobs == {}
 
     def test_pre_service_store_resumes_with_zero_jobs(self, tmp_path,
                                                       monkeypatch):

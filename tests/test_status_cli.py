@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import clear_memory_cache
 from repro.experiments.runner import main
 from repro.telemetry import (
     aggregate_events,
@@ -225,6 +226,10 @@ class TestProfileCommand:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_run_profile_then_report_end_to_end(self, tmp_path, capsys):
+        # A golden an earlier test left cached (with its trace resident)
+        # would leave this 4-sample campaign nothing to simulate, and
+        # its profile no dispatch mix.
+        clear_memory_cache()
         spec = tmp_path / "tiny.toml"
         spec.write_text('gpus = ["gtx480"]\nworkloads = ["vectoradd"]\n'
                         'scale = "tiny"\nsamples = 4\n')

@@ -30,7 +30,8 @@ is the same campaign run today.
 The ``profile-*`` rows profile a campaign on the process pool and
 through the service: each job's profile must travel back from another
 process or thread, and ``test_profile_covers_the_cell_work`` checks it
-arrived.
+arrived. Their profiles also count golden simulations: the service's
+worker simulates each golden once, and a 2-process pool at most twice.
 
 Each distinct campaign runs once per module and is shared by the rows
 that compare against it.
@@ -52,7 +53,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.structures import CONTROL_STRUCTURES
-from repro.checkpoint import capture, memo
+from repro.checkpoint import memo
 from repro.engine import clear_memory_cache, jobs, run_campaign
 from repro.engine.service import CampaignService
 from repro.engine.store import ResultStore, diff_stores
@@ -66,7 +67,7 @@ from repro.telemetry import (
     load_telemetry,
     telemetry_path_for_store,
 )
-from tests.conftest import MINI_AMD, MINI_NVIDIA
+from tests.conftest import MINI_AMD, MINI_NVIDIA, counting_fault_free_runs
 from tests.test_service import _run_distributed
 
 #: Two ISAs on live-fault-rich kernels: at 12 samples every fault model
@@ -186,13 +187,13 @@ def _fresh_caches() -> None:
     """Drop every per-process cache a previous campaign could feed."""
     clear_memory_cache()
     memo._MEMO_CACHE.clear()
-    capture._REBUILD_CACHE.clear()
     vector.clear_caches()
 
 
 @contextlib.contextmanager
 def _counting_shortcuts():
-    """Count in-process suffix-only re-simulations and early exits."""
+    """Count in-process suffix-only re-simulations, early exits and
+    fault-free simulations (``fault_free``, read after the run)."""
     counts = {"suffix": 0, "early_exit": 0}
     original = jobs.resimulate_plan
 
@@ -202,9 +203,13 @@ def _counting_shortcuts():
         counts["early_exit"] += result.early_exit
         return result
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, \
+            counting_fault_free_runs() as fault_free:
         patch.setattr(jobs, "resimulate_plan", spy)
-        yield counts
+        try:
+            yield counts
+        finally:
+            counts["fault_free"] = fault_free["runs"]
 
 
 def _cli(argv: list[str]) -> dict[str, int]:
@@ -258,7 +263,8 @@ class Campaigns:
         stores = {run: root / f"run{i}.jsonl" for i, run in enumerate(runs)
                   if run.how != "frozen"}
         #: run -> (store path, shortcuts taken)
-        self.fresh = {run: (run.frozen_store, {"suffix": 0, "early_exit": 0})
+        self.fresh = {run: (run.frozen_store,
+                            {"suffix": 0, "early_exit": 0, "fault_free": 0})
                       for run in runs if run.how == "frozen"}
         with ProcessPoolExecutor(
                 max_workers=2,
@@ -383,3 +389,32 @@ def test_profile_covers_the_cell_work(campaigns, row_id):
             assert main(argv) == 0
         for line in lines:
             assert line in out.getvalue()
+
+
+def _golden_simulations(store) -> tuple[int, int]:
+    """(goldens the campaign executed, golden-phase calls in its profile)."""
+    goldens = sum(record["kind"] == "golden" for record in _records(store))
+    events = load_telemetry(telemetry_path_for_store(store))
+    (summary,) = [e for e in events if e["event"] == "campaign_profile"]
+    return goldens, summary["profile"]["phase_calls"].get("golden", 0)
+
+
+def test_service_simulates_each_golden_once(campaigns):
+    """The worker keeps each golden's trace and snapshots resident: the
+    plan job replays the trace, the shards restore the snapshots, and
+    nothing runs fault-free beyond the golden jobs themselves."""
+    store, shortcuts = campaigns.fresh[ROWS["profile-service"].variant]
+    goldens, simulations = _golden_simulations(store)
+    assert goldens == 4
+    assert simulations == goldens
+    assert shortcuts["fault_free"] == goldens
+
+
+def test_pool_simulates_each_golden_at_most_twice(campaigns):
+    """In a 2-process pool a golden is simulated by its golden job and
+    at most once more, by the other process when it runs a job of the
+    cell."""
+    store, _ = campaigns.fresh[ROWS["profile-workers"].variant]
+    goldens, simulations = _golden_simulations(store)
+    assert goldens == 4
+    assert goldens <= simulations <= 2 * goldens
