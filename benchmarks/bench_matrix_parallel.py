@@ -6,7 +6,8 @@ is not slower than serial (``MIN_SPEEDUP``, 1x) on hosts with at least
 two CPUs. The golden-run memory cache is cleared between the runs so
 each pays the full campaign cost.
 
-Knobs: ``REPRO_FI_SAMPLES`` / ``REPRO_SCALE`` (see conftest) plus
+Knobs: ``REPRO_FI_SAMPLES`` / ``REPRO_SCALE`` (default 40 samples at
+``tiny``, read through :mod:`repro.spec.defaults`) plus
 ``REPRO_BENCH_WORKERS`` (default: min(4, cpu_count)).
 """
 
@@ -15,11 +16,11 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import bench_samples, bench_scale
 from repro.arch.scaling import get_scaled_gpu
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.engine import clear_memory_cache, run_campaign
 from repro.spec import CampaignSpec
+from repro.spec.defaults import default_samples, default_scale
 
 GPUS = ("fx5600", "hd7970")
 WORKLOADS = ["matrixMul", "histogram", "scan"]
@@ -37,8 +38,8 @@ def bench_workers(default: int | None = None) -> int:
 
 
 def test_matrix_parallel_speedup(benchmark):
-    samples = bench_samples()
-    scale = bench_scale()
+    samples = default_samples(40)
+    scale = default_scale("tiny")
     workers = bench_workers()
     gpus = [get_scaled_gpu(name) for name in GPUS]
 

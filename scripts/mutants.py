@@ -43,6 +43,7 @@ class Mutant:
 _FAULT_TIMING = (
     "tests/test_fault_injection.py::TestVectoraddRegisterFaults",
     "tests/test_fault_injection.py::TestTransposeLocalMemoryFaults",
+    "tests/test_fault_injection.py::TestVectoraddPredicateFaults",
 )
 
 MUTANTS = (
@@ -90,6 +91,15 @@ MUTANTS = (
         new="        pass",
         tests=("tests/test_snapshot_prefix.py::"
                "test_restore_into_dirty_chip_clears_past_prefix",),
+    ),
+    Mutant(
+        name="sass-pred-write-bit0",
+        breaks="a SASS predicate-file write gives every lane bit 0 of the "
+               "word, so a lane's flip lands on no lane or on all",
+        path="src/repro/sim/control.py",
+        old="            (value >> np.arange(width, dtype=np.uint64)) & 1",
+        new="            (value >> np.zeros(width, dtype=np.uint64)) & 1",
+        tests=(_FAULT_TIMING[2],),
     ),
     Mutant(
         name="number-check-allows-nonfinite",

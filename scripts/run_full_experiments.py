@@ -9,8 +9,11 @@ specs' samples/scale for resized runs. Both campaigns run on the
 job-graph engine against one persistent result store in the output
 directory: golden runs are shared by fingerprint, a run killed
 half-way resumes from its finished jobs on the next invocation, and a
-re-run of a complete campaign executes nothing. This is what
-EXPERIMENTS.md records. Usage::
+re-run of a complete campaign executes nothing. The output directory
+receives the store, ``cells.csv`` and ``cells_control.csv``, one text
+file per figure (``fig1.txt``, ``fig2.txt``, ``fig3.txt``,
+``ace_vs_fi.txt``, ``control_avf.txt``) and ``meta.json`` (samples,
+scale, wall time, job counts). Usage::
 
     python scripts/run_full_experiments.py [samples] [scale] [outdir] [workers]
 """

@@ -18,10 +18,10 @@ What this preserves:
 * the FI-vs-ACE methodology comparison (both operate on the same
   scaled structure).
 
-What it changes (documented in EXPERIMENTS.md): whole-chip
-structure bit counts are ~4x smaller, so absolute FIT is ~4x lower and
-EPF ~4x higher than a full-chip run at equal AVF — a uniform shift
-across all four chips that does not reorder Fig. 3.
+What it changes: whole-chip structure bit counts are ~4x smaller, so
+absolute FIT is ~4x lower and EPF ~4x higher than a full-chip run at
+equal AVF — a uniform shift across all four chips that does not
+reorder Fig. 3.
 """
 
 from __future__ import annotations

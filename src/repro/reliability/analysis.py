@@ -2,8 +2,8 @@
 
 The paper's section III makes four qualitative claims; this module
 turns a list of campaign cells into the statistics that support (or
-refute) each claim, so EXPERIMENTS.md and the verification tests can
-assert them mechanically:
+refute) each claim, so tests (``tests/test_analysis.py``) can assert
+them mechanically:
 
 1. AVF varies strongly across benchmarks and across GPUs;
 2. AVF correlates with structure occupancy;

@@ -3,8 +3,7 @@
 One *cell* is everything the paper measures for one chip running one
 benchmark: AVF by fault injection and by ACE analysis for both target
 structures, structure occupancies, the cycle count, and the EPF. The
-figures (`repro.experiments.figures`, `benchmarks/`) are reports over
-cells.
+figures (`repro.experiments.figures`) are reports over cells.
 
 Campaigns are configured by one :class:`repro.spec.CampaignSpec`
 object: :func:`repro.engine.run_campaign` runs a whole matrix on the

@@ -1,10 +1,13 @@
 """Tests for the findings-summary analysis layer."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.arch.scaling import get_scaled_gpu
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
+from repro.kernels.registry import KERNEL_NAMES, get_workload
 from repro.reliability.analysis import (
     ace_fi_ratios,
     avf_occupancy_correlation,
@@ -12,7 +15,7 @@ from repro.reliability.analysis import (
 )
 from repro.reliability.campaign import CellResult
 from repro.reliability.epf import EpfResult
-from repro.reliability.fi import AvfEstimate
+from repro.reliability.fi import AvfEstimate, run_golden
 
 
 def make_cell(gpu, workload, rf_fi, rf_ace, rf_occ, lm_fi=0.02, lm_ace=0.021,
@@ -99,3 +102,33 @@ class TestSummary:
         summary = summarize(real)
         assert math.isfinite(summary.occupancy_correlation[REGISTER_FILE])
         assert summary.epf_log10_range[0] > 0
+
+
+class TestSectionIIIClaims:
+    """The paper's Section III claims on real golden runs of scaled chips."""
+
+    def test_regfile_avf_tracks_occupancy(self):
+        """'A strong correlation of the AVF with [occupancy]': Pearson r
+        of register-file ACE AVF against occupancy over all ten kernels."""
+        from scipy import stats  # slow to load; only this test needs it
+
+        config = get_scaled_gpu("fx5800")
+        goldens = [run_golden(config, get_workload(name, "tiny"))
+                   for name in KERNEL_NAMES]
+        r, _p = stats.pearsonr(
+            [golden.ace.avf(REGISTER_FILE) for golden in goldens],
+            [golden.occupancy.occupancy(REGISTER_FILE) for golden in goldens])
+        assert r > 0.5
+
+    def test_larger_register_file_does_not_raise_avf(self):
+        """Resource size: the same live bits over a larger file give an
+        ACE AVF that never rises from 16K to 32K to 64K registers/core."""
+        base = get_scaled_gpu("gtx480")
+        workload = get_workload("transpose", "tiny")
+        avfs = [
+            run_golden(replace(base, name=f"{base.name} rf={regs}",
+                               registers_per_core=regs),
+                       workload).ace.avf(REGISTER_FILE)
+            for regs in (16 * 1024, 32 * 1024, 64 * 1024)
+        ]
+        assert avfs == sorted(avfs, reverse=True)

@@ -10,7 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
+from repro.arch.structures import (
+    LOCAL_MEMORY,
+    NUM_SASS_PREDICATES,
+    PREDICATE_FILE,
+    REGISTER_FILE,
+)
 from repro.errors import SimFault, WatchdogTimeout
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
@@ -22,6 +27,7 @@ from repro.reliability.outcomes import (
     classify_outputs,
     count_corrupted_words,
 )
+from repro.sim.core import CoreBase
 from repro.sim.faults import FaultPlan, sample_faults
 from repro.sim.gpu import Gpu
 from repro.sim.tracing import EventRecorder
@@ -235,6 +241,57 @@ class TestVectoraddRegisterFaults:
         _assert_exact_sdc(config, "vectoradd", FaultPlan(
             REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
             (add + store) // 2))
+
+
+class TestVectoraddPredicateFaults:
+    """Hand-derived SASS ``vectoradd`` faults on P0 of core 0's first warp.
+
+    The control-structure side of the fault-timing convention:
+    ``ISETP.GE P0, R3, c[0]`` writes P0 (gid >= N) and ``@P0 EXIT``
+    reads it at its next issue. Lane ``BIT`` of block 0 is thread
+    ``gid == BIT``, in bounds, so its golden P0 bit is clear.
+    """
+
+    @staticmethod
+    def _p0_window(monkeypatch):
+        """(P0 word, ISETP cycle, ``@P0 EXIT`` cycle) of block 0's first
+        warp on core 0, from the instructions it issues."""
+        issued = []
+        original = CoreBase._issue
+
+        def recording_issue(core, warp, t_issue):
+            if core.core_id == 0 and warp.block.linear_id == 0 \
+                    and warp.lane_offset == 0:
+                inst = core.launch.program.instructions[warp.pc]
+                issued.append((t_issue, warp.hw_slot, inst.opcode, inst.guard))
+            return original(core, warp, t_issue)
+
+        monkeypatch.setattr(CoreBase, "_issue", recording_issue)
+        run_workload(Gpu(MINI_NVIDIA), get_workload("vectoradd", "tiny"))
+        monkeypatch.undo()
+        (setp, slot, _, _), (exit_, _, opcode, guard) = [
+            entry for entry in issued if entry[2] in ("ISETP", "EXIT")][:2]
+        assert (opcode, guard.index, guard.negated) == ("EXIT", 0, False)
+        assert setp < exit_
+        return slot * NUM_SASS_PREDICATES, setp, exit_
+
+    def test_flip_at_guarded_exit_issue_cycle_skips_one_store(
+            self, monkeypatch):
+        """The set bit exits the lane before its store: exactly its
+        output word keeps the buffer's initial zero."""
+        word, _, exit_ = self._p0_window(monkeypatch)
+        plan = FaultPlan(PREDICATE_FILE, 0, word, BIT, exit_)
+        golden = _run_tiny(MINI_NVIDIA, "vectoradd").outputs["c"]
+        faulty = _run_tiny(MINI_NVIDIA, "vectoradd", plan).outputs["c"]
+        assert classify_outputs({"c": golden}, {"c": faulty}) is Outcome.SDC
+        assert np.flatnonzero(faulty != golden).tolist() == [BIT]
+        assert golden[BIT] != 0 and faulty[BIT] == 0
+
+    def test_flip_at_compare_issue_cycle_is_masked(self, monkeypatch):
+        """The compare overwrites P0 in every active lane."""
+        word, setp, _ = self._p0_window(monkeypatch)
+        _assert_masked_at_golden_cycles(MINI_NVIDIA, "vectoradd", FaultPlan(
+            PREDICATE_FILE, 0, word, BIT, setp))
 
 
 #: Chips for the local-memory pair. Each holds two ``transpose`` blocks

@@ -1,9 +1,10 @@
 """Parallel FI campaigns must be bit-identical to serial ones."""
 
 import numpy as np
-import pytest
 
 from repro.engine import clear_memory_cache, run_campaign
+from repro.engine.jobs import SHARD
+from repro.engine.store import ResultStore
 from repro.reliability.fi import run_golden
 from repro.reliability.outcomes import Outcome
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
@@ -78,11 +79,26 @@ class TestSdcSeverity:
         golden = run_golden(config, get_workload("scan", "tiny"))
         results = sample_results(config, "scan", golden, 120, 8)
         sdcs = [r for r in results if r.outcome is Outcome.SDC]
-        if not sdcs:
-            pytest.skip("no SDC drawn at this seed")
+        assert sdcs, "no SDC drawn at this seed: the check would be vacuous"
         assert all(r.corrupted_words >= 1 for r in sdcs)
         non_sdc = [r for r in results if r.outcome is not Outcome.SDC]
         assert all(r.corrupted_words == 0 for r in non_sdc)
+
+    def test_campaign_store_sdc_rows_count_corrupted_words(self, tmp_path):
+        """Every SDC row of a stored campaign corrupts at least one word,
+        and there are no more distinct SDC rows than SDC outcomes."""
+        spec = CampaignSpec(gpus=("gtx480",), workloads=("matrixMul",),
+                            scale="tiny", samples=120, seed=17)
+        store = tmp_path / "store.jsonl"
+        cell = run_campaign(spec, store=store).cells[0]
+        # Shard records hold one [*plan_key, outcome, detail,
+        # corrupted_words] row per distinct live plan.
+        sdcs = [row for _, kind, payload in ResultStore(store).records()
+                if kind == SHARD for row in payload["results"]
+                if row[-3] == Outcome.SDC.value]
+        assert sdcs, "no SDC drawn at this seed: the check would be vacuous"
+        assert all(row[-1] >= 1 for row in sdcs)
+        assert len(sdcs) <= sum(e.sdc for e in cell.fi.values())
 
     def test_count_corrupted_words_helper(self):
         from repro.reliability.outcomes import count_corrupted_words

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.arch.presets import GEFORCE_GTX_480, HD_RADEON_7970
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
 from repro.errors import ConfigError
+from repro.reliability.campaign import run_cell
 from repro.reliability.epf import (
     RAW_FIT_PER_BIT,
     compute_epf,
@@ -17,6 +18,7 @@ from repro.reliability.epf import (
     structure_fit,
 )
 from repro.reliability.sampling import margin_of_error, required_samples, z_score
+from repro.spec import CampaignSpec
 
 
 class TestSamplingFormula:
@@ -86,6 +88,24 @@ class TestSamplingFormula:
         n = required_samples(margin, confidence=confidence)
         achieved = margin_of_error(n, confidence=confidence)
         assert achieved <= margin * 1.001
+
+
+class TestSampleSizeConvergence:
+    """FI estimates converge on a large-sample reference within the
+    theoretical margin: the justification for a fixed campaign size."""
+
+    REFERENCE = 400
+
+    def test_estimates_within_combined_margin_of_reference(self):
+        spec = CampaignSpec(gpus=("fx5600",), workloads=("histogram",),
+                            scale="tiny", seed=99, structures=(REGISTER_FILE,))
+        reference = run_cell(spec.replace(samples=self.REFERENCE)).avf_fi(
+            REGISTER_FILE)
+        bound = margin_of_error(self.REFERENCE, confidence=0.99)
+        for n in (25, 50, 100, 200):
+            estimate = run_cell(spec.replace(samples=n)).avf_fi(REGISTER_FILE)
+            assert abs(estimate - reference) <= \
+                margin_of_error(n, confidence=0.99) + bound, n
 
 
 class TestFitEpf:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.arch.scaling import get_scaled_gpu
 from repro.errors import ConfigError, LaunchError
+from repro.kernels.registry import get_workload
+from repro.kernels.workload import run_workload
 from repro.sim.gpu import Gpu
 from repro.sim.launch import LaunchConfig, pack_params
 from repro.sim.scheduler import (
@@ -72,6 +74,20 @@ class TestPolicies:
             )
             results[policy] = (snap["out"].copy(), gpu.chip_cycle)
         assert np.array_equal(results["rr"][0], results["gto"][0])
+
+        # On ``backprop`` at ``tiny`` the policies' cycles differ on the
+        # scaled chips (GTX 480 1606 vs 1608, HD 7970 1746 vs 1740); an
+        # ablation whose policies all tie would measure nothing.
+        workload = get_workload("backprop", "tiny")
+        cycles = {}
+        for name in ("gtx480", "hd7970"):
+            runs = {policy: run_workload(Gpu(get_scaled_gpu(name),
+                                             scheduler=policy), workload)
+                    for policy in ("rr", "gto")}
+            for buffer, words in runs["rr"].outputs.items():
+                assert np.array_equal(words, runs["gto"].outputs[buffer])
+            cycles[name] = (runs["rr"].cycles, runs["gto"].cycles)
+        assert any(rr != gto for rr, gto in cycles.values()), cycles
 
 
 class TestDispatch:
