@@ -44,6 +44,7 @@ _FAULT_TIMING = (
     "tests/test_fault_injection.py::TestVectoraddRegisterFaults",
     "tests/test_fault_injection.py::TestTransposeLocalMemoryFaults",
     "tests/test_fault_injection.py::TestVectoraddPredicateFaults",
+    "tests/test_fault_injection.py::TestVectoraddVccFaults",
 )
 
 MUTANTS = (
@@ -55,6 +56,42 @@ MUTANTS = (
         old="               and self._faults[self._fault_pos].cycle <= cycle):",
         new="               and self._faults[self._fault_pos].cycle < cycle):",
         tests=_FAULT_TIMING,
+    ),
+    Mutant(
+        name="fault-guard-gt",
+        breaks="the issue loop consults the fault plans only after the "
+               "planned cycle, so a fault lands one issue late",
+        path="src/repro/sim/core.py",
+        old="        if t_issue >= self._next_fault_cycle:",
+        new="        if t_issue > self._next_fault_cycle:",
+        tests=_FAULT_TIMING,
+    ),
+    Mutant(
+        name="regfile-all-lanes-always",
+        breaks="every register write stores all lanes, so a divergent "
+               "write clobbers its inactive lanes",
+        path="src/repro/sim/regfile.py",
+        old="        if mask == self._all_lanes:",
+        new="        if True:",
+        tests=("tests/test_storage.py::TestRegisterFile::test_masked_write",),
+    ),
+    Mutant(
+        name="simt-advance-never-pops",
+        breaks="sequential flow never pops a reconverged SIMT-stack entry",
+        path="src/repro/sim/simt_stack.py",
+        old="        if next_pc == top.reconv:",
+        new="        if False:",
+        tests=("tests/test_simt_stack.py",
+               "tests/test_fastpath.py::TestSimtStackFastPath"),
+    ),
+    Mutant(
+        name="si-exec-ignored",
+        breaks="SI vector instructions run on every valid lane whatever "
+               "EXEC holds",
+        path="src/repro/sim/si_core.py",
+        old="        eff_mask = self.eff_mask = wave.exec_mask & wave.valid_mask",
+        new="        eff_mask = self.eff_mask = wave.valid_mask",
+        tests=("tests/test_fault_injection.py::TestVectoraddVccFaults",),
     ),
     Mutant(
         name="regfile-flip-bit0",
@@ -133,6 +170,36 @@ MUTANTS = (
         old='        idx = np.searchsorted(self._bases, addresses, side="right") - 1',
         new='        idx = np.searchsorted(self._bases, addresses, side="left") - 1',
         tests=("tests/test_memory.py::TestDeviceAccess",),
+    ),
+    Mutant(
+        name="gmem-fast-end-le",
+        breaks="the one-buffer bounds check lets an access at exactly "
+               "the buffer's end through",
+        path="src/repro/sim/memory.py",
+        old="        if first >= 0 and int(addresses.max()) < self._end_list[first]:",
+        new="        if first >= 0 and int(addresses.max()) <= self._end_list[first]:",
+        tests=("tests/test_memory.py::TestDeviceAccess",),
+    ),
+    Mutant(
+        name="segments-count-lanes",
+        breaks="the coalescing metric counts lanes instead of distinct "
+               "segments",
+        path="src/repro/sim/memory.py",
+        old="        return len(set(segments.tolist()))",
+        new="        return len(segments.tolist())",
+        tests=("tests/test_memory.py::TestDeviceAccess::test_segments_touched",
+               "tests/test_fastpath.py::TestVectorHelpers::"
+               "test_segment_count_matches_unique"),
+    ),
+    Mutant(
+        name="regfile-size-fixed",
+        breaks="the register file's AVF denominator ignores the chip's "
+               "registers per core",
+        path="src/repro/arch/structures.py",
+        old="        return config.registers_per_core",
+        new="        return 32 * 1024",
+        tests=("tests/test_analysis.py::TestSectionIIIClaims::"
+               "test_larger_register_file_does_not_raise_avf",),
     ),
     Mutant(
         name="digest-drops-lmem-base",

@@ -15,6 +15,7 @@ its float and signed arithmetic works through.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -349,6 +350,14 @@ class Effect:
 
 
 EFFECT_NONE = Effect("none")
+
+
+@functools.cache
+def memory_effect(extra_cycles: int) -> Effect:
+    """The shared effect of a memory instruction that adds
+    ``extra_cycles`` of coalescing latency (at most one per segment a
+    warp can touch, so the cache stays small)."""
+    return Effect("none", extra_cycles=extra_cycles)
 
 
 def as_f32(words: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import IllegalInstruction
 from repro.isa.base import (EFFECT_NONE, Effect, LabelRef, MemRef, as_f32,
-                            as_i32, as_u32)
+                            as_i32, as_u32, memory_effect)
 
 _INT32_MIN = -(2 ** 31)
 _INT32_MAX = 2 ** 31 - 1
@@ -270,13 +270,13 @@ def _h_ldg(ctx, inst):
     dst, ref = inst.operands
     values, extra = ctx.global_load(_addresses(ctx, ref))
     ctx.write_reg(dst, values)
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 def _h_stg(ctx, inst):
     ref, src = inst.operands
     extra = ctx.global_store(_addresses(ctx, ref), ctx.read_reg(src))
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 def _h_lds(ctx, inst):
@@ -302,7 +302,7 @@ def _h_atom(ctx, inst):
     dst, ref, src = inst.operands
     old, extra = ctx.global_atomic_add(_addresses(ctx, ref), ctx.read_reg(src))
     ctx.write_reg(dst, old)
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 def _h_bra(ctx, inst):

@@ -16,7 +16,7 @@ import numpy as np
 from repro.bits import to_signed, u32
 from repro.errors import IllegalInstruction
 from repro.isa.base import (EFFECT_NONE, EXEC, VCC, Effect, Imm, LabelRef,
-                            VReg, as_f32, as_i32, as_u32)
+                            VReg, as_f32, as_i32, as_u32, memory_effect)
 
 _MASK64 = (1 << 64) - 1
 
@@ -361,14 +361,14 @@ def _h_global_load(ctx, inst):
     offset = inst.operands[2] if len(inst.operands) > 2 else None
     values, extra = ctx.global_load(_mem_addrs(ctx, inst.operands[1], offset))
     ctx.write_vreg(dst, values)
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 def _h_global_store(ctx, inst):
     offset = inst.operands[2] if len(inst.operands) > 2 else None
     addrs = _mem_addrs(ctx, inst.operands[0], offset)
     extra = ctx.global_store(addrs, ctx.read_vsrc(inst.operands[1]))
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 def _h_global_atomic_add(ctx, inst):
@@ -377,7 +377,7 @@ def _h_global_atomic_add(ctx, inst):
     old, extra = ctx.global_atomic_add(addrs, ctx.read_vsrc(src_op))
     if isinstance(dst, VReg):
         ctx.write_vreg(dst, old)
-    return Effect("none", extra_cycles=extra)
+    return memory_effect(extra)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,13 @@ Each core keeps its *runnable* warps — live and not held at a barrier,
 in warp-id order — and rebuilds that list only after an event that can
 change it: block residency or retirement, a restore, a warp exiting, a
 barrier arrival or release, and any control-structure fault or stuck-at
-re-assertion. Per issue the loop then reads only ready cycles. Numpy's
-floating-point error state is set once per core step, and the SASS
-reconvergence table is computed once per program object.
+re-assertion. Per issue the loop then reads only ready cycles, in one
+scan that finds the earliest issue time and its ties (on Python 3.11 a
+plain loop over a handful of warps beats ``min`` plus a comprehension,
+which each pay a call). The fault plans are consulted only once the
+clock reaches the next planned cycle, so a fault-free run never looks
+at them. Numpy's floating-point error state is set once per core step,
+and the SASS reconvergence table is computed once per program object.
 
 :class:`CoreBase` is the front-end skeleton both ISAs share: fetch
 (pc-bounds check, a decode cache of ``(inst, info, latency, handler)``
@@ -74,6 +78,7 @@ class CoreBase:
                  scheduler: WarpScheduler, sink: TraceSink | None = None):
         self.core_id = core_id
         self.config = config
+        self.warp_size = config.warp_size
         self.gmem = gmem
         self.scheduler = scheduler
         self.sink = sink
@@ -100,6 +105,8 @@ class CoreBase:
         # lazily through the installed fault model.
         self._faults: list[FaultPlan] = []
         self._fault_pos = 0
+        #: Cycle of the next unapplied plan (inf when none is left).
+        self._next_fault_cycle = math.inf
         self._fault_model = None
         # Per-launch state
         self.program = None
@@ -157,6 +164,12 @@ class CoreBase:
         )
         self._fault_pos = 0
         self._fault_model = get_fault_model(fault_model)
+        self._note_next_fault()
+
+    def _note_next_fault(self) -> None:
+        self._next_fault_cycle = (
+            self._faults[self._fault_pos].cycle
+            if self._fault_pos < len(self._faults) else math.inf)
 
     def _apply_faults_up_to(self, cycle: int) -> None:
         while (self._fault_pos < len(self._faults)
@@ -174,6 +187,7 @@ class CoreBase:
                     # release a warp (e.g. the at-barrier latch).
                     self._runnable = None
             self._fault_pos += 1
+        self._note_next_fault()
 
     def _reassert_control(self) -> None:
         """Re-impose control-structure stuck-at overlays (issue boundary)."""
@@ -298,6 +312,7 @@ class CoreBase:
         self._runnable = None
         self._faults = []
         self._fault_pos = 0
+        self._next_fault_cycle = math.inf
         self._fault_model = None
 
     # ------------------------------------------------------------------
@@ -509,16 +524,15 @@ class CoreBase:
         """Execute one warp-instruction at ``t_issue``."""
         if t_issue > self.watchdog_limit:
             raise WatchdogTimeout(t_issue, self.watchdog_limit)
-        self._apply_faults_up_to(t_issue)
+        if t_issue >= self._next_fault_cycle:
+            self._apply_faults_up_to(t_issue)
         if self._control_dirty:
             self._reassert_control()
-        self.time = t_issue
+        self.time = self._cycle = warp.last_issue = t_issue
         self.issue_free = t_issue + self.issue_interval
         self.last_issued = warp.wid
         self.instructions_issued += 1
-        warp.last_issue = t_issue
         self._warp = warp
-        self._cycle = t_issue
         pc = warp.pc
         decoded = self._decoded
         if not 0 <= pc < len(decoded):
@@ -536,7 +550,7 @@ class CoreBase:
             prof.dispatch(self.config.isa, info.latency_class,
                           bool(info.memory_space))
         latency += self._execute(warp, pc, inst, info, handler, t_issue)
-        warp.ready_cycle = t_issue + max(1, latency)
+        warp.ready_cycle = t_issue + (latency if latency > 1 else 1)
         if warp.done:
             self._note_warp_done(warp)
 
@@ -585,7 +599,7 @@ class CoreBase:
 
     def global_load(self, addresses: np.ndarray):
         sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out = np.zeros(self.warp_size, dtype=np.uint32)
         selected = addresses[sel]
         out[sel] = self.gmem.load_words(selected)
         return out, self._coalescing_extra(selected)
@@ -598,7 +612,7 @@ class CoreBase:
 
     def global_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
         sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out = np.zeros(self.warp_size, dtype=np.uint32)
         selected = addresses[sel]
         out[sel] = self.gmem.atomic_add(selected, values[sel])
         return out, self._coalescing_extra(selected)
@@ -609,7 +623,7 @@ class CoreBase:
 
     def shared_load(self, addresses: np.ndarray) -> np.ndarray:
         sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out = np.zeros(self.warp_size, dtype=np.uint32)
         out[sel] = self.lmem.load(self._shared_addrs(addresses)[sel], self._cycle)
         return out
 
@@ -621,7 +635,7 @@ class CoreBase:
 
     def shared_atomic_add(self, addresses: np.ndarray, values: np.ndarray):
         sel = self.eff_bool
-        out = np.zeros(self.config.warp_size, dtype=np.uint32)
+        out = np.zeros(self.warp_size, dtype=np.uint32)
         out[sel] = self.lmem.atomic_add(
             self._shared_addrs(addresses)[sel], values[sel], self._cycle
         )

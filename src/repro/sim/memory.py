@@ -13,6 +13,7 @@ addresses must be word-aligned.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,16 @@ class GlobalMemory:
         # explicit and restore-proof).
         self._bases = np.empty(0, dtype=np.int64)
         self._ends = np.empty(0, dtype=np.int64)
+        # The same extents as lists, for the one-buffer check.
+        self._base_list: list[int] = []
+        self._end_list: list[int] = []
 
     def _refresh_ranges(self) -> None:
         spans = sorted((b.base, b.end) for b in self.buffers.values())
-        self._bases = np.array([s[0] for s in spans], dtype=np.int64)
-        self._ends = np.array([s[1] for s in spans], dtype=np.int64)
+        self._base_list = [s[0] for s in spans]
+        self._end_list = [s[1] for s in spans]
+        self._bases = np.array(self._base_list, dtype=np.int64)
+        self._ends = np.array(self._end_list, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Allocation and host-side access
@@ -123,11 +129,17 @@ class GlobalMemory:
     def _check(self, addresses: np.ndarray, kind: str) -> None:
         if addresses.size == 0:
             return
-        if np.any(addresses & 3):
+        if (addresses & 3).any():
             bad = int(addresses[np.argmax((addresses & 3) != 0)])
             raise MemoryFault(bad, f"misaligned {kind}")
         if not self._bases.size:
             raise MemoryFault(int(addresses[0]), kind)
+        # Common case: every lane inside the buffer holding the lowest
+        # address. Anything else takes the per-lane check, which also
+        # finds the first faulting lane.
+        first = bisect_right(self._base_list, int(addresses.min())) - 1
+        if first >= 0 and int(addresses.max()) < self._end_list[first]:
+            return
         # searchsorted(right) - 1 = index of the last buffer whose
         # base <= address; the address is valid iff it also falls
         # before that buffer's end (buffers never overlap).
@@ -162,9 +174,8 @@ class GlobalMemory:
 
     def segments_touched(self, addresses: np.ndarray, segment_bytes: int = 128) -> int:
         """Distinct memory segments hit — the coalescing metric."""
-        if addresses.size == 0:
-            return 0
-        return int(np.unique(np.asarray(addresses, dtype=np.int64) // segment_bytes).size)
+        segments = np.asarray(addresses, dtype=np.int64) // segment_bytes
+        return len(set(segments.tolist()))
 
     # ------------------------------------------------------------------
     # Checkpoint protocol (see repro.checkpoint)

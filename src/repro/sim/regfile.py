@@ -34,6 +34,9 @@ class RegisterFile:
         self.num_words = num_words
         self.num_rows = num_words // warp_size
         self.data = np.zeros(num_words, dtype=np.uint32)
+        #: ``data`` as (row, lane): a row is one index, not a slice.
+        self._rows = self.data.reshape(self.num_rows, warp_size)
+        self._all_lanes = (1 << warp_size) - 1
         #: Every word at or past this index is zero. Writes and faults
         #: raise it past the words they touch; clears, which write
         #: zeros, leave it.
@@ -45,19 +48,25 @@ class RegisterFile:
 
     def read_row(self, row: int, mask: int, cycle: int) -> np.ndarray:
         """Read a full row (copy); traces the active-lane ``mask``."""
-        start = row * self.warp_size
-        values = self.data[start: start + self.warp_size].copy()
+        values = self._rows[row].copy()
         if self.sink is not None and mask:
             self.sink.on_reg_access(cycle, self.core_id, row, mask, False)
         return values
 
     def write_row(self, row: int, values: np.ndarray, lane_sel: np.ndarray,
                   mask: int, cycle: int) -> None:
-        """Masked row write: lanes with ``lane_sel`` True take ``values``."""
-        start = row * self.warp_size
-        stop = start + self.warp_size
-        np.copyto(self.data[start:stop], values.astype(np.uint32, copy=False),
-                  where=lane_sel)
+        """Masked row write: lanes with ``lane_sel`` True take ``values``.
+
+        ``mask`` is ``lane_sel`` as a lane bitmask (bit i: lane i). It is
+        what the trace records, and with every lane set the write is a
+        plain row store.
+        """
+        if mask == self._all_lanes:
+            self._rows[row] = values
+        else:
+            np.copyto(self._rows[row], values.astype(np.uint32, copy=False),
+                      where=lane_sel)
+        stop = (row + 1) * self.warp_size
         if stop > self.used:
             self.used = stop
         if self._forced:

@@ -50,8 +50,9 @@ class SassCore(CoreBase):
 
     def _execute(self, warp: SassWarp, pc: int, inst, info, handler,
                  t_issue: int) -> int:
-        active_mask = warp.stack.active_mask
-        active_bool = mask_to_bools(active_mask, self.config.warp_size)
+        stack = warp.stack
+        active_mask = stack.entries[-1].mask
+        active_bool = mask_to_bools(active_mask, self.warp_size)
         if inst.guard is not None:
             eff_bool = active_bool & self._pred_values(warp, inst.guard)
             eff_mask = bools_to_mask(eff_bool)
@@ -63,12 +64,14 @@ class SassCore(CoreBase):
         self.eff_mask = eff_mask
 
         if eff_mask == 0 and not (info.is_branch or info.is_exit or info.is_barrier):
-            warp.stack.advance(pc + 1)
+            stack.advance(pc + 1)
             return 0
 
         effect = handler(self, inst)
-
-        self._apply_effect(warp, pc, effect, t_issue)
+        if effect.kind == "none":
+            stack.advance(pc + 1)
+        else:
+            self._apply_effect(warp, pc, effect, t_issue)
         return effect.extra_cycles
 
     def _apply_effect(self, warp: SassWarp, pc: int, effect,
@@ -91,22 +94,22 @@ class SassCore(CoreBase):
     # Warp-context protocol (used by repro.isa.sass.semantics)
     # ------------------------------------------------------------------
     def read_reg(self, reg: Reg) -> np.ndarray:
-        if reg.index < 0:  # RZ
-            return const_u32(self.config.warp_size, 0)
-        row = self._warp.reg_base_row + reg.index
-        return self.regfile.read_row(row, self.eff_mask, self._cycle)
+        index = reg.index
+        if index < 0:  # RZ
+            return const_u32(self.warp_size, 0)
+        return self.regfile.read_row(self._warp.reg_base_row + index,
+                                     self.eff_mask, self._cycle)
 
     def write_reg(self, reg: Reg, values: np.ndarray) -> None:
-        if reg.index < 0:  # RZ: discard
+        index = reg.index
+        if index < 0:  # RZ: discard
             return
-        row = self._warp.reg_base_row + reg.index
-        self.regfile.write_row(
-            row, values, self.eff_bool, self.eff_mask, self._cycle
-        )
+        self.regfile.write_row(self._warp.reg_base_row + index, values,
+                               self.eff_bool, self.eff_mask, self._cycle)
 
     def _pred_values(self, warp: SassWarp, pred: Pred) -> np.ndarray:
         if pred.index < 0:  # PT
-            return const_bool(self.config.warp_size, not pred.negated)
+            return const_bool(self.warp_size, not pred.negated)
         values = warp.preds[pred.index].copy()
         return ~values if pred.negated else values
 
@@ -119,13 +122,14 @@ class SassCore(CoreBase):
         np.copyto(self._warp.preds[pred.index], values, where=self.eff_bool)
 
     def read_operand(self, op) -> np.ndarray:
-        if isinstance(op, Reg):
+        # Operand classes are final dataclasses: exact type dispatch.
+        kind = type(op)
+        if kind is Reg:
             return self.read_reg(op)
-        if isinstance(op, Imm):
-            return const_u32(self.config.warp_size, op.value)
-        if isinstance(op, Param):
-            return const_u32(self.config.warp_size,
-                             self.launch.param_word(op.index))
+        if kind is Imm:
+            return const_u32(self.warp_size, op.value)
+        if kind is Param:
+            return const_u32(self.warp_size, self.launch.param_word(op.index))
         raise TypeError(f"cannot read operand {op!r}")
 
     def special(self, name: str) -> np.ndarray:

@@ -46,7 +46,7 @@ class LocalMemory:
         addrs = np.asarray(byte_addrs, dtype=np.int64)
         if not addrs.size:
             return addrs, 0
-        if np.any(addrs & 3):
+        if (addrs & 3).any():
             bad = int(addrs[np.argmax((addrs & 3) != 0)])
             raise LocalMemoryFault(bad, self.nbytes)
         high = int(addrs.max())

@@ -67,10 +67,10 @@ class SiCore(CoreBase):
     def _execute(self, wave: SiWavefront, pc: int, inst, info, handler,
                  t_issue: int) -> int:
         self.scc = wave.scc
-        self.eff_mask = wave.exec_mask & wave.valid_mask
-        self.eff_bool = _mask_to_bools(self.eff_mask, self.config.warp_size)
+        eff_mask = self.eff_mask = wave.exec_mask & wave.valid_mask
+        self.eff_bool = _mask_to_bools(eff_mask, self.warp_size)
 
-        if not info.is_scalar and self.eff_mask == 0:
+        if eff_mask == 0 and not info.is_scalar:
             # Vector op with EXEC == 0: architecturally a no-op.
             wave.pc = pc + 1
             return 0
@@ -78,11 +78,14 @@ class SiCore(CoreBase):
         effect = handler(self, inst)
         wave.scc = self.scc
 
-        if effect.kind == "branch":
+        kind = effect.kind
+        if kind == "none":
+            wave.pc = pc + 1
+        elif kind == "branch":
             wave.pc = effect.target
-        elif effect.kind == "exit":
+        elif kind == "exit":
             wave.finished = True
-        elif effect.kind == "barrier":
+        elif kind == "barrier":
             wave.pc = pc + 1
             self._arrive_barrier(wave, t_issue)
         else:
@@ -93,7 +96,7 @@ class SiCore(CoreBase):
     # Mask helpers
     # ------------------------------------------------------------------
     def mask_to_bools(self, mask: int) -> np.ndarray:
-        return _mask_to_bools(mask, self.config.warp_size)
+        return _mask_to_bools(mask, self.warp_size)
 
     def bools_to_mask(self, bools: np.ndarray) -> int:
         return _bools_to_mask(bools)
@@ -102,70 +105,69 @@ class SiCore(CoreBase):
     # Wavefront-context protocol (used by repro.isa.si.semantics)
     # ------------------------------------------------------------------
     def read_vreg(self, reg: VReg) -> np.ndarray:
-        row = self._warp.reg_base_row + reg.index
-        return self.regfile.read_row(row, self.eff_mask, self._cycle)
+        return self.regfile.read_row(self._warp.reg_base_row + reg.index,
+                                     self.eff_mask, self._cycle)
 
     def write_vreg(self, reg: VReg, values: np.ndarray) -> None:
-        row = self._warp.reg_base_row + reg.index
-        self.regfile.write_row(
-            row, values, self.eff_bool, self.eff_mask, self._cycle
-        )
+        self.regfile.write_row(self._warp.reg_base_row + reg.index, values,
+                               self.eff_bool, self.eff_mask, self._cycle)
 
+    # Operand classes are final dataclasses: the readers below dispatch
+    # on the exact type.
     def read_vsrc(self, op) -> np.ndarray:
-        if isinstance(op, VReg):
+        kind = type(op)
+        if kind is VReg:
             return self.read_vreg(op)
-        if isinstance(op, SReg):
-            return np.full(
-                self.config.warp_size, self._warp.sgprs[op.index], dtype=np.uint32
-            )
-        if isinstance(op, Imm):
-            return const_u32(self.config.warp_size, op.value)
-        if isinstance(op, Param):
-            return const_u32(self.config.warp_size,
-                             self.launch.param_word(op.index))
+        if kind is SReg:
+            return const_u32(self.warp_size, int(self._warp.sgprs[op.index]))
+        if kind is Imm:
+            return const_u32(self.warp_size, op.value)
+        if kind is Param:
+            return const_u32(self.warp_size, self.launch.param_word(op.index))
         raise IllegalInstruction(f"cannot read vector source {op!r}")
 
     def read_scalar32(self, op) -> int:
-        if isinstance(op, SReg):
+        kind = type(op)
+        if kind is SReg:
             return int(self._warp.sgprs[op.index])
-        if isinstance(op, Imm):
+        if kind is Imm:
             return op.value
-        if isinstance(op, Param):
+        if kind is Param:
             return self.launch.param_word(op.index)
         raise IllegalInstruction(f"cannot read scalar source {op!r}")
 
     def write_scalar32(self, op, value: int) -> None:
-        if isinstance(op, SReg):
+        if type(op) is SReg:
             self._warp.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
             return
         raise IllegalInstruction(f"cannot write scalar destination {op!r}")
 
     def read_mask64(self, op) -> int:
-        if isinstance(op, SpecialScalar):
+        if type(op) is SpecialScalar:
             if op.name == "vcc":
                 return self._warp.vcc
             if op.name == "exec":
                 return self._warp.exec_mask
             if op.name == "scc":
                 return int(self.scc)
-        if isinstance(op, SRegPair):
+        if type(op) is SRegPair:
             low = int(self._warp.sgprs[op.index])
             high = int(self._warp.sgprs[op.index + 1])
             return low | (high << 32)
-        if isinstance(op, Imm):
+        if type(op) is Imm:
             return op.value & _MASK64
         raise IllegalInstruction(f"cannot read 64-bit source {op!r}")
 
     def write_mask64(self, op, value: int) -> None:
         value &= _MASK64
-        if isinstance(op, SpecialScalar):
+        if type(op) is SpecialScalar:
             if op.name == "vcc":
                 self._warp.vcc = value
                 return
             if op.name == "exec":
                 self._warp.exec_mask = value
                 return
-        if isinstance(op, SRegPair):
+        if type(op) is SRegPair:
             self._warp.sgprs[op.index] = np.uint32(value & 0xFFFFFFFF)
             self._warp.sgprs[op.index + 1] = np.uint32(value >> 32)
             return

@@ -36,11 +36,11 @@ class SimtStack:
 
     @property
     def pc(self) -> int:
-        return self.top.pc
+        return self.entries[-1].pc
 
     @property
     def active_mask(self) -> int:
-        return self.top.mask
+        return self.entries[-1].mask
 
     @property
     def depth(self) -> int:
@@ -54,8 +54,11 @@ class SimtStack:
     def advance(self, next_pc: int) -> None:
         """Sequential flow: move the top entry to ``next_pc`` and pop any
         entries whose reconvergence point has been reached."""
-        self.top.pc = next_pc
-        self._pop_reconverged()
+        top = self.entries[-1]
+        top.pc = next_pc
+        # Only a top entry at its reconvergence pc can pop.
+        if next_pc == top.reconv:
+            self._pop_reconverged()
 
     def branch(self, taken_mask: int, target: int, fallthrough: int,
                reconv: int) -> None:

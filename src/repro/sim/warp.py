@@ -93,11 +93,11 @@ class SassWarp(WarpBase):
 
     @property
     def done(self) -> bool:
-        return self.stack.empty
+        return not self.stack.entries
 
     @property
     def pc(self) -> int:
-        return self.stack.pc
+        return self.stack.entries[-1].pc
 
     def special_cache(self) -> dict:
         return self._specials

@@ -2,8 +2,9 @@
 
 Three layers of coverage for the campaign acceleration stack:
 
-* the :mod:`repro.sim.vector` helpers and the global-memory bounds
-  check against their per-lane reference loops (bit-exactness is the
+* the :mod:`repro.sim.vector` helpers, the global-memory bounds
+  check, the coalescing segment count and the SIMT stack's sequential
+  flow against their reference versions (bit-exactness is the
   interpreter's whole contract);
 * the interpreter against the frozen verdict of the retired per-lane
   python interpreter (``tests/fixtures/python_backend``): golden runs
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.gpu import Gpu
 from repro.sim.memory import GlobalMemory
 from repro.sim import vector
+from repro.sim.simt_stack import NO_RECONV, SimtStack
 from repro.spec import CampaignSpec
 from tests.conftest import MINI_AMD, MINI_NVIDIA, fi_counts, sample_results
 
@@ -171,6 +174,86 @@ class TestVectorHelpers:
         old = vector.scatter_add_serialized(
             data, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32))
         assert old.size == 0 and (data == np.arange(4)).all()
+
+    @pytest.mark.parametrize("lanes", [32, 64])
+    def test_segment_count_matches_unique(self, lanes):
+        """Random lane addresses with duplicates, coalesced runs and
+        scattered words: the set count equals ``np.unique``'s."""
+        rng = np.random.default_rng(lanes)
+        mem = GlobalMemory(capacity_bytes=1 << 16)
+        for trial in range(200):
+            span = int(rng.choice([128, 512, 4096, 1 << 16]))
+            addresses = 4 * rng.integers(0, span // 4, lanes)
+            addresses[rng.random(lanes) < 0.3] = addresses[0]
+            addresses = addresses[:int(rng.integers(0, lanes + 1))]
+            expected = np.unique(addresses // 128).size
+            assert mem.segments_touched(addresses) == expected, trial
+
+
+class _PropertyStack(SimtStack):
+    """The SIMT stack's sequential flow as it was before direct
+    ``entries[-1]`` access: every read through the ``top`` property,
+    and every advance through the pop loop."""
+
+    @property
+    def top(self):
+        return self.entries[-1]
+
+    @property
+    def pc(self):
+        return self.top.pc
+
+    @property
+    def active_mask(self):
+        return self.top.mask
+
+    def advance(self, next_pc):
+        self.top.pc = next_pc
+        self._pop_reconverged()
+
+
+class TestSimtStackFastPath:
+    FULL = 0xFFFFFFFF
+
+    @staticmethod
+    def _same(fast, reference):
+        assert fast.snapshot_state() == reference.snapshot_state()
+        assert (fast.pc, fast.active_mask, fast.depth) \
+            == (reference.pc, reference.active_mask, reference.depth)
+
+    def test_nested_reconvergence_pops_several_entries_at_one_pc(self):
+        stacks = (SimtStack(self.FULL), _PropertyStack(self.FULL))
+        for stack in stacks:
+            # Outer split at pc 0, inner split of its taken side at pc
+            # 10: both reconverge at 20.
+            stack.branch(0xFFFF, 10, 1, 20)
+            stack.branch(0xF, 15, 11, 20)
+            stack.advance(20)   # inner taken side reconverges
+            stack.advance(20)   # inner fall-through: pops two entries
+        self._same(*stacks)
+        assert stacks[0].snapshot_state() == [
+            (20, self.FULL, NO_RECONV), (1, self.FULL & ~0xFFFF, 20)]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_divergence_matches_reference(self, seed):
+        """Random nests of splits and jumps over shared reconvergence
+        points, so single and chained pops both occur."""
+        rng = random.Random(seed)
+        fast, reference = SimtStack(self.FULL), _PropertyStack(self.FULL)
+        for _ in range(300):
+            self._same(fast, reference)
+            pc, mask = reference.pc, reference.active_mask
+            if rng.random() < 0.35 and reference.depth < 12:
+                taken = mask & rng.getrandbits(32)
+                target = rng.randrange(32)
+                reconv = rng.choice([24, 28, pc + 2, NO_RECONV])
+                for stack in (fast, reference):
+                    stack.branch(taken, target, pc + 1, reconv)
+            else:
+                next_pc = rng.choice([pc + 1, 24, 28])
+                for stack in (fast, reference):
+                    stack.advance(next_pc)
+        self._same(fast, reference)
 
 
 # ----------------------------------------------------------------------

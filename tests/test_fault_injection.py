@@ -15,6 +15,8 @@ from repro.arch.structures import (
     NUM_SASS_PREDICATES,
     PREDICATE_FILE,
     REGISTER_FILE,
+    SI_PRED_VCC_LO,
+    SI_PRED_WORDS_PER_WAVE,
 )
 from repro.errors import SimFault, WatchdogTimeout
 from repro.kernels.registry import get_workload
@@ -292,6 +294,62 @@ class TestVectoraddPredicateFaults:
         word, setp, _ = self._p0_window(monkeypatch)
         _assert_masked_at_golden_cycles(MINI_NVIDIA, "vectoradd", FaultPlan(
             PREDICATE_FILE, 0, word, BIT, setp))
+
+
+class TestVectoraddVccFaults:
+    """Hand-derived SI ``vectoradd`` faults on VCC of core 0's first
+    wavefront: the SI twin of :class:`TestVectoraddPredicateFaults`.
+
+    ``v_cmp_lt_i32 vcc, v1, s6`` writes VCC (gid < N) and
+    ``s_and_saveexec_b64 s[8:9], vcc`` reads it into EXEC at its next
+    issue. Lane ``BIT`` of block 0 is thread ``gid == BIT``, in bounds,
+    so its golden VCC bit is set.
+    """
+
+    @staticmethod
+    def _vcc_window(monkeypatch):
+        """(VCC word, ``v_cmp`` cycle, ``s_and_saveexec`` cycle) of
+        block 0's first wavefront on core 0, from the instructions it
+        issues."""
+        issued = []
+        original = CoreBase._issue
+
+        def recording_issue(core, wave, t_issue):
+            if core.core_id == 0 and wave.block.linear_id == 0 \
+                    and wave.lane_offset == 0:
+                inst = core.launch.program.instructions[wave.pc]
+                issued.append((t_issue, wave.hw_slot, inst.opcode))
+            return original(core, wave, t_issue)
+
+        monkeypatch.setattr(CoreBase, "_issue", recording_issue)
+        run_workload(Gpu(MINI_AMD), get_workload("vectoradd", "tiny"))
+        monkeypatch.undo()
+        (compare, slot, first), (saveexec, _, second) = [
+            entry for entry in issued
+            if entry[2] in ("v_cmp_lt_i32", "s_and_saveexec_b64")]
+        assert (first, second) == ("v_cmp_lt_i32", "s_and_saveexec_b64")
+        assert compare < saveexec
+        assert BIT < 32  # the flipped lane's bit is in the low VCC word
+        return (slot * SI_PRED_WORDS_PER_WAVE + SI_PRED_VCC_LO,
+                compare, saveexec)
+
+    def test_flip_at_saveexec_issue_cycle_skips_one_store(
+            self, monkeypatch):
+        """The cleared bit drops the lane from EXEC before its store:
+        exactly its output word keeps the buffer's initial zero."""
+        word, _, saveexec = self._vcc_window(monkeypatch)
+        plan = FaultPlan(PREDICATE_FILE, 0, word, BIT, saveexec)
+        golden = _run_tiny(MINI_AMD, "vectoradd").outputs["c"]
+        faulty = _run_tiny(MINI_AMD, "vectoradd", plan).outputs["c"]
+        assert classify_outputs({"c": golden}, {"c": faulty}) is Outcome.SDC
+        assert np.flatnonzero(faulty != golden).tolist() == [BIT]
+        assert golden[BIT] != 0 and faulty[BIT] == 0
+
+    def test_flip_at_compare_issue_cycle_is_masked(self, monkeypatch):
+        """The compare overwrites the whole of VCC."""
+        word, compare, _ = self._vcc_window(monkeypatch)
+        _assert_masked_at_golden_cycles(MINI_AMD, "vectoradd", FaultPlan(
+            PREDICATE_FILE, 0, word, BIT, compare))
 
 
 #: Chips for the local-memory pair. Each holds two ``transpose`` blocks

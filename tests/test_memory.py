@@ -77,6 +77,32 @@ class TestDeviceAccess:
         else:
             pytest.fail("expected MemoryFault")
 
+    def test_lanes_across_adjacent_buffers(self):
+        """One warp's lanes span two buffers, one lane exactly at the
+        second buffer's base: every lane is valid."""
+        mem = GlobalMemory()
+        a = mem.alloc("a", 64)
+        b = mem.alloc("b", 64)
+        assert a.end < b.base  # an alignment gap lies between them
+        addrs = np.array([a.base, a.end - 4, b.base, b.base + 8],
+                         dtype=np.int64)
+        mem.store_words(addrs, np.arange(1, 5, dtype=np.uint32))
+        assert mem.load_words(addrs).tolist() == [1, 2, 3, 4]
+        assert mem.read_host(b)[[0, 2]].tolist() == [3, 4]
+
+    def test_lane_in_alignment_gap_faults(self):
+        """A lane between two buffers faults and is the one reported,
+        though the lanes around it are valid."""
+        mem = GlobalMemory()
+        a = mem.alloc("a", 64)
+        b = mem.alloc("b", 64)
+        gap = a.end + 16
+        assert gap < b.base
+        addrs = np.array([b.base, a.base, gap, b.base + 4], dtype=np.int64)
+        with pytest.raises(MemoryFault) as excinfo:
+            mem.load_words(addrs)
+        assert excinfo.value.address == gap
+
     def test_atomic_add_serialises(self):
         mem = GlobalMemory()
         buffer = mem.alloc("a", 4)
