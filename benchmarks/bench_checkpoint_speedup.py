@@ -10,12 +10,12 @@ counts are identical and asserts the injections-per-second speedup of
 the re-simulation phase (the cells' FI shard time) clears
 ``MIN_SPEEDUP``.
 
-Each arm starts from an empty in-process golden cache. Golden-job
-fingerprints ignore the checkpoint interval, so a golden cached by the
-baseline arm carries no snapshots, and the checkpointed arm's shards
-would rebuild them inside their timed work. The smoke matrix uses two
-compact chips (one per ISA) whose occupancy keeps a healthy live-fault
-fraction.
+Neither arm uses a result store, so each simulates its own goldens,
+and each starts with no resident golden artifacts: golden-job
+fingerprints ignore the checkpoint interval, so a baseline golden left
+resident would carry no snapshots for the checkpointed arm's shards.
+The smoke matrix uses two compact chips (one per ISA) whose occupancy
+keeps a healthy live-fault fraction.
 
 Pinned to ``SCALE`` and ``SAMPLES`` rather than the suite-wide
 ``REPRO_SCALE``/``REPRO_FI_SAMPLES``: at ``tiny`` the runs are so short
@@ -76,7 +76,7 @@ def _resim_seconds(cell) -> float:
 
 
 def _matrix(checkpoint_interval) -> list:
-    """One inline campaign per smoke cell, from an empty golden cache."""
+    """One inline campaign per smoke cell, with no golden resident."""
     clear_memory_cache()
     return [
         run_campaign(CampaignSpec(

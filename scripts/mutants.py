@@ -45,6 +45,7 @@ _FAULT_TIMING = (
     "tests/test_fault_injection.py::TestTransposeLocalMemoryFaults",
     "tests/test_fault_injection.py::TestVectoraddPredicateFaults",
     "tests/test_fault_injection.py::TestVectoraddVccFaults",
+    "tests/test_fault_injection.py::TestVectoraddAddressFaults",
 )
 
 MUTANTS = (

@@ -2,10 +2,10 @@
 
 The engine turns a matrix campaign into a DAG of fingerprinted jobs
 (golden runs -> fault plans -> FI shards -> reduced cells), schedules
-them across a process pool so whole cells run concurrently, shares
-golden runs between campaigns, and persists every finished job so
-interrupted runs resume (``--resume``) and repeated runs are
-incremental — all bit-identical to an inline one-worker run.
+them across a process pool so whole cells run concurrently, and
+persists every finished job (campaigns sharing a store share its
+golden runs) so interrupted runs resume (``--resume``) and repeated
+runs are incremental — all bit-identical to an inline one-worker run.
 
 * :mod:`repro.engine.fingerprint` — canonical full-parameter job keys
 * :mod:`repro.engine.store` — append-only JSONL result store

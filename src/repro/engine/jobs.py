@@ -5,8 +5,8 @@ cell:
 
 * **golden** — one traced fault-free run: cycle count, launch cycles,
   ACE AVFs, occupancies, and the golden output buffers. Shared between
-  cells (and campaigns) that agree on (gpu, workload, scale, scheduler,
-  ace_mode) — sample/seed sweeps hit the cache instead of re-running.
+  cells (and, through the result store, campaigns) that agree on (gpu,
+  workload, scale, scheduler, ace_mode).
 * **plan** — fault sampling plus the dead-site pruning pass: one
   seeded generator draws the per-structure plan lists, each tagged
   provably-dead or potentially-live by replaying the golden run's

@@ -4,7 +4,7 @@
 :class:`repro.spec.CampaignSpec` and decomposes its (GPU x benchmark)
 evaluation matrix into golden -> plan -> shard -> cell jobs, schedules
 them across a process pool so *cells* run concurrently (not just one
-cell's re-simulations), caches golden runs by (gpu, workload, scale,
+cell's re-simulations), shares golden jobs by (gpu, workload, scale,
 scheduler, ace_mode), and records every finished job in a persistent
 :class:`~repro.engine.store.ResultStore` — making interrupted campaigns
 resumable and repeated invocations incremental. This is the one
@@ -173,7 +173,6 @@ def _cell_jobs(spec, config: GpuConfig, workload_name: str,
         make_args=lambda deps: (
             config, workload_name, scale, scheduler, spec.ace_mode.value,
             checkpoint_interval),
-        cache_in_memory=True,
     )
     plan_job = JobSpec(
         job_id=plan_fp,

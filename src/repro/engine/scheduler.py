@@ -2,8 +2,8 @@
 
 The scheduler drives an arbitrary DAG of :class:`JobSpec`\\ s:
 
-* jobs whose fingerprint is already in the persistent store (or the
-  in-process golden cache) resolve instantly as *cached*;
+* jobs whose fingerprint is already in the persistent store resolve
+  instantly as *cached* (the store is the only job cache);
 * pool jobs (a picklable ``worker`` + ``make_args``) run on an
   :class:`ExecutionBackend` as soon as their dependencies resolve —
   the local :class:`ProcessPoolBackend` by default, or the campaign
@@ -41,39 +41,9 @@ from typing import Callable
 from repro.engine.store import ResultStore
 from repro.telemetry import profile as _profile
 
-#: In-process payload cache for jobs flagged ``cache_in_memory`` —
-#: golden runs, so repeated campaigns in one process (sample/seed
-#: sweeps, fig1+fig2+fig3) never re-simulate an identical golden run.
-#: LRU-bounded: golden payloads carry full output buffers, so an
-#: unbounded cache would grow monotonically in long sweep processes.
-_MEMORY_CACHE: dict[str, dict] = {}
-_MEMORY_CACHE_MAX = 64
-
-
-def _memory_cache_get(fp: str) -> dict | None:
-    payload = _MEMORY_CACHE.get(fp)
-    if payload is not None:
-        _MEMORY_CACHE[fp] = _MEMORY_CACHE.pop(fp)  # mark most-recent
-    return payload
-
-
-def _memory_cache_put(fp: str, payload: dict) -> None:
-    _MEMORY_CACHE.pop(fp, None)
-    while len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
-        _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
-    # Like the persistent store, the cache holds the fingerprinted
-    # result only: ephemeral ``_``-keys (golden machine snapshots, up
-    # to 12 MB pickled at ``default`` scale, and access traces) live
-    # exactly as long as the campaign that produced them.
-    _MEMORY_CACHE[fp] = {
-        k: v for k, v in payload.items() if not k.startswith("_")
-    }
-
-
 def clear_memory_cache() -> None:
-    """Drop the in-process golden-run cache and resident artifacts
-    (benchmarks and tests use this)."""
-    _MEMORY_CACHE.clear()
+    """Drop this process's resident golden artifacts (benchmarks and
+    tests use this to count simulations from a cold start)."""
     _RESIDENT.clear()
 
 
@@ -223,7 +193,6 @@ class JobSpec:
     #: after this job completes
     expand: Callable | None = None
     persist: bool = True
-    cache_in_memory: bool = False
 
 
 @dataclass
@@ -273,8 +242,7 @@ class JobScheduler:
     ``telemetry`` (a :class:`repro.telemetry.TelemetryHub`, optional)
     receives the scheduler's observability stream: per-job
     ``job_start`` / ``job_finish`` / ``job_cached`` events carrying
-    the queue depth and in-flight worker count at emission time, and
-    ``golden_cache`` hit/miss probes of the in-process memory cache.
+    the queue depth and in-flight worker count at emission time.
     Emission is strictly observability-only — it never changes job
     admission order, payloads, or anything the store records.
     """
@@ -355,21 +323,9 @@ class _RunState:
         if job.job_id in self.seen:
             return
         self.seen.add(job.job_id)
-        payload = None
-        if job.cache_in_memory:
-            payload = _memory_cache_get(job.fingerprint)
-            self.emit("golden_cache", job, hit=payload is not None)
-        if payload is not None:
-            # Backfill stores that predate this cached payload, so a
-            # later --resume still finds the complete job chain.
-            if self.store is not None and job.fingerprint not in self.store:
-                self.store.put(job.fingerprint, job.kind, payload)
-            self.emit("job_cached", job, source="memory")
-        elif self.store is not None and job.fingerprint in self.store:
-            payload = self.store.get(job.fingerprint)
+        if self.store is not None and job.fingerprint in self.store:
             self.emit("job_cached", job, source="store")
-        if payload is not None:
-            self.finish(job, payload, cached=True)
+            self.finish(job, self.store.get(job.fingerprint), cached=True)
         else:
             self.pending[job.job_id] = job
 
@@ -377,11 +333,8 @@ class _RunState:
                profile: dict | None = None) -> None:
         self.resolved[job.job_id] = payload
         self.stats.count(job.kind, cached)
-        if not cached:
-            if job.cache_in_memory:
-                _memory_cache_put(job.fingerprint, payload)
-            if job.persist and self.store is not None:
-                self.store.put(job.fingerprint, job.kind, payload)
+        if not cached and job.persist and self.store is not None:
+            self.store.put(job.fingerprint, job.kind, payload)
         if job.expand is not None:
             deps = {dep: self.resolved[dep] for dep in job.deps
                     if dep in self.resolved}

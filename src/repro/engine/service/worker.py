@@ -47,7 +47,7 @@ WORKER_FUNCTIONS = {
 }
 
 #: Decoded golden blobs cached per worker (a cell's shards share one).
-_GOLDEN_CACHE_MAX = 8
+_GOLDEN_BLOBS_MAX = 8
 
 
 class CoordinatorUnreachable(ConnectionError):
@@ -147,7 +147,7 @@ class CampaignWorker:
         self.lease_ttl_s = 30.0  # refined by the register response
         self.counters = {"executed": 0, "pushed": 0, "duplicates": 0,
                          "rejected": 0, "replayed": 0}
-        self._golden_cache: dict[str, dict] = {}
+        self._golden_blobs: dict[str, dict] = {}
         self._held_leases: set[str] = set()
         self._leases_lock = threading.Lock()
         self._stop = threading.Event()
@@ -160,16 +160,16 @@ class CampaignWorker:
                   file=sys.stderr, flush=True)
 
     def _fetch_golden(self, fingerprint: str) -> dict:
-        blob = self._golden_cache.get(fingerprint)
+        blob = self._golden_blobs.get(fingerprint)
         if blob is None:
             response = self.client.get(protocol.GOLDEN_PATH + fingerprint)
             if not response.get("ok"):
                 raise CoordinatorUnreachable(
                     f"coordinator has no golden blob {fingerprint[:12]}…")
             blob = response["outputs"]
-            if len(self._golden_cache) >= _GOLDEN_CACHE_MAX:
-                self._golden_cache.pop(next(iter(self._golden_cache)))
-            self._golden_cache[fingerprint] = blob
+            if len(self._golden_blobs) >= _GOLDEN_BLOBS_MAX:
+                self._golden_blobs.pop(next(iter(self._golden_blobs)))
+            self._golden_blobs[fingerprint] = blob
         return blob
 
     def _with_retries(self, call):

@@ -11,7 +11,7 @@ of argparse *subcommands* over it, sharing one set of option groups:
   ``--set key=value`` overrides of single spec fields;
 * ``sweep path/to/spec.toml --axis key=v1,v2 ...`` expands the spec
   by an axis product (``--axis`` repeats), runs every child campaign
-  against one shared result store and golden cache, and prints a
+  against one shared result store, and prints a
   per-axis summary table;
 * ``status STORE`` renders the campaign monitor for a result store —
   per-kind job counts, cache hit rates, worker occupancy, injection

@@ -11,6 +11,8 @@ in :data:`HANDLERS` once, when it prepares a program.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.bits import to_signed, u32
@@ -91,24 +93,23 @@ def _h_s_and_saveexec_b64(ctx, inst):
     return EFFECT_NONE
 
 
-_SCMP = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+#: The six comparisons; Python ints and numpy lane arrays alike.
+_CMP = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+        "ge": operator.ge, "eq": operator.eq, "ne": operator.ne}
 
 
-def _h_s_cmp(ctx, inst):
-    _, _, op, ty = inst.opcode.split("_")
-    a = ctx.read_scalar32(inst.operands[0])
-    b = ctx.read_scalar32(inst.operands[1])
-    if ty == "i32":
-        a, b = to_signed(a), to_signed(b)
-    ctx.scc = _SCMP[op](a, b)
-    return EFFECT_NONE
+def _s_cmp(op: str, ty: str):
+    """The ``s_cmp_<op>_<ty>`` handler: SCC = a <op> b."""
+    compare, signed = _CMP[op], ty == "i32"
+
+    def handler(ctx, inst):
+        a = ctx.read_scalar32(inst.operands[0])
+        b = ctx.read_scalar32(inst.operands[1])
+        if signed:
+            a, b = to_signed(a), to_signed(b)
+        ctx.scc = compare(a, b)
+        return EFFECT_NONE
+    return handler
 
 
 def _branch_target(ctx, inst) -> int:
@@ -122,25 +123,26 @@ def _h_s_branch(ctx, inst):
     return Effect("branch", target=_branch_target(ctx, inst))
 
 
-def _h_s_cbranch(ctx, inst):
-    kind = inst.opcode.removeprefix("s_cbranch_")
-    if kind == "scc0":
-        take = not ctx.scc
-    elif kind == "scc1":
-        take = ctx.scc
-    elif kind == "vccz":
-        take = ctx.read_mask64(VCC) == 0
-    elif kind == "vccnz":
-        take = ctx.read_mask64(VCC) != 0
-    elif kind == "execz":
-        take = ctx.read_mask64(EXEC) == 0
-    elif kind == "execnz":
-        take = ctx.read_mask64(EXEC) != 0
-    else:
-        raise IllegalInstruction(f"unknown conditional branch {inst.opcode}")
-    if take:
-        return Effect("branch", target=_branch_target(ctx, inst))
-    return EFFECT_NONE
+#: ``s_cbranch_<kind>``: whether the branch is taken.
+_BRANCH_TAKEN = {
+    "scc0": lambda ctx: not ctx.scc,
+    "scc1": lambda ctx: ctx.scc,
+    "vccz": lambda ctx: ctx.read_mask64(VCC) == 0,
+    "vccnz": lambda ctx: ctx.read_mask64(VCC) != 0,
+    "execz": lambda ctx: ctx.read_mask64(EXEC) == 0,
+    "execnz": lambda ctx: ctx.read_mask64(EXEC) != 0,
+}
+
+
+def _s_cbranch(kind: str):
+    """The ``s_cbranch_<kind>`` handler."""
+    taken = _BRANCH_TAKEN[kind]
+
+    def handler(ctx, inst):
+        if taken(ctx):
+            return Effect("branch", target=_branch_target(ctx, inst))
+        return EFFECT_NONE
+    return handler
 
 
 def _h_s_barrier(ctx, inst):
@@ -296,28 +298,19 @@ def _h_v_cndmask_b32(ctx, inst):
     return EFFECT_NONE
 
 
-_VCMP = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+def _v_cmp(op: str, ty: str):
+    """The ``v_cmp_<op>_<ty>`` handler: a lane mask of a <op> b."""
+    compare, view = _CMP[op], {"f32": as_f32, "i32": as_i32}.get(ty)
 
-
-def _h_v_cmp(ctx, inst):
-    _, _, op, ty = inst.opcode.split("_")
-    a = ctx.read_vsrc(inst.operands[1])
-    b = ctx.read_vsrc(inst.operands[2])
-    if ty == "f32":
-        a, b = as_f32(a), as_f32(b)
-    elif ty == "i32":
-        a, b = as_i32(a), as_i32(b)
-    result = _VCMP[op](a, b)
-    mask = ctx.bools_to_mask(result & ctx.eff_bool)
-    ctx.write_mask64(inst.operands[0], mask)
-    return EFFECT_NONE
+    def handler(ctx, inst):
+        a = ctx.read_vsrc(inst.operands[1])
+        b = ctx.read_vsrc(inst.operands[2])
+        if view is not None:
+            a, b = view(a), view(b)
+        mask = ctx.bools_to_mask(compare(a, b) & ctx.eff_bool)
+        ctx.write_mask64(inst.operands[0], mask)
+        return EFFECT_NONE
+    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +417,11 @@ for _name in _VALU_F32:
     HANDLERS[_name] = _h_valu_f32
 for _name in _VUNARY_F32:
     HANDLERS[_name] = _h_vunary_f32
-for _op in ("lt", "le", "gt", "ge", "eq", "ne"):
+for _op in _CMP:
     for _ty in ("i32", "u32"):
-        HANDLERS[f"s_cmp_{_op}_{_ty}"] = _h_s_cmp
+        HANDLERS[f"s_cmp_{_op}_{_ty}"] = _s_cmp(_op, _ty)
     for _ty in ("i32", "u32", "f32"):
-        HANDLERS[f"v_cmp_{_op}_{_ty}"] = _h_v_cmp
-for _kind in ("scc0", "scc1", "vccz", "vccnz", "execz", "execnz"):
-    HANDLERS[f"s_cbranch_{_kind}"] = _h_s_cbranch
+        HANDLERS[f"v_cmp_{_op}_{_ty}"] = _v_cmp(_op, _ty)
+for _kind in _BRANCH_TAKEN:
+    HANDLERS[f"s_cbranch_{_kind}"] = _s_cbranch(_kind)
 

@@ -279,7 +279,7 @@ def format_sweep_summary(result) -> str:
     executed = sum(run.stats.executed for run in result.runs)
     cached = sum(run.stats.cached for run in result.runs)
     lines.append(
-        f"(shared store/golden cache: {cached} jobs cached, "
+        f"(shared store: {cached} jobs cached, "
         f"{executed} executed across the sweep)")
     return "\n".join(lines)
 

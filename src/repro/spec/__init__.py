@@ -11,7 +11,7 @@ single configuration surface for every layer of the reproduction:
 * spec files (``CampaignSpec.from_file`` / ``to_file``, TOML or JSON)
   and the ``repro-experiments run path/to/spec.toml`` CLI
 * sweeps (``spec.sweep(fault_model=[...], seed=range(3))`` /
-  :func:`run_sweep`) sharing one result store and golden cache
+  :func:`run_sweep`) sharing one result store
 
 Each field's check, command-line text parser, help and figure flag
 is its :data:`SPEC_TABLE` entry. Spec fields map one-to-one onto the engine's job-fingerprint

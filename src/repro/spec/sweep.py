@@ -5,10 +5,11 @@ The "one spec, many axes" pattern the follow-on literature motivates
 et al. compare chip generations) is a first-class operation here:
 ``spec.sweep(fault_model=[...], seed=range(3))`` expands the product
 into child specs, and :func:`run_sweep` executes them against one
-shared :class:`~repro.engine.store.ResultStore` and golden cache —
-children that agree on (gpu, workload, scale, scheduler, ace_mode)
-never re-run a golden simulation, so the marginal cost of an extra
-axis value is its plan/shard/cell jobs only.
+shared :class:`~repro.engine.store.ResultStore`. With a store, children
+that agree on (gpu, workload, scale, scheduler, ace_mode) share golden
+jobs, so an extra axis value executes its plan/shard/cell jobs only;
+a plan job still re-simulates its golden when the golden's trace is
+not resident in the process.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def run_sweep(base: CampaignSpec, axes: dict, *, store=None, workers: int = 1,
     """Expand ``base`` x ``axes`` and run every child campaign.
 
     All children share ``store`` (a :class:`ResultStore` or a path,
-    opened once) and the engine's in-process golden cache; ``stats``
-    (optional shared :class:`CampaignStats`) additionally accumulates
-    the job accounting across the whole sweep. Each
+    opened once), the only place one child reuses another's jobs;
+    ``stats`` (optional shared :class:`CampaignStats`) additionally
+    accumulates the job accounting across the whole sweep. Each
     :class:`SweepRun` also carries its own per-child stats.
 
     ``telemetry`` (``None`` defers to the base spec's ``telemetry``

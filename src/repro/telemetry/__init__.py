@@ -1,11 +1,10 @@
 """``repro.telemetry`` — the engine observability layer.
 
-Structured telemetry for campaign execution: the scheduler, the
-in-process golden cache and the matrix driver emit schema-versioned
-events (job start/finish/cached, queue depth, worker occupancy, cache
-hit/miss, per-cell throughput) into a :class:`TelemetryHub` fanning
-out to pluggable sinks — an in-memory tape for tests, or a JSONL file
-written next to the result store.
+Structured telemetry for campaign execution: the scheduler and the
+matrix driver emit schema-versioned events (job start/finish/cached,
+queue depth, worker occupancy, per-cell throughput) into a
+:class:`TelemetryHub` fanning out to pluggable sinks — an in-memory
+tape for tests, or a JSONL file written next to the result store.
 
 On top of the bus sits the hot-path profiling layer
 (:mod:`repro.telemetry.profile`): per-phase wall-time attribution and

@@ -1,6 +1,6 @@
 """Engine telemetry: sinks and the fan-out hub.
 
-The campaign engine (scheduler, golden cache, matrix driver) emits a
+The campaign engine (scheduler, matrix driver) emits a
 stream of structured *telemetry events* describing how a campaign is
 executing — job starts/finishes, cache hits, queue depth, worker
 occupancy, per-cell throughput. Events are plain JSON-safe dicts with

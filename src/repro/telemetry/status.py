@@ -158,7 +158,7 @@ def aggregate_events(events: list[dict]) -> CampaignStatus:
             status.busy_s += float(busy)
         elif etype == "job_cached" and bucket is not None:
             bucket["cached"] += 1
-        elif etype == "golden_cache":
+        elif etype == "golden_cache":  # streams of older engine versions
             if event.get("hit"):
                 status.golden_cache_hits += 1
             else:

@@ -8,11 +8,12 @@ import pytest
 
 from repro.engine import clear_memory_cache, run_campaign
 from repro.engine.jobs import CELL, GOLDEN, PLAN, SHARD
-from repro.engine.store import ResultStore
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
-from repro.spec import CampaignSpec
-from tests.conftest import MINI_NVIDIA, comparable
+from repro.faultmodels import list_fault_models
+from repro.spec import CampaignSpec, run_sweep
+from tests.conftest import (MINI_AMD, MINI_NVIDIA, comparable,
+                            counting_fault_free_runs)
 
 GPUS = [MINI_NVIDIA]
 WORKLOADS = ["histogram", "vectoradd"]
@@ -113,12 +114,23 @@ class TestGoldenSharing:
         assert fig2.stats.by_kind[GOLDEN]["executed"] == 0
         assert fig2.stats.by_kind[GOLDEN]["cached"] == len(WORKLOADS)
 
-    def test_sample_sweep_shares_golden_in_memory(self):
-        sweep_a = _run(samples=10)
-        sweep_b = _run(samples=15)
-        assert sweep_a.stats.by_kind[GOLDEN]["executed"] == len(WORKLOADS)
-        assert sweep_b.stats.by_kind[GOLDEN]["executed"] == 0
-        assert sweep_b.stats.by_kind[GOLDEN]["cached"] == len(WORKLOADS)
+    def test_storeless_campaigns_simulate_each_golden_once(self):
+        """Without a store nothing is shared between campaigns, and
+        within one each golden is simulated once: its plan and shards
+        reuse that run's trace and snapshots. 6 cells, so 6 fault-free
+        runs per campaign."""
+        spec = CampaignSpec(gpus=[MINI_NVIDIA, MINI_AMD],
+                            workloads=["histogram", "scan", "kmeans"],
+                            scale="tiny", samples=12,
+                            checkpoint_interval="auto")
+        with counting_fault_free_runs() as seeds:
+            for seed in (0, 1):
+                run_campaign(spec.replace(seed=seed))
+        assert seeds["runs"] == 12
+        clear_memory_cache()
+        with counting_fault_free_runs() as sweep:
+            run_sweep(spec, {"fault_model": list_fault_models()})
+        assert sweep["runs"] == 18
 
     def test_workload_inputs_stable_across_processes(self):
         """Resume safety: a fresh process must rebuild identical inputs.
@@ -143,12 +155,3 @@ class TestGoldenSharing:
             )
             draws.add(result.stdout.strip())
         assert len(draws) == 1, f"process-dependent workload inputs: {draws}"
-
-    def test_memory_cache_backfills_new_store(self, tmp_path):
-        _run()  # ephemeral campaign warms the in-process golden cache
-        store_path = tmp_path / "store.jsonl"
-        _run(store=store_path)
-        # The cached goldens were written through, so the store alone
-        # can resume the campaign in a fresh process.
-        reloaded = ResultStore(store_path)
-        assert reloaded.counts_by_kind()[GOLDEN] == len(WORKLOADS)

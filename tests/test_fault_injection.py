@@ -22,7 +22,7 @@ from repro.errors import SimFault, WatchdogTimeout
 from repro.kernels.registry import get_workload
 from repro.kernels.workload import run_workload
 from repro.reliability.campaign import run_cell
-from repro.reliability.fi import run_golden
+from repro.reliability.fi import resimulate_plan, run_golden
 from repro.reliability.liveness import FaultSiteResolver
 from repro.reliability.outcomes import (
     Outcome,
@@ -184,6 +184,15 @@ def _assert_masked_at_golden_cycles(config, name, plan):
     assert faulty.cycles == golden.cycles
 
 
+def _vectoradd_row_events(config, row):
+    """(cycle, is_write) of every ``vectoradd`` access to ``row`` lane 0,
+    core 0."""
+    recorder = _recorded(config, "vectoradd")
+    return [(cycle, is_write)
+            for cycle, core, r, mask, is_write in recorder.reg_events
+            if core == 0 and r == row and mask & 1]
+
+
 class TestVectoraddRegisterFaults:
     """Hand-derived ``vectoradd`` faults on lane 0 of core 0's first warp.
 
@@ -193,17 +202,9 @@ class TestVectoraddRegisterFaults:
     after c is a write), so these cases pin both sides of the boundary.
     """
 
-    @staticmethod
-    def _events(config, row):
-        """(cycle, is_write) of every access to ``row`` lane 0, core 0."""
-        recorder = _recorded(config, "vectoradd")
-        return [(cycle, is_write)
-                for cycle, core, r, mask, is_write in recorder.reg_events
-                if core == 0 and r == row and mask & 1]
-
     def _sum_window(self, config, sum_row):
         """(add cycle, store cycle) of the sum register's final value."""
-        events = self._events(config, sum_row)
+        events = _vectoradd_row_events(config, sum_row)
         # The add reads and writes the sum in one issue; the store
         # reads it last.
         assert [w for _, w in events[-3:]] == [False, True, False]
@@ -224,7 +225,7 @@ class TestVectoraddRegisterFaults:
     def test_fault_at_overwrite_issue_cycle_is_masked(self, isa):
         config, sum_row, addr_row = VECTORADD_ROWS[isa]
         _, store = self._sum_window(config, sum_row)
-        events = self._events(config, addr_row)
+        events = _vectoradd_row_events(config, addr_row)
         # The address register's last write, then the store's read.
         assert [w for _, w in events[-2:]] == [True, False]
         (write, _), (read, _) = events[-2:]
@@ -243,6 +244,41 @@ class TestVectoraddRegisterFaults:
         _assert_exact_sdc(config, "vectoradd", FaultPlan(
             REGISTER_FILE, 0, sum_row * config.warp_size, BIT,
             (add + store) // 2))
+
+
+class TestVectoraddAddressFaults:
+    """Hand-derived ``vectoradd`` DUE on lane 0 of core 0's first warp.
+
+    The store-address register (SASS R5, SI v3) is read last by the
+    output store. Bit 30 of the address points a gigabyte past every
+    buffer, so a flip the store reads is a memory fault; after the
+    store the register is dead.
+    """
+
+    @staticmethod
+    def _address_plan(config, addr_row, cycle_after_store):
+        events = _vectoradd_row_events(config, addr_row)
+        assert [w for _, w in events[-2:]] == [True, False]
+        store, _ = events[-1]
+        return FaultPlan(REGISTER_FILE, 0, addr_row * config.warp_size, 30,
+                         store + cycle_after_store)
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_flip_at_store_issue_cycle_is_memory_fault_due(self, isa):
+        config, _, addr_row = VECTORADD_ROWS[isa]
+        plan = self._address_plan(config, addr_row, 0)
+        assert _is_live(config, "vectoradd", plan)
+        golden = run_golden(config, get_workload("vectoradd", "tiny"))
+        result = resimulate_plan(config, get_workload("vectoradd", "tiny"),
+                                 plan, golden.outputs, golden.cycles, "rr")
+        assert (result.outcome, result.detail) == (Outcome.DUE, "MemoryFault")
+
+    @pytest.mark.parametrize("isa", ["sass", "si"])
+    def test_flip_one_cycle_after_store_is_masked(self, isa):
+        config, _, addr_row = VECTORADD_ROWS[isa]
+        plan = self._address_plan(config, addr_row, 1)
+        assert not _is_live(config, "vectoradd", plan)
+        _assert_masked_at_golden_cycles(config, "vectoradd", plan)
 
 
 class TestVectoraddPredicateFaults:

@@ -1,7 +1,9 @@
 """SI execution semantics, tested by running one-wavefront kernels."""
 
 import numpy as np
+import pytest
 
+from repro.isa.si.semantics import HANDLERS
 from tests.conftest import run_si
 
 
@@ -208,6 +210,34 @@ class TestMasksAndCndmask:
             "v_mov_b32 v15, s6"
         )
         assert (out == 12).all()
+
+
+#: ``0xFFFFFFFF <op> 1`` under each reading: -1 vs 1 signed,
+#: 4294967295 vs 1 unsigned, NaN vs a denormal as float (NaN compares
+#: unequal to everything and neither below nor above it).
+_CMP_ALL_ONES_VS_ONE = {
+    "i32": {"lt": 1, "le": 1, "gt": 0, "ge": 0, "eq": 0, "ne": 1},
+    "u32": {"lt": 0, "le": 0, "gt": 1, "ge": 1, "eq": 0, "ne": 1},
+    "f32": {"lt": 0, "le": 0, "gt": 0, "ge": 0, "eq": 0, "ne": 1},
+}
+
+
+class TestComparisons:
+    @pytest.mark.parametrize("opcode", sorted(
+        name for name in HANDLERS if name.startswith(("v_cmp_", "s_cmp_"))))
+    def test_all_ones_against_one(self, opcode):
+        unit, _, op, ty = opcode.split("_")
+        if unit == "v":
+            body = ("v_mov_b32 v1, 0xFFFFFFFF\nv_mov_b32 v2, 1\n"
+                    f"{opcode} vcc, v1, v2\n"
+                    "v_mov_b32 v3, 0\nv_mov_b32 v4, 1\n"
+                    "v_cndmask_b32 v15, v3, v4, vcc")
+        else:
+            body = ("v_mov_b32 v15, 0\ns_mov_b32 s6, 0xFFFFFFFF\n"
+                    f"{opcode} s6, 1\ns_cbranch_scc0 done\n"
+                    "v_mov_b32 v15, 1\ndone:")
+        out = run1(body)
+        assert (out == _CMP_ALL_ONES_VS_ONE[ty][op]).all()
 
 
 class TestSiMemory:

@@ -138,9 +138,9 @@ class TestEngineIntegration:
         types = [e["event"] for e in mem.events]
         assert types[0] == "campaign_begin"
         assert types[-1] == "campaign_end"
-        for expected in ("golden_cache", "job_start", "job_finish",
-                         "cell_finish"):
+        for expected in ("job_start", "job_finish", "cell_finish"):
             assert expected in types
+        assert "golden_cache" not in types
         assert [e["seq"] for e in mem.events] == list(range(len(mem.events)))
         begin = mem.of_type("campaign_begin")[0]
         assert begin["cells"] == 1 and begin["workers"] == 1
@@ -158,8 +158,7 @@ class TestEngineIntegration:
                               telemetry=TelemetryHub(mem))
         assert result.stats.executed == 0
         cached = mem.of_type("job_cached")
-        assert cached and all(e["source"] in ("memory", "store")
-                              for e in cached)
+        assert cached and all(e["source"] == "store" for e in cached)
         assert not mem.of_type("job_start")
 
     def test_spec_field_turns_telemetry_on(self, tmp_path):
