@@ -10,10 +10,11 @@ counts are identical and asserts the injections-per-second speedup of
 the re-simulation phase (the cells' FI shard time) clears
 ``MIN_SPEEDUP``.
 
-Neither arm uses a result store, so each simulates its own goldens,
-and each starts with no resident golden artifacts: golden-job
-fingerprints ignore the checkpoint interval, so a baseline golden left
-resident would carry no snapshots for the checkpointed arm's shards.
+Each arm starts with no resident golden, so each simulates its own:
+golden-job fingerprints ignore the checkpoint interval, so a baseline
+golden left resident would resolve the checkpointed arm's golden jobs
+without snapshots, and its shards would rebuild them in their timed
+work.
 The smoke matrix uses two compact chips (one per ISA) whose occupancy
 keeps a healthy live-fault fraction.
 

@@ -3,8 +3,8 @@
 Runs the same small (GPU x benchmark) matrix serially and on the
 process pool, verifies the cells are identical, and asserts the pool
 is not slower than serial (``MIN_SPEEDUP``, 1x) on hosts with at least
-two CPUs. The resident golden artifacts are cleared between the runs
-so each pays the full campaign cost.
+two CPUs. The resident goldens are cleared between the runs so each
+pays the full campaign cost.
 
 Knobs: ``REPRO_FI_SAMPLES`` / ``REPRO_SCALE`` (default 40 samples at
 ``tiny``, read through :mod:`repro.spec.defaults`) plus

@@ -274,6 +274,15 @@ MUTANTS = (
         tests=("tests/test_transparency.py::"
                "test_service_simulates_each_golden_once",),
     ),
+    Mutant(
+        name="admit-ignores-resident-golden",
+        breaks="an inline campaign re-simulates the goldens an earlier "
+               "one left resident",
+        path="src/repro/engine/scheduler.py",
+        old="        held = resident(job.fingerprint) if self.inline else {}",
+        new="        held = {}",
+        tests=("tests/test_engine_resume.py::TestGoldenSharing",),
+    ),
 )
 
 

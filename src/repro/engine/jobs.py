@@ -27,7 +27,9 @@ resident under the golden fingerprint
 that land in the same process find them. A plan or shard job that
 finds neither (its golden came from the store, or ran in another
 process) simulates the golden once and leaves the artifacts resident
-for the jobs after it.
+for the jobs after it. An inline golden is left resident whole, and
+a later inline campaign of the process resolves it from there
+(:mod:`repro.engine.scheduler`).
 
 All worker functions are module-level (picklable) and take one
 plain-data argument tuple; payloads are JSON-serializable dicts so the

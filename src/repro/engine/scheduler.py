@@ -3,7 +3,9 @@
 The scheduler drives an arbitrary DAG of :class:`JobSpec`\\ s:
 
 * jobs whose fingerprint is already in the persistent store resolve
-  instantly as *cached* (the store is the only job cache);
+  instantly as *cached*, and so does a golden this process ran inline
+  while its payload is still resident (:func:`deposit`): with its
+  trace and snapshots, so its plan and shards re-simulate nothing;
 * pool jobs (a picklable ``worker`` + ``make_args``) run on an
   :class:`ExecutionBackend` as soon as their dependencies resolve —
   the local :class:`ProcessPoolBackend` by default, or the campaign
@@ -41,6 +43,7 @@ from typing import Callable
 from repro.engine.store import ResultStore
 from repro.telemetry import profile as _profile
 
+
 def clear_memory_cache() -> None:
     """Drop this process's resident golden artifacts (benchmarks and
     tests use this to count simulations from a cold start)."""
@@ -50,8 +53,10 @@ def clear_memory_cache() -> None:
 #: Ephemeral artifacts kept in the process that made them: the
 #: ``_``-keys of payloads (a golden run's snapshot set and access
 #: trace) that never cross a process boundary, keyed by the producing
-#: job's fingerprint. LRU-bounded: a ``small``-scale golden's artifacts
-#: take a few MB, a ``default``-scale one's up to about 15 MB.
+#: job's fingerprint. An inline golden leaves its whole payload here,
+#: which resolves the same golden in a later campaign of the process.
+#: LRU-bounded: a ``small``-scale golden's artifacts take a few MB, a
+#: ``default``-scale one's up to about 15 MB.
 _RESIDENT: dict[str, dict] = {}
 _RESIDENT_MAX = 4
 
@@ -272,7 +277,7 @@ class JobScheduler:
             state.admit(job)
         if self.execution is not None:
             state.run_backend(self.execution)
-        elif self.workers <= 1:
+        elif state.inline:
             state.run_inline()
         else:
             backend = ProcessPoolBackend(self.workers)
@@ -298,6 +303,7 @@ class _RunState:
         self.telemetry = scheduler.telemetry
         self.workers = scheduler.workers
         self.profile = scheduler.profile
+        self.inline = scheduler.execution is None and self.workers <= 1
         self.running = 0
         self.resolved: dict[str, dict] = {}
         self.pending: dict[str, JobSpec] = {}
@@ -323,7 +329,12 @@ class _RunState:
         if job.job_id in self.seen:
             return
         self.seen.add(job.job_id)
-        if self.store is not None and job.fingerprint in self.store:
+        held = resident(job.fingerprint) if self.inline else {}
+        if any(not key.startswith("_") for key in held):
+            # A copy: the campaign pops the artifacts it has consumed.
+            self.emit("job_cached", job, source="resident")
+            self.finish(job, dict(held), cached=True)
+        elif self.store is not None and job.fingerprint in self.store:
             self.emit("job_cached", job, source="store")
             self.finish(job, self.store.get(job.fingerprint), cached=True)
         else:
@@ -333,8 +344,12 @@ class _RunState:
                profile: dict | None = None) -> None:
         self.resolved[job.job_id] = payload
         self.stats.count(job.kind, cached)
-        if not cached and job.persist and self.store is not None:
+        if job.persist and self.store is not None:
+            # Idempotent; records a resident golden its store lacks.
             self.store.put(job.fingerprint, job.kind, payload)
+        if not cached and any(key.startswith("_") for key in payload):
+            # Ran inline: its artifacts crossed no process boundary.
+            deposit(job.fingerprint, payload)
         if job.expand is not None:
             deps = {dep: self.resolved[dep] for dep in job.deps
                     if dep in self.resolved}

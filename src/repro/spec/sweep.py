@@ -7,9 +7,11 @@ et al. compare chip generations) is a first-class operation here:
 into child specs, and :func:`run_sweep` executes them against one
 shared :class:`~repro.engine.store.ResultStore`. With a store, children
 that agree on (gpu, workload, scale, scheduler, ace_mode) share golden
-jobs, so an extra axis value executes its plan/shard/cell jobs only;
-a plan job still re-simulates its golden when the golden's trace is
-not resident in the process.
+jobs, so an extra axis value executes its plan/shard/cell jobs only.
+Inline, a child also resolves the last four goldens an earlier child
+ran, trace and snapshots included
+(:func:`repro.engine.scheduler.deposit`); a plan job re-simulates any
+other golden to record its trace.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def run_sweep(base: CampaignSpec, axes: dict, *, store=None, workers: int = 1,
     """Expand ``base`` x ``axes`` and run every child campaign.
 
     All children share ``store`` (a :class:`ResultStore` or a path,
-    opened once), the only place one child reuses another's jobs;
+    opened once) and, inline, the goldens left resident in the process;
     ``stats`` (optional shared :class:`CampaignStats`) additionally
     accumulates the job accounting across the whole sweep. Each
     :class:`SweepRun` also carries its own per-child stats.

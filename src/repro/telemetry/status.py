@@ -7,7 +7,9 @@ event types) together with the result store's record counts, and
 renders one text panel describing a running or finished campaign:
 
 * per-kind job counts, cached vs executed, and the golden-cache hit
-  rate — is the resume/cache machinery actually saving work?
+  rate of streams recorded by older engine versions (current ones
+  emit no ``golden_cache`` events) — is the resume/cache machinery
+  actually saving work?
 * worker occupancy — time-weighted busy fraction of the process pool,
   from per-job wall times (in-worker time when the payload reports
   it, so pool queue wait does not inflate the number);

@@ -8,9 +8,10 @@ import pytest
 
 from repro.engine import clear_memory_cache, run_campaign
 from repro.engine.jobs import CELL, GOLDEN, PLAN, SHARD
+from repro.engine.scheduler import CampaignStats
+from repro.engine.store import ResultStore
 from repro.arch.structures import DATAPATH_STRUCTURES as STRUCTURES
 from repro.arch.structures import LOCAL_MEMORY, REGISTER_FILE
-from repro.faultmodels import list_fault_models
 from repro.spec import CampaignSpec, run_sweep
 from tests.conftest import (MINI_AMD, MINI_NVIDIA, comparable,
                             counting_fault_free_runs)
@@ -114,23 +115,39 @@ class TestGoldenSharing:
         assert fig2.stats.by_kind[GOLDEN]["executed"] == 0
         assert fig2.stats.by_kind[GOLDEN]["cached"] == len(WORKLOADS)
 
-    def test_storeless_campaigns_simulate_each_golden_once(self):
-        """Without a store nothing is shared between campaigns, and
-        within one each golden is simulated once: its plan and shards
-        reuse that run's trace and snapshots. 6 cells, so 6 fault-free
-        runs per campaign."""
+    def test_sample_sweep_shares_golden_in_memory(self):
+        sweep_a = _run(samples=10)
+        sweep_b = _run(samples=15)
+        assert sweep_a.stats.by_kind[GOLDEN]["executed"] == len(WORKLOADS)
+        assert sweep_b.stats.by_kind[GOLDEN]["executed"] == 0
+        assert sweep_b.stats.by_kind[GOLDEN]["cached"] == len(WORKLOADS)
+
+    def test_storeless_campaigns_reuse_resident_goldens(self):
+        """Each golden is simulated once per campaign, and a later
+        campaign resolves the last four an inline one left resident
+        (trace and snapshots included) without simulating them again:
+        6 cells cost 6 fault-free runs, then 2 per extra campaign."""
         spec = CampaignSpec(gpus=[MINI_NVIDIA, MINI_AMD],
                             workloads=["histogram", "scan", "kmeans"],
                             scale="tiny", samples=12,
                             checkpoint_interval="auto")
+        models = ["transient", "stuck_at", "mbu"]
         with counting_fault_free_runs() as seeds:
             for seed in (0, 1):
                 run_campaign(spec.replace(seed=seed))
-        assert seeds["runs"] == 12
+        assert seeds["runs"] == 6 + 2
         clear_memory_cache()
         with counting_fault_free_runs() as sweep:
-            run_sweep(spec, {"fault_model": list_fault_models()})
-        assert sweep["runs"] == 18
+            run_sweep(spec, {"fault_model": models})
+        assert sweep["runs"] == 6 + 2 + 2
+        clear_memory_cache()
+        one_cell = spec.replace(gpus=[MINI_NVIDIA], workloads=["histogram"])
+        totals = CampaignStats()
+        with counting_fault_free_runs() as children:
+            run_sweep(one_cell, {"fault_model": models, "seed": [0, 1, 2]},
+                      stats=totals)
+        assert children["runs"] == 1
+        assert totals.by_kind[GOLDEN] == {"cached": 8, "executed": 1}
 
     def test_workload_inputs_stable_across_processes(self):
         """Resume safety: a fresh process must rebuild identical inputs.
@@ -155,3 +172,12 @@ class TestGoldenSharing:
             )
             draws.add(result.stdout.strip())
         assert len(draws) == 1, f"process-dependent workload inputs: {draws}"
+
+    def test_memory_cache_backfills_new_store(self, tmp_path):
+        _run()  # a storeless campaign leaves its goldens resident
+        store_path = tmp_path / "store.jsonl"
+        _run(store=store_path)
+        # The cached goldens were written through, so the store alone
+        # can resume the campaign in a fresh process.
+        reloaded = ResultStore(store_path)
+        assert reloaded.counts_by_kind()[GOLDEN] == len(WORKLOADS)

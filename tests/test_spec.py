@@ -18,6 +18,7 @@ import functools
 
 import pytest
 
+from repro.engine import clear_memory_cache
 from repro.engine.matrix import cell_fingerprints, run_campaign
 from repro.engine.scheduler import CampaignStats
 from repro.errors import ConfigError
@@ -298,6 +299,7 @@ class TestHarnessSpecPath:
 
 class TestRunSweep:
     def test_sweep_shares_store_and_goldens(self, tmp_path):
+        clear_memory_cache()  # no golden left resident by earlier tests
         store = tmp_path / "sweep.jsonl"
         base = SPEC.replace(samples=4, name="mini")
         stats = CampaignStats()
@@ -306,8 +308,8 @@ class TestRunSweep:
         assert len(result.runs) == 2
         assert [run.spec.fault_model for run in result.runs] == \
             ["transient", "stuck_at"]
-        # One golden job serves both children: the second child finds
-        # it in the shared store.
+        # One golden simulation serves both children: the second
+        # child resolves the golden the first left resident.
         assert stats.by_kind["golden"] == {"cached": 1, "executed": 1}
         assert result.cells and len(result.cells) == 2
         summary = result.summary()

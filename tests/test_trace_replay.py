@@ -249,8 +249,13 @@ def test_inline_golden_jobs_capture_and_record(monkeypatch):
     monkeypatch.setattr(jobs, "run_golden_job", spy)
     run_campaign(SPEC)
     assert artifacts == [ARTIFACTS, ARTIFACTS]
-    # Inline runs cross no process boundary: nothing is kept resident.
-    assert scheduler._RESIDENT == {}
+    # Each inline golden stays resident, payload and artifacts, for a
+    # later campaign in this process to resolve.
+    held = {fp: _artifact_types({k: v for k, v in entry.items()
+                                 if k.startswith("_")})
+            for fp, entry in scheduler._RESIDENT.items()}
+    assert held == {fp: ARTIFACTS for fp in _golden_fps(SPEC)}
+    assert all("cycles" in entry for entry in scheduler._RESIDENT.values())
 
 
 def _resident_after(fingerprint: str) -> dict:
